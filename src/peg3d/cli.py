@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,16 +30,16 @@ def _resolve_scenario(arg: str, config_path):
 
 def _cmd_train(args):
     scenario, config = _resolve_scenario(args.scenario, args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.episodes is not None:
-        config.episodes = args.episodes
-    if args.max_plays is not None:
-        config.max_plays = args.max_plays
-    if args.freeze is not None:
-        config.freeze = args.freeze
-    if args.log_steps is not None:
-        config.log_steps = args.log_steps
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "episodes", "max_plays", "freeze", "log_steps")
+        if getattr(args, name) is not None
+    }
+    # replace() builds a new config, so its validation runs on the overrides.
+    try:
+        config = dataclasses.replace(config, **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"peg3d train: {exc}") from None
 
     def progress(ep, log):
         if args.quiet:

@@ -6,14 +6,21 @@ Evenly spaced peaks make the bank a partition of unity, so the normalized
 rule firing strengths of the full cross-product rule grid are exact and the
 derivative of the inferred output with respect to a rule consequent is simply
 that rule's firing strength.
+
+Because every foot sits at a neighboring peak, an input between peaks ``k``
+and ``k + 1`` has nonzero membership in those two functions only.  Rule
+firing is therefore computed in closed form: one peak lookup per input gives
+its cell and two degrees, and only the ``2 ** n_inputs`` rules at the corners
+of that cell (16 of 625 for the default layout) get a nonzero strength.
+:class:`RuleBase` rejects any other layout at construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -99,6 +106,19 @@ class InputPartition:
         return np.array([mf.membership(xc) for mf in self.mfs])
 
 
+def _neighbor_footed(peaks) -> tuple[TriangularMF, ...]:
+    """Shouldered triangles at ``peaks`` whose feet sit at the neighboring peaks."""
+    last = len(peaks) - 1
+    return tuple(
+        TriangularMF(
+            left=peaks[k - 1] if k > 0 else peak,
+            peak=peak,
+            right=peaks[k + 1] if k < last else peak,
+        )
+        for k, peak in enumerate(peaks)
+    )
+
+
 def uniform_partition(lo: float, hi: float, n_mfs: int = 5) -> InputPartition:
     """Evenly spaced shouldered triangles with feet at the neighboring peaks.
 
@@ -108,12 +128,7 @@ def uniform_partition(lo: float, hi: float, n_mfs: int = 5) -> InputPartition:
     if n_mfs < 2:
         raise ValueError("need at least 2 membership functions")
     peaks = [lo + k * (hi - lo) / (n_mfs - 1) for k in range(n_mfs)]
-    mfs = []
-    for k, peak in enumerate(peaks):
-        left = peaks[k - 1] if k > 0 else peak
-        right = peaks[k + 1] if k < n_mfs - 1 else peak
-        mfs.append(TriangularMF(left=left, peak=peak, right=right))
-    return InputPartition(lo=lo, hi=hi, mfs=tuple(mfs))
+    return InputPartition(lo=lo, hi=hi, mfs=_neighbor_footed(peaks))
 
 
 class RuleBase:
@@ -121,16 +136,49 @@ class RuleBase:
 
     Rule ``l`` pairs one membership function per input; rules are ordered
     row-major (the last input varies fastest), matching the flattening of
-    the outer product in :meth:`fire`.
+    the outer product in :meth:`fire`.  Every partition needs at least two
+    membership functions with feet at the neighboring peaks (the layout
+    :func:`uniform_partition` and :meth:`from_dict` build), because
+    :meth:`fire` relies on it.
     """
 
     def __init__(self, partitions):
         self.partitions = tuple(partitions)
         if not self.partitions:
             raise ValueError("rule base needs at least one input partition")
+        for i, p in enumerate(self.partitions):
+            if len(p.mfs) < 2:
+                raise ValueError(f"input {i}: need at least 2 membership functions")
+            if p.mfs != _neighbor_footed(p.peaks):
+                raise ValueError(
+                    f"input {i}: membership function feet must sit at the neighboring peaks"
+                )
         self.shape = tuple(len(p.mfs) for p in self.partitions)
         self.n_rules = int(np.prod(self.shape))
         self.rules = tuple(itertools.product(*(range(n) for n in self.shape)))
+        strides = [int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape))]
+        # Per input: the clamp range, the peaks, the last cell's index and
+        # the row-major stride.  Below the first peak (or above the last) the
+        # shoulder holds the degrees of that peak, so clamping the domain
+        # ends into the peak range keeps every degree exact.
+        self._cells = tuple(
+            (
+                min(max(p.lo, p.peaks[0]), p.peaks[-1]),
+                min(max(p.hi, p.peaks[0]), p.peaks[-1]),
+                p.peaks,
+                len(p.peaks) - 2,
+                stride,
+            )
+            for p, stride in zip(self.partitions, strides)
+        )
+        # Rule offsets of a cell's corners from its lowest corner, row-major.
+        self._offsets = np.array(
+            [
+                sum(s for bit, s in zip(corner, strides) if bit)
+                for corner in itertools.product((0, 1), repeat=len(strides))
+            ],
+            dtype=np.intp,
+        )
 
     @property
     def n_inputs(self) -> int:
@@ -142,15 +190,30 @@ class RuleBase:
         Inputs are clamped to their partition domains.  Each rule's raw
         strength is the product of its per-input memberships; the vector is
         normalized to sum to 1.
+
+        Closed form: input ``i`` clamped between peaks ``k`` and ``k + 1``
+        has degrees ``(right - x) / w`` and ``(x - left) / w`` (``w`` the
+        peak gap) in those two functions and 0 in every other, since the
+        feet sit at the neighboring peaks.  The ``2 ** n_inputs`` corner
+        products are scattered into a dense zero vector, so the result is
+        bit for bit the normalized dense outer product of
+        :meth:`InputPartition.memberships`.
         """
         if len(x) != len(self.partitions):
             raise ValueError(f"expected {len(self.partitions)} inputs, got {len(x)}")
-        degrees = [p.memberships(xi) for p, xi in zip(self.partitions, x)]
-        raw = reduce(np.multiply.outer, degrees).ravel()
-        total = raw.sum()
-        if total < 1e-300:
-            raise ValueError("degenerate firing: no rule is active (gap in a partition)")
-        return raw / total
+        products = [1.0]
+        base = 0
+        for (x_lo, x_hi, peaks, last, stride), xi in zip(self._cells, x):
+            xc = min(max(xi, x_lo), x_hi)
+            k = min(bisect_right(peaks, xc) - 1, last)
+            left, right = peaks[k], peaks[k + 1]
+            width = right - left
+            low, high = (right - xc) / width, (xc - left) / width
+            products = [p * d for p in products for d in (low, high)]
+            base += k * stride
+        raw = np.zeros(self.n_rules)
+        raw[base + self._offsets] = products
+        return raw / raw.sum()
 
     def to_dict(self) -> dict:
         """Peak-parameterized layout, sufficient to rebuild the rule base."""
@@ -162,18 +225,14 @@ class RuleBase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RuleBase":
-        partitions = []
-        for spec in data["inputs"]:
-            peaks = [float(v) for v in spec["peaks"]]
-            mfs = []
-            for k, peak in enumerate(peaks):
-                left = peaks[k - 1] if k > 0 else peak
-                right = peaks[k + 1] if k < len(peaks) - 1 else peak
-                mfs.append(TriangularMF(left=left, peak=peak, right=right))
-            partitions.append(
-                InputPartition(lo=float(spec["lo"]), hi=float(spec["hi"]), mfs=tuple(mfs))
+        return cls(
+            InputPartition(
+                lo=float(spec["lo"]),
+                hi=float(spec["hi"]),
+                mfs=_neighbor_footed([float(v) for v in spec["peaks"]]),
             )
-        return cls(partitions)
+            for spec in data["inputs"]
+        )
 
 
 def build_default_partitions(

@@ -77,9 +77,10 @@ class FuzzyActorCritic:
         u = self.actor @ phi
         if rng is not None:
             u_exec = u + rng.normal(0.0, self.sigma, size=u.shape)
+            np.maximum(u_exec, -self.action_limit, out=u_exec)
         else:
-            u_exec = u.copy()
-        np.clip(u_exec, -self.action_limit, self.action_limit, out=u_exec)
+            u_exec = np.maximum(u, -self.action_limit)
+        np.minimum(u_exec, self.action_limit, out=u_exec)
         return u, u_exec
 
     def value(self, phi: np.ndarray) -> float:
@@ -97,12 +98,14 @@ class FuzzyActorCritic:
         """Move the critic along the firing features by the TD error."""
         self.critic += (self.alpha_critic * delta) * phi
 
-    def update_actor(self, phi: np.ndarray, u: np.ndarray, u_exec: np.ndarray, delta: float):
+    def update_actor(self, phi: np.ndarray, u: np.ndarray, u_exec, delta: float):
         """Reinforce the executed perturbation in proportion to the TD error.
 
         Per channel the weight step is
         ``alpha_actor * delta * (u_exec - u) / sigma * phi``; a zero
         perturbation or zero TD error leaves the actor untouched.
+        ``u_exec`` may be any per-channel sequence, such as the plain floats
+        the environment executed.
         """
         scale = (self.alpha_actor * delta / self.sigma) * (u_exec - u)
         self.actor += scale[:, None] * phi[None, :]

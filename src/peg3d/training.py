@@ -154,13 +154,16 @@ def run_episode(
         e_rng = rng if (train and freeze != EVADER) else None
         u_p, x_p = learners[PURSUER].act(phi_p, p_rng)
         u_e, x_e = learners[EVADER].act(phi_e, e_rng)
+        # The executed actions continue as plain floats: scalar math on them
+        # is cheaper than on numpy scalars, and the states stay plain floats.
+        x_p, x_e = x_p.tolist(), x_e.tolist()
         if cone_constraint:
             px, py, pz = p_state.position
             qx, qy, qz = e_state.position
             los = (qx - px, qy - py, qz - pz)  # P -> E; also the evader's away direction
             if halfangle is not None:
-                x_p = np.asarray(cone_limited_command(p_state, x_p[0], x_p[1], los, halfangle))
-            x_e = np.asarray(cone_limited_command(e_state, x_e[0], x_e[1], los, half_pi))
+                x_p = cone_limited_command(p_state, x_p[0], x_p[1], los, halfangle)
+            x_e = cone_limited_command(e_state, x_e[0], x_e[1], los, half_pi)
 
         prev_p, prev_e = p_state, e_state
         p_state = step_agent(p_state, StepCommand(x_p[0], x_p[1]), arena.dt, arena)
@@ -240,9 +243,9 @@ def run_episode(
                     evader_alpha=e_state.alpha,
                     evader_theta=e_state.theta,
                     pursuer_u=u_p.tolist(),
-                    pursuer_u_exec=x_p.tolist(),
+                    pursuer_u_exec=list(x_p),
                     evader_u=u_e.tolist(),
-                    evader_u_exec=x_e.tolist(),
+                    evader_u_exec=list(x_e),
                     pursuer_reward=r_p,
                     evader_reward=r_e,
                     pursuer_td=td_p,

@@ -1,7 +1,11 @@
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peg3d.fuzzy import (
     InputPartition,
@@ -152,6 +156,94 @@ class TestRuleBase:
                 rng.uniform(-3.0, 3.0),
             )
             assert np.array_equal(rb.fire(x), clone.fire(x))
+
+
+def dense_firing(rb, x):
+    """Reference firing: the dense outer product of every membership, normalized."""
+    degrees = [p.memberships(xi) for p, xi in zip(rb.partitions, x)]
+    raw = reduce(np.multiply.outer, degrees).ravel()
+    return raw / raw.sum()
+
+
+def _layout(*inputs):
+    return RuleBase.from_dict(
+        {"inputs": [{"lo": lo, "hi": hi, "peaks": peaks} for lo, hi, peaks in inputs]}
+    )
+
+
+FIRING_LAYOUTS = {
+    "default": build_default_partitions(),
+    "two-mf-toy": RuleBase([uniform_partition(0.0, 1.0, 2) for _ in range(4)]),
+    "non-uniform": _layout(
+        (0.0, 35.0, [0.0, 3.0, 10.0, 20.0, 35.0]),
+        (-math.pi, math.pi, [-math.pi, -1.0, 0.0, 0.5, math.pi]),
+        (0.0, 35.0, [0.0, 3.0, 10.0, 20.0, 35.0]),
+        (-math.pi, math.pi, [-math.pi, -2.5, 1.0, math.pi]),
+    ),
+    # Domains wider than the peak range on one or both sides, and narrower.
+    "domain-beyond-peaks": _layout(
+        (-10.0, 35.0, [0.0, 8.75, 17.5, 26.25, 35.0]),
+        (-4.0, 4.0, [-math.pi, 0.0, math.pi]),
+        (0.0, 50.0, [0.0, 3.0, 10.0, 20.0, 35.0]),
+        (-1.0, 1.0, [-2.0, -0.5, 0.0, 2.0]),
+    ),
+}
+
+
+def _special_points(partition):
+    """Peaks, domain ends and points beyond them, where the closed form can slip."""
+    lo, hi = partition.lo, partition.hi
+    return sorted({*partition.peaks, lo, hi, lo - 1.0, hi + 1.0})
+
+
+class TestClosedFormFiring:
+    """``RuleBase.fire`` is bit for bit the normalized dense product."""
+
+    @pytest.mark.parametrize("name", FIRING_LAYOUTS)
+    def test_matches_dense_reference_on_special_points(self, name):
+        rb = FIRING_LAYOUTS[name]
+        for x in itertools.product(*(_special_points(p) for p in rb.partitions)):
+            assert np.array_equal(rb.fire(x), dense_firing(rb, x)), x
+
+    @pytest.mark.parametrize("name", FIRING_LAYOUTS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_reference(self, name, data):
+        rb = FIRING_LAYOUTS[name]
+        x = tuple(
+            data.draw(
+                st.one_of(
+                    st.floats(p.lo - 20.0, p.hi + 20.0, allow_nan=False),
+                    st.sampled_from(_special_points(p)),
+                )
+            )
+            for p in rb.partitions
+        )
+        assert np.array_equal(rb.fire(x), dense_firing(rb, x))
+
+    def test_rejects_single_mf_input(self):
+        single = InputPartition(0.0, 1.0, (TriangularMF(0.5, 0.5, 0.5),))
+        with pytest.raises(ValueError, match="input 1"):
+            RuleBase([uniform_partition(0.0, 1.0, 2), single])
+
+    def test_rejects_feet_off_the_neighboring_peaks(self):
+        wide = InputPartition(
+            0.0,
+            2.0,
+            (
+                TriangularMF(0.0, 0.0, 2.0),
+                TriangularMF(0.0, 1.0, 2.0),
+                TriangularMF(0.0, 2.0, 2.0),
+            ),
+        )
+        with pytest.raises(ValueError, match="input 2"):
+            RuleBase([uniform_partition(0.0, 2.0, 3), uniform_partition(0.0, 2.0, 3), wide])
+
+    def test_single_peak_layout_rejected_at_load(self):
+        data = build_default_partitions().to_dict()
+        data["inputs"][3]["peaks"] = [0.0]
+        with pytest.raises(ValueError, match="input 3"):
+            RuleBase.from_dict(data)
 
 
 class TestInfer:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from peg3d import training
 from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT
 from peg3d.logs import export_csv, export_json, load_episode, summary_row
@@ -101,6 +103,33 @@ class TestRunEpisode:
         # straight chase along the axis: pursuer aligned, evader pointed away
         assert log.cone_fraction["pursuer"] == 1.0
         assert log.cone_fraction["evader"] == 1.0
+
+    @pytest.mark.parametrize("cone_constraint", [True, False])
+    def test_step_loop_carries_plain_floats(self, monkeypatch, cone_constraint):
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig()
+        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
+        step_agent, states = training.step_agent, []
+
+        def recording_step_agent(*args, **kwargs):
+            states.append(step_agent(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(training, "step_agent", recording_step_agent)
+        log = run_episode(
+            arena, p0, e0, rb, learners, cfg.reward, rng=np.random.default_rng(5),
+            max_plays=25, train=True, cone_constraint=cone_constraint, record_steps=True,
+        )
+        assert log.steps == 25
+        assert len(states) == 2 * log.steps
+        for state in states:
+            assert [type(v) for v in (*state.position, state.alpha, state.theta)] == [float] * 5
+        for record in log.records:
+            for field in dataclasses.fields(record):
+                value = getattr(record, field.name)
+                expected = bool if field.name.endswith("_cone") else float
+                values = value if isinstance(value, list) else [value]
+                assert {type(v) for v in values} == {expected}, field.name
 
 
 class TestEpisodeLogExports:
@@ -423,6 +452,16 @@ class TestCLI:
     def test_unknown_scenario_number_exits(self):
         with pytest.raises(SystemExit):
             cli_main(["train", "--scenario", "9", "--quiet"])
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--episodes", "episodes must be >= 1"), ("--max-plays", "max_plays must be >= 1")],
+    )
+    def test_invalid_train_override_exits_before_training(self, tmp_path, flag, message):
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match=message):
+            cli_main(["train", "--scenario", "1", flag, "0", "--out", str(out_dir), "--quiet"])
+        assert not out_dir.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(
