@@ -29,6 +29,8 @@ def _resolve_scenario(arg: str, config_path):
 
 
 def _cmd_train(args):
+    if args.report_every < 1:
+        raise SystemExit("peg3d train: report_every must be >= 1")
     scenario, config = _resolve_scenario(args.scenario, args.config)
     overrides = {
         name: getattr(args, name)
@@ -63,6 +65,8 @@ def _cmd_train(args):
 
 
 def _cmd_evaluate(args):
+    if args.runs < 1:
+        raise SystemExit("peg3d evaluate: runs must be >= 1")
     learners, rulebase, scenario, config = load_checkpoint(args.checkpoint)
     if args.scenario is not None:
         scenario, _ = _resolve_scenario(args.scenario, None)

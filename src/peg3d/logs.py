@@ -5,13 +5,16 @@ separation, path lengths, compliance fractions); per-step records are kept
 only when requested, since long training runs would otherwise hold millions
 of rows.  JSON export round-trips losslessly; CSV export writes one
 trajectory file, one reward/TD time-series file, and a JSON summary.
+
+Exports only read a log: they serialise its fields and records as they are,
+without copying them first, and stream the JSON to the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = [
@@ -88,7 +91,16 @@ class EpisodeLog:
     schema: str = EPISODE_SCHEMA
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Plain-dict form in field order, records as dicts, for serialisation.
+
+        Equal to ``dataclasses.asdict(self)`` but shallow: the nested lists
+        and dicts are the log's own objects, not copies, so mutating the
+        result mutates the log.
+        """
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.records is not None:
+            data["records"] = [dict(vars(rec)) for rec in self.records]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeLog":
@@ -241,8 +253,7 @@ def export_csv(log: EpisodeLog, out_dir, stem: str = "episode") -> list[Path]:
     summary = out_dir / f"{stem}_summary.json"
     write_rows_csv(trajectory, _TRAJECTORY_FIELDS, _trajectory_rows(log), TRAJECTORY_SCHEMA)
     write_rows_csv(series, _SERIES_FIELDS, _series_rows(log), SERIES_SCHEMA)
-    summary_data = log.to_dict()
-    summary_data.pop("records")
+    summary_data = {f.name: getattr(log, f.name) for f in fields(log) if f.name != "records"}
     with open(summary, "w") as fh:
         json.dump(summary_data, fh, indent=1)
         fh.write("\n")

@@ -405,7 +405,10 @@ def evaluate(
 
     Each run redraws the scenario's random obstacle layout from its own child
     seed (explicit layouts are identical across runs).  Returns the metrics
-    table and the per-run rows; never mutates the learners.
+    table and the per-run rows; never mutates the learners.  When ``out_dir``
+    is given, writes ``metrics.json`` and ``runs.csv`` after the last run; with
+    ``record_steps`` each run's log goes to ``runs/run_NNN.json`` as soon as
+    that run ends, so only one run's records are held at a time.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -415,7 +418,6 @@ def evaluate(
 
     out = Path(out_dir) if out_dir is not None else None
     rows: list[dict] = []
-    logs: list[EpisodeLog] = []
     for i, child in enumerate(children):
         obstacle_rng = np.random.default_rng(child)
         obstacles = realize_obstacles(scenario, config, obstacle_rng)
@@ -437,10 +439,11 @@ def evaluate(
             seed=seed,
             episode=i,
         )
-        logs.append(log)
         row = summary_row(log)
         row.pop("episode")
         rows.append({"run": i, **row})
+        if out is not None and record_steps:
+            export_json(log, out / "runs" / f"run_{i:03d}.json")
 
     captured = [row for row in rows if row["outcome"] == CAPTURED]
     capture_times = [row["capture_time"] for row in captured]
@@ -485,9 +488,6 @@ def evaluate(
             json.dump(metrics, fh, indent=1)
             fh.write("\n")
         write_rows_csv(out / "runs.csv", list(rows[0].keys()), rows, RUNS_CSV_SCHEMA)
-        if record_steps:
-            for i, log in enumerate(logs):
-                export_json(log, out / "runs" / f"run_{i:03d}.json")
     return metrics, rows
 
 

@@ -9,7 +9,7 @@ import pytest
 from peg3d import training
 from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT
-from peg3d.logs import export_csv, export_json, load_episode, summary_row
+from peg3d.logs import export_csv, export_json, load_episode, summary_row, write_rows_csv
 from peg3d.scenarios import Scenario, TrainConfig, builtin_scenarios
 from peg3d.training import (
     CheckpointLayoutError,
@@ -142,6 +142,57 @@ class TestEpisodeLogExports:
             max_plays=max_plays, train=False, record_steps=True, scenario_name=sc.name,
         )
 
+    def _close_log(self):
+        # Starts inside the capture radius, so the episode records zero steps.
+        sc = Scenario(name="close", pursuer_start=(5.0, 5.0, 0.0), evader_start=(5.4, 5.0, 0.0))
+        cfg = TrainConfig()
+        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
+        return run_episode(
+            arena, p0, e0, rb, learners, cfg.reward, rng=None,
+            max_plays=10, train=False, record_steps=True,
+        )
+
+    def _training_log(self):
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig()
+        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
+        return run_episode(
+            arena, p0, e0, rb, learners, cfg.reward, rng=np.random.default_rng(4),
+            max_plays=6, train=True, record_steps=True, scenario_name=sc.name, seed=4, episode=0,
+        )
+
+    @pytest.mark.parametrize("kind", ["training", "evaluation", "close"])
+    def test_exports_match_asdict_reference(self, tmp_path, kind):
+        log = {
+            "training": self._training_log,
+            "evaluation": self._small_log,
+            "close": self._close_log,
+        }[kind]()
+        tds = {rec.pursuer_td for rec in log.records} | {rec.evader_td for rec in log.records}
+        if kind == "training":
+            assert all(isinstance(td, float) for td in tds)
+        else:
+            assert tds <= {None}
+        assert (log.steps == 0) == (kind == "close")
+        assert log.to_dict() == dataclasses.asdict(log)
+
+        # Reference: the exports as written with a deep copy through asdict.
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        with open(ref / "episode.json", "w") as fh:
+            json.dump(dataclasses.asdict(log), fh, indent=1)
+            fh.write("\n")
+        summary = dataclasses.asdict(log)
+        summary.pop("records")
+        with open(ref / "ep_summary.json", "w") as fh:
+            json.dump(summary, fh, indent=1)
+            fh.write("\n")
+
+        export_json(log, tmp_path / "episode.json")
+        export_csv(log, tmp_path, stem="ep")
+        for name in ("episode.json", "ep_summary.json"):
+            assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()
+
     def test_json_round_trip_identity(self, tmp_path):
         log = self._small_log()
         path = tmp_path / "episode.json"
@@ -162,13 +213,7 @@ class TestEpisodeLogExports:
         assert len(files) == 3
 
     def test_empty_episode_exports_terminal_row(self, tmp_path):
-        sc = Scenario(name="close", pursuer_start=(5.0, 5.0, 0.0), evader_start=(5.4, 5.0, 0.0))
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None,
-            max_plays=10, train=False, record_steps=True,
-        )
+        log = self._close_log()
         export_csv(log, tmp_path, stem="ep")
         lines = (tmp_path / "ep_trajectory.csv").read_text().splitlines()
         assert len(lines) == 3  # schema comment + header + terminal row
@@ -318,6 +363,58 @@ class TestEvaluate:
             tmp_path / "b" / "runs.csv"
         ).read_bytes()
 
+    def test_run_logs_match_across_run_counts_and_runs_csv(self, tmp_path):
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig(max_plays=25)
+        rb = build_rulebase(cfg)
+        learners = build_learners(cfg, rb.n_rules)
+        rng = np.random.default_rng(2)
+        for learner in learners.values():
+            learner.actor[:] = rng.normal(0.0, 0.1, learner.actor.shape)
+        for runs in (3, 5):
+            evaluate(
+                learners, rb, sc, cfg, runs=runs, seed=11,
+                out_dir=tmp_path / str(runs), record_steps=True,
+            )
+        names = [f"run_{i:03d}.json" for i in range(3)]
+        assert sorted(path.name for path in (tmp_path / "3" / "runs").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "3" / "runs" / name).read_bytes() == (
+                tmp_path / "5" / "runs" / name
+            ).read_bytes()
+
+        # The stored logs rebuild runs.csv byte for byte.
+        for runs in (3, 5):
+            rows = []
+            for i in range(runs):
+                row = summary_row(load_episode(tmp_path / str(runs) / "runs" / f"run_{i:03d}.json"))
+                row.pop("episode")
+                rows.append({"run": i, **row})
+            rebuilt = tmp_path / f"rebuilt_{runs}.csv"
+            write_rows_csv(rebuilt, list(rows[0].keys()), rows, training.RUNS_CSV_SCHEMA)
+            assert rebuilt.read_bytes() == (tmp_path / str(runs) / "runs.csv").read_bytes()
+
+    def test_run_log_written_as_each_run_ends(self, tmp_path, monkeypatch):
+        calls = []
+        real_run_episode, real_export_json = training.run_episode, training.export_json
+
+        def run_episode_spy(*args, **kwargs):
+            calls.append("run")
+            return real_run_episode(*args, **kwargs)
+
+        def export_json_spy(log, path):
+            calls.append(f"export {log.episode}")
+            real_export_json(log, path)
+
+        monkeypatch.setattr(training, "run_episode", run_episode_spy)
+        monkeypatch.setattr(training, "export_json", export_json_spy)
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig(max_plays=10)
+        rb = build_rulebase(cfg)
+        learners = build_learners(cfg, rb.n_rules)
+        evaluate(learners, rb, sc, cfg, runs=3, seed=1, out_dir=tmp_path, record_steps=True)
+        assert calls == ["run", "export 0", "run", "export 1", "run", "export 2"]
+
     def test_evaluate_does_not_mutate_learners(self):
         sc = builtin_scenarios()[1]
         cfg = TrainConfig(max_plays=30)
@@ -455,13 +552,24 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flag, message",
-        [("--episodes", "episodes must be >= 1"), ("--max-plays", "max_plays must be >= 1")],
+        [
+            ("--episodes", "episodes must be >= 1"),
+            ("--max-plays", "max_plays must be >= 1"),
+            ("--report-every", "report_every must be >= 1"),
+        ],
     )
     def test_invalid_train_override_exits_before_training(self, tmp_path, flag, message):
         out_dir = tmp_path / "run"
         with pytest.raises(SystemExit, match=message):
             cli_main(["train", "--scenario", "1", flag, "0", "--out", str(out_dir), "--quiet"])
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_evaluate_runs_below_one_exits_before_loading(self, tmp_path, runs):
+        # The checkpoint does not exist, so loading it first would raise instead.
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="peg3d evaluate: runs must be >= 1"):
+            cli_main(["evaluate", "--checkpoint", str(missing), "--runs", runs])
 
     def test_module_entry_point(self):
         proc = subprocess.run(
