@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import sys
 from pathlib import Path
 
 from .logs import export_episode, load_episode
-from .scenarios import TrainConfig, builtin_scenarios, load_config
-from .training import evaluate, load_checkpoint, train
+from .scenarios import (
+    FREEZE_MODES,
+    LOG_STEPS_MODES,
+    TrainConfig,
+    builtin_scenarios,
+    check_scenario,
+    load_config,
+)
+from .training import build_learners, build_rulebase, evaluate, load_checkpoint, train
+
+# Bad input files and values: each exits with "peg3d <command>: <message>".
+_BAD_INPUT = (ValueError, OSError, configparser.Error)
 
 
 def _resolve_scenario(arg: str, config_path):
@@ -31,16 +42,19 @@ def _resolve_scenario(arg: str, config_path):
 def _cmd_train(args):
     if args.report_every < 1:
         raise SystemExit("peg3d train: report_every must be >= 1")
-    scenario, config = _resolve_scenario(args.scenario, args.config)
     overrides = {
         name: getattr(args, name)
         for name in ("seed", "episodes", "max_plays", "freeze", "log_steps")
         if getattr(args, name) is not None
     }
-    # replace() builds a new config, so its validation runs on the overrides.
     try:
+        scenario, config = _resolve_scenario(args.scenario, args.config)
+        # replace() builds a new config, so its validation runs on the overrides.
         config = dataclasses.replace(config, **overrides)
-    except ValueError as exc:
+        # Building the rule base and learners runs their own checks on [learner].
+        build_learners(config, build_rulebase(config).n_rules)
+        check_scenario(scenario, config)
+    except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d train: {exc}") from None
 
     def progress(ep, log):
@@ -67,9 +81,15 @@ def _cmd_train(args):
 def _cmd_evaluate(args):
     if args.runs < 1:
         raise SystemExit("peg3d evaluate: runs must be >= 1")
-    learners, rulebase, scenario, config = load_checkpoint(args.checkpoint)
-    if args.scenario is not None:
-        scenario, _ = _resolve_scenario(args.scenario, None)
+    if args.save_logs and args.out is None:
+        raise SystemExit("peg3d evaluate: --save-logs needs --out")
+    try:
+        learners, rulebase, scenario, config = load_checkpoint(args.checkpoint)
+        if args.scenario is not None:
+            scenario, _ = _resolve_scenario(args.scenario, None)
+        check_scenario(scenario, config)
+    except _BAD_INPUT as exc:
+        raise SystemExit(f"peg3d evaluate: {exc}") from None
     metrics, rows = evaluate(
         learners,
         rulebase,
@@ -132,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default=None, help="output directory for logs and checkpoint")
     p_train.add_argument("--episodes", type=int, default=None)
     p_train.add_argument("--max-plays", type=int, default=None, dest="max_plays")
-    p_train.add_argument("--freeze", choices=("none", "pursuer", "evader"), default=None)
-    p_train.add_argument("--log-steps", choices=("none", "final", "all"), default=None)
+    p_train.add_argument("--freeze", choices=FREEZE_MODES, default=None)
+    p_train.add_argument("--log-steps", choices=LOG_STEPS_MODES, default=None)
     p_train.add_argument("--report-every", type=int, default=20)
     p_train.add_argument("--quiet", action="store_true")
     p_train.set_defaults(func=_cmd_train)

@@ -155,7 +155,6 @@ class RuleBase:
                 )
         self.shape = tuple(len(p.mfs) for p in self.partitions)
         self.n_rules = int(np.prod(self.shape))
-        self.rules = tuple(itertools.product(*(range(n) for n in self.shape)))
         strides = [int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape))]
         # Per input: the clamp range, the peaks, the last cell's index and
         # the row-major stride.  Below the first peak (or above the last) the

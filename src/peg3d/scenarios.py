@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .reward import RewardConfig
 
 __all__ = [
     "CONFIG_SCHEMA",
+    "FREEZE_MODES",
+    "INI_SECTIONS",
+    "LOG_STEPS_MODES",
     "LearnerConfig",
     "TrainConfig",
     "Scenario",
@@ -27,12 +30,15 @@ __all__ = [
     "realize_obstacles",
     "initial_states",
     "build_arena",
+    "check_scenario",
     "load_config",
     "scenario_from_dict",
     "train_config_from_dict",
 ]
 
 CONFIG_SCHEMA = "peg3d.config.v1"
+FREEZE_MODES = ("none", "pursuer", "evader")
+LOG_STEPS_MODES = ("none", "final", "all")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class LearnerConfig:
     angle_domain: tuple[float, float] = (-math.pi, math.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs besides the scenario."""
 
@@ -64,8 +70,8 @@ class TrainConfig:
     arena_extents: tuple[float, float, float] = (35.0, 35.0, 20.0)
     sensing_range: float = 35.0
     cone_constraint: bool = True
-    freeze: str = "none"  # none | pursuer | evader
-    log_steps: str = "final"  # none | final | all
+    freeze: str = "none"  # one of FREEZE_MODES
+    log_steps: str = "final"  # one of LOG_STEPS_MODES
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
 
@@ -74,16 +80,18 @@ class TrainConfig:
             raise ValueError("episodes must be >= 1")
         if self.max_plays < 1:
             raise ValueError("max_plays must be >= 1")
-        if self.freeze not in ("none", "pursuer", "evader"):
-            raise ValueError(f"freeze must be none|pursuer|evader, got {self.freeze!r}")
-        if self.log_steps not in ("none", "final", "all"):
-            raise ValueError(f"log_steps must be none|final|all, got {self.log_steps!r}")
+        for name in ("pursuer_speed", "evader_speed"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name, modes in (("freeze", FREEZE_MODES), ("log_steps", LOG_STEPS_MODES)):
+            if getattr(self, name) not in modes:
+                raise ValueError(f"{name} must be {'|'.join(modes)}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
     """Start positions plus an obstacle specification.
 
@@ -94,7 +102,7 @@ class Scenario:
     facing the evader and the evader facing directly away.
     """
 
-    name: str
+    name: str = "custom"
     pursuer_start: tuple[float, float, float]
     evader_start: tuple[float, float, float]
     obstacles: tuple[tuple[float, float, float, float], ...] | None = None
@@ -188,6 +196,19 @@ def build_arena(scenario: Scenario, config: TrainConfig, obstacles) -> Arena:
     )
 
 
+def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
+    """Build the arena once, running its checks on the config and explicit
+    obstacles, and reject starts that are not 3 floats inside the box or that
+    lie inside an explicit obstacle; ``train`` and ``evaluate`` call this first."""
+    obstacles = realize_obstacles(scenario, config, None) if scenario.obstacles else []
+    box = build_arena(scenario, config, obstacles).extents
+    for role, start in (("pursuer", scenario.pursuer_start), ("evader", scenario.evader_start)):
+        if len(start) != 3 or not all(0.0 <= c <= hi for c, hi in zip(start, box)):
+            raise ValueError(f"{role}_start must be 3 floats in the arena {box!r}, got {start!r}")
+        if any(obs.surface_distance(start) < 0.0 for obs in obstacles):
+            raise ValueError(f"{role}_start {start!r} lies inside an obstacle")
+
+
 def _chase_axis_heading(pursuer_start, evader_start) -> tuple[float, float]:
     d = np.asarray(evader_start, dtype=float) - np.asarray(pursuer_start, dtype=float)
     n = float(np.linalg.norm(d))
@@ -224,12 +245,10 @@ def initial_states(scenario: Scenario, config: TrainConfig) -> tuple[AgentState,
 # --- INI config files -------------------------------------------------------
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -238,21 +257,38 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_obstacle_rows(text: str) -> tuple[tuple[float, float, float, float], ...]:
     rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = _parse_floats(chunk)
-        if len(vals) != 4:
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        rows.append(_parse_floats(chunk))
+        if len(rows[-1]) != 4:
             raise ValueError(f"obstacle row needs 'x y z radius', got {chunk!r}")
-        rows.append(vals)
     return tuple(rows)
 
 
-def _get(parser, section, key, cast, current):
-    if parser.has_option(section, key):
-        return cast(parser.get(section, key))
-    return current
+# The INI layout: section -> (the dataclass its keys set, the keys).  A key is
+# its field's name, except [arena] ``extents``, which sets ``arena_extents``.
+# Defaults come from the dataclasses, casts from the fields' declared types.
+INI_SECTIONS = {
+    "config": (None, ("schema",)),
+    "train": (TrainConfig, ("episodes", "max_plays", "seed", "freeze", "log_steps")),
+    "arena": (
+        TrainConfig,
+        ("extents", "dt", "capture_distance", "max_time", "steering_mode", "sensing_range"),
+    ),
+    "agents": (TrainConfig, ("pursuer_speed", "evader_speed", "cone_constraint")),
+    "learner": (LearnerConfig, ("alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input")),
+    "reward": (RewardConfig, tuple(f.name for f in fields(RewardConfig))),
+    "scenario": (Scenario, tuple(f.name for f in fields(Scenario))),
+}
+# Keyed by annotation text: the config modules postpone annotation evaluation.
+_CASTS = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, float, float]": _parse_floats,
+    "tuple[float, float] | None": _parse_floats,
+    "tuple[tuple[float, float, float, float], ...] | None": _parse_obstacle_rows,
+}
 
 
 def load_config(path) -> tuple[TrainConfig, Scenario | None]:
@@ -266,142 +302,46 @@ def load_config(path) -> tuple[TrainConfig, Scenario | None]:
     with open(path) as fh:
         parser.read_file(fh)
 
-    known = {
-        "config": {"schema"},
-        "train": {"episodes", "max_plays", "seed", "freeze", "log_steps"},
-        "arena": {
-            "extents",
-            "dt",
-            "capture_distance",
-            "max_time",
-            "steering_mode",
-            "sensing_range",
-        },
-        "agents": {"pursuer_speed", "evader_speed", "cone_constraint"},
-        "learner": {"alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input"},
-        "reward": {
-            "repulsion_coeff",
-            "attraction_coeff",
-            "success_coeff",
-            "repulsion_weight",
-            "attraction_weight",
-        },
-        "scenario": {
-            "name",
-            "pursuer_start",
-            "evader_start",
-            "obstacles",
-            "obstacle_count",
-            "obstacle_radius",
-            "obstacle_margin",
-            "pursuer_heading",
-            "evader_heading",
-        },
-    }
+    schema = parser.get("config", "schema", fallback=CONFIG_SCHEMA)
+    if schema != CONFIG_SCHEMA:
+        raise ValueError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
+
+    values = {cls: {} for cls, _ in INI_SECTIONS.values()}
     for section in parser.sections():
-        if section not in known:
+        if section not in INI_SECTIONS:
             raise ValueError(f"unknown config section [{section}] in {path}")
-        for key in parser.options(section):
-            if key not in known[section]:
+        cls, keys = INI_SECTIONS[section]
+        types = {f.name: f.type for f in fields(cls)} if cls else {"schema": "str"}  # [config]
+        for key, text in parser.items(section):
+            if key not in keys:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
+            name = "arena_extents" if key == "extents" else key
+            values[cls][name] = _CASTS[types[name]](text)
 
-    if parser.has_option("config", "schema"):
-        schema = parser.get("config", "schema")
-        if schema != CONFIG_SCHEMA:
-            raise ValueError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
+    learner, reward = LearnerConfig(**values[LearnerConfig]), RewardConfig(**values[RewardConfig])
+    config = TrainConfig(**values[TrainConfig], learner=learner, reward=reward)
+    if not parser.has_section("scenario"):
+        return config, None
+    if not {"pursuer_start", "evader_start"} <= values[Scenario].keys():
+        raise ValueError("[scenario] needs pursuer_start and evader_start")
+    return config, Scenario(**values[Scenario])
 
-    defaults = TrainConfig()
-    learner = LearnerConfig(
-        alpha_actor=_get(parser, "learner", "alpha_actor", float, defaults.learner.alpha_actor),
-        alpha_critic=_get(parser, "learner", "alpha_critic", float, defaults.learner.alpha_critic),
-        gamma=_get(parser, "learner", "gamma", float, defaults.learner.gamma),
-        sigma=_get(parser, "learner", "sigma", float, defaults.learner.sigma),
-        mfs_per_input=_get(parser, "learner", "mfs_per_input", int, defaults.learner.mfs_per_input),
-    )
-    reward = RewardConfig(
-        repulsion_coeff=_get(parser, "reward", "repulsion_coeff", float, 10.0),
-        attraction_coeff=_get(parser, "reward", "attraction_coeff", float, 5.0),
-        success_coeff=_get(parser, "reward", "success_coeff", float, 20.0),
-        repulsion_weight=_get(parser, "reward", "repulsion_weight", float, 5.0),
-        attraction_weight=_get(parser, "reward", "attraction_weight", float, 10.0),
-    )
-    config = TrainConfig(
-        episodes=_get(parser, "train", "episodes", int, defaults.episodes),
-        max_plays=_get(parser, "train", "max_plays", int, defaults.max_plays),
-        seed=_get(parser, "train", "seed", int, defaults.seed),
-        freeze=_get(parser, "train", "freeze", str, defaults.freeze),
-        log_steps=_get(parser, "train", "log_steps", str, defaults.log_steps),
-        dt=_get(parser, "arena", "dt", float, defaults.dt),
-        capture_distance=_get(
-            parser, "arena", "capture_distance", float, defaults.capture_distance
-        ),
-        max_time=_get(parser, "arena", "max_time", float, defaults.max_time),
-        steering_mode=_get(parser, "arena", "steering_mode", str, defaults.steering_mode),
-        sensing_range=_get(parser, "arena", "sensing_range", float, defaults.sensing_range),
-        arena_extents=_get(parser, "arena", "extents", _parse_floats, defaults.arena_extents),
-        pursuer_speed=_get(parser, "agents", "pursuer_speed", float, defaults.pursuer_speed),
-        evader_speed=_get(parser, "agents", "evader_speed", float, defaults.evader_speed),
-        cone_constraint=_get(parser, "agents", "cone_constraint", _parse_bool, defaults.cone_constraint),
-        learner=learner,
-        reward=reward,
-    )
 
-    scenario = None
-    if parser.has_section("scenario"):
-        if not (
-            parser.has_option("scenario", "pursuer_start")
-            and parser.has_option("scenario", "evader_start")
-        ):
-            raise ValueError("[scenario] needs pursuer_start and evader_start")
-        heading = lambda key: (
-            _parse_floats(parser.get("scenario", key))
-            if parser.has_option("scenario", key)
-            else None
-        )
-        scenario = Scenario(
-            name=_get(parser, "scenario", "name", str, "custom"),
-            pursuer_start=_parse_floats(parser.get("scenario", "pursuer_start")),
-            evader_start=_parse_floats(parser.get("scenario", "evader_start")),
-            obstacles=(
-                _parse_obstacle_rows(parser.get("scenario", "obstacles"))
-                if parser.has_option("scenario", "obstacles")
-                else None
-            ),
-            obstacle_count=_get(parser, "scenario", "obstacle_count", int, 3),
-            obstacle_radius=_get(parser, "scenario", "obstacle_radius", float, 1.0),
-            obstacle_margin=_get(parser, "scenario", "obstacle_margin", float, 3.0),
-            pursuer_heading=heading("pursuer_heading"),
-            evader_heading=heading("evader_heading"),
-        )
-    return config, scenario
+def _tuples(value):
+    """JSON lists back to the dataclasses' tuples, inside nested dicts too."""
+    if isinstance(value, dict):
+        return {key: _tuples(item) for key, item in value.items()}
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    obstacles = data.get("obstacles")
-    return Scenario(
-        name=data["name"],
-        pursuer_start=tuple(data["pursuer_start"]),
-        evader_start=tuple(data["evader_start"]),
-        obstacles=(
-            tuple(tuple(row) for row in obstacles) if obstacles is not None else None
-        ),
-        obstacle_count=int(data.get("obstacle_count", 3)),
-        obstacle_radius=float(data.get("obstacle_radius", 1.0)),
-        obstacle_margin=float(data.get("obstacle_margin", 3.0)),
-        pursuer_heading=(
-            tuple(data["pursuer_heading"]) if data.get("pursuer_heading") else None
-        ),
-        evader_heading=(
-            tuple(data["evader_heading"]) if data.get("evader_heading") else None
-        ),
-    )
+    """Inverse of :meth:`Scenario.to_dict`; missing keys take the defaults."""
+    return Scenario(**_tuples(data))
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
-    data = dict(data)
-    learner = dict(data.pop("learner"))
-    reward = dict(data.pop("reward"))
-    learner["distance_domain"] = tuple(learner["distance_domain"])
-    learner["angle_domain"] = tuple(learner["angle_domain"])
-    data["arena_extents"] = tuple(data["arena_extents"])
-    return TrainConfig(**data, learner=LearnerConfig(**learner), reward=RewardConfig(**reward))
+    """Inverse of :meth:`TrainConfig.to_dict`; missing keys take the defaults."""
+    data = _tuples(data)
+    data["learner"] = LearnerConfig(**data.get("learner", {}))
+    data["reward"] = RewardConfig(**data.get("reward", {}))
+    return TrainConfig(**data)

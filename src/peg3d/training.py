@@ -39,6 +39,7 @@ from .scenarios import (
     Scenario,
     TrainConfig,
     build_arena,
+    check_scenario,
     initial_states,
     realize_obstacles,
     scenario_from_dict,
@@ -317,6 +318,7 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
     logs.  ``progress`` is an optional ``f(episode_index, EpisodeLog)``
     callback.
     """
+    check_scenario(scenario, config)
     rulebase = build_rulebase(config)
     learners = build_learners(config, rulebase.n_rules)
     obstacle_seq, noise_seq = np.random.SeedSequence(config.seed).spawn(2)
@@ -412,6 +414,7 @@ def evaluate(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    check_scenario(scenario, config)
     if seed is None:
         seed = config.seed + 1
     children = np.random.SeedSequence(seed).spawn(runs)

@@ -84,9 +84,6 @@ class TestRuleBase:
         rb = build_default_partitions()
         assert rb.n_rules == 625
         assert rb.shape == (5, 5, 5, 5)
-        assert len(rb.rules) == 625
-        assert rb.rules[0] == (0, 0, 0, 0)
-        assert rb.rules[-1] == (4, 4, 4, 4)
 
     def test_single_rule_activation_at_isolated_peaks(self):
         rb = build_default_partitions()

@@ -231,6 +231,28 @@ class TestEpisodeLogExports:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("entry", ["train", "evaluate"])
+    def test_bad_scenario_rejected_before_first_episode(self, tmp_path, monkeypatch, entry):
+        cfg = TrainConfig(episodes=1, max_plays=5)
+        rb = build_rulebase(cfg)
+        learners = build_learners(cfg, rb.n_rules)
+        sc = Scenario(
+            name="outside", pursuer_start=(50.0, 50.0, 50.0), evader_start=(5.0, 5.0, 0.0),
+            obstacle_count=0,
+        )
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(training, "run_episode", no_episode)
+        out_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="pursuer_start must be 3 floats in the arena"):
+            if entry == "train":
+                train(sc, cfg, out_dir=out_dir)
+            else:
+                evaluate(learners, rb, sc, cfg, runs=1, out_dir=out_dir, record_steps=True)
+        assert not out_dir.exists()
+
     def test_writes_run_files(self, tmp_path):
         sc = builtin_scenarios()[1]
         cfg = TrainConfig(episodes=2, max_plays=30, seed=11)
@@ -564,12 +586,91 @@ class TestCLI:
             cli_main(["train", "--scenario", "1", flag, "0", "--out", str(out_dir), "--quiet"])
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[train]\nepisods = 3\n", r"unknown key 'episods' in section \[train\]"),
+            ("[train]\nepisodes = 0\n", "episodes must be >= 1"),
+            ("[learner]\nalpha_actor = 0.1\n", "actor rate must be below critic rate"),
+            ("[learner]\nmfs_per_input = 1\n", "need at least 2 membership functions"),
+            ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be > 0"),
+            ("[agents]\ncone_constraint = maybe\n", "expected a boolean"),
+            ("[arena]\ndt = 0\n", "dt must be positive"),
+            ("[arena]\nsteering_mode = sideways\n", "steering_mode must be one of"),
+            ("[simulation]\ndt = 0.1\n", r"unknown config section \[simulation\]"),
+            ("episodes = 3\n", "File contains no section headers"),
+        ],
+    )
+    def test_invalid_config_file_exits_before_training(self, tmp_path, ini, message):
+        config = tmp_path / "run.ini"
+        config.write_text(ini)
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match=f"^peg3d train: {message}"):
+            cli_main(
+                [
+                    "train", "--scenario", "1", "--config", str(config),
+                    "--out", str(out_dir), "--quiet",
+                ]
+            )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ("pursuer_start = 50 50 50\nevader_start = 5 5 0\n", "pursuer_start must be 3 floats"),
+            ("pursuer_start = 1 2\nevader_start = 5 5 0\n", "pursuer_start must be 3 floats"),
+            (
+                "pursuer_start = 5 30 0\nevader_start = 10 10 5\nobstacles = 10 10 5 1\n",
+                "evader_start .* inside an obstacle",
+            ),
+            (
+                "pursuer_start = 5 30 0\nevader_start = 5 5 0\nobstacles = 34.5 10 5 1\n",
+                r"obstacle at \(34.5, 10.0, 5.0\) not fully inside arena",
+            ),
+        ],
+    )
+    def test_invalid_scenario_file_exits_before_training(self, tmp_path, starts, message):
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text("[scenario]\nobstacle_count = 0\n" + starts)
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match=f"^peg3d train: {message}"):
+            cli_main(
+                [
+                    "train", "--scenario", str(scenario), "--episodes", "3", "--max-plays", "200",
+                    "--out", str(out_dir), "--quiet",
+                ]
+            )
+        assert not out_dir.exists()
+
+    def test_evaluate_rejects_a_scenario_outside_the_arena(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cli_main(
+            [
+                "train", "--scenario", "1", "--episodes", "1", "--max-plays", "5",
+                "--out", str(run_dir), "--quiet",
+            ]
+        )
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text("[scenario]\npursuer_start = 50 50 50\nevader_start = 5 5 0\n")
+        with pytest.raises(SystemExit, match="^peg3d evaluate: pursuer_start must be 3 floats"):
+            cli_main(
+                [
+                    "evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--scenario", str(scenario), "--runs", "1",
+                ]
+            )
+
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_evaluate_runs_below_one_exits_before_loading(self, tmp_path, runs):
         # The checkpoint does not exist, so loading it first would raise instead.
         missing = tmp_path / "missing.json"
         with pytest.raises(SystemExit, match="peg3d evaluate: runs must be >= 1"):
             cli_main(["evaluate", "--checkpoint", str(missing), "--runs", runs])
+
+    def test_evaluate_save_logs_without_out_exits_before_loading(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="^peg3d evaluate: --save-logs needs --out$"):
+            cli_main(["evaluate", "--checkpoint", str(missing), "--save-logs"])
 
     def test_module_entry_point(self):
         proc = subprocess.run(

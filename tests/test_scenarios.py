@@ -1,14 +1,24 @@
+import configparser
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from peg3d.env import heading_vector
 from peg3d.reward import RewardConfig
 from peg3d.scenarios import (
+    CONFIG_SCHEMA,
+    INI_SECTIONS,
+    LearnerConfig,
     Scenario,
     TrainConfig,
     builtin_scenarios,
+    check_scenario,
     initial_states,
     load_config,
     place_obstacles,
@@ -16,6 +26,84 @@ from peg3d.scenarios import (
     scenario_from_dict,
     train_config_from_dict,
 )
+
+# The accepted INI keys, written out as the reference for the loader's table.
+ACCEPTED_KEYS = {
+    "config": {"schema"},
+    "train": {"episodes", "max_plays", "seed", "freeze", "log_steps"},
+    "arena": {"extents", "dt", "capture_distance", "max_time", "steering_mode", "sensing_range"},
+    "agents": {"pursuer_speed", "evader_speed", "cone_constraint"},
+    "learner": {"alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input"},
+    "reward": {
+        "repulsion_coeff",
+        "attraction_coeff",
+        "success_coeff",
+        "repulsion_weight",
+        "attraction_weight",
+    },
+    "scenario": {
+        "name",
+        "pursuer_start",
+        "evader_start",
+        "obstacles",
+        "obstacle_count",
+        "obstacle_radius",
+        "obstacle_margin",
+        "pursuer_heading",
+        "evader_heading",
+    },
+}
+
+_positive = st.floats(0.01, 1000.0)
+_coordinate = st.floats(0.0, 40.0)
+_angle = st.floats(-math.pi, math.pi)
+_obstacle_row = st.tuples(_coordinate, _coordinate, _coordinate, st.floats(0.1, 5.0))
+
+# A valid value for every accepted key, as the loaded config should hold it.
+VALID_VALUES = {
+    ("config", "schema"): st.just(CONFIG_SCHEMA),
+    ("train", "episodes"): st.integers(1, 10**6),
+    ("train", "max_plays"): st.integers(1, 10**6),
+    ("train", "seed"): st.integers(0, 2**32),
+    ("train", "freeze"): st.sampled_from(["none", "pursuer", "evader"]),
+    ("train", "log_steps"): st.sampled_from(["none", "final", "all"]),
+    ("arena", "extents"): st.tuples(_positive, _positive, _positive),
+    ("arena", "dt"): _positive,
+    ("arena", "capture_distance"): _positive,
+    ("arena", "max_time"): _positive,
+    ("arena", "steering_mode"): st.sampled_from(["incremental", "absolute"]),
+    ("arena", "sensing_range"): _positive,
+    ("agents", "pursuer_speed"): _positive,
+    ("agents", "evader_speed"): _positive,
+    ("agents", "cone_constraint"): st.booleans(),
+    ("learner", "alpha_actor"): st.floats(1e-6, 0.01),
+    ("learner", "alpha_critic"): st.floats(0.02, 1.0),
+    ("learner", "gamma"): st.floats(0.0, 0.99),
+    ("learner", "sigma"): _positive,
+    ("learner", "mfs_per_input"): st.integers(2, 9),
+    **{("reward", key): _positive for key in ACCEPTED_KEYS["reward"]},
+    ("scenario", "name"): st.text("abcxyz0123-_", min_size=1, max_size=12),
+    ("scenario", "pursuer_start"): st.tuples(_coordinate, _coordinate, _coordinate),
+    ("scenario", "evader_start"): st.tuples(_coordinate, _coordinate, _coordinate),
+    ("scenario", "obstacles"): st.lists(_obstacle_row, max_size=3).map(tuple),
+    ("scenario", "obstacle_count"): st.integers(0, 10),
+    ("scenario", "obstacle_radius"): _positive,
+    ("scenario", "obstacle_margin"): _positive,
+    ("scenario", "pursuer_heading"): st.tuples(_angle, _angle),
+    ("scenario", "evader_heading"): st.tuples(_angle, _angle),
+}
+
+
+def _ini_text(value) -> str:
+    """INI spelling of a value: floats as repr, tuples space-separated, rows by ';'."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return " ; ".join(_ini_text(row) for row in value)
+        return " ".join(map(repr, value))
+    return str(value) if isinstance(value, (int, str)) else repr(value)
+
 
 
 class TestBuiltinScenarios:
@@ -67,6 +155,56 @@ class TestTrainConfigDefaults:
         cfg = TrainConfig(seed=9, episodes=50, freeze="evader", cone_constraint=False)
         clone = train_config_from_dict(cfg.to_dict())
         assert clone == cfg
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.seed = 1
+
+    @pytest.mark.parametrize("name", ["pursuer_speed", "evader_speed"])
+    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan])
+    def test_speeds_must_be_positive(self, name, speed):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            TrainConfig(**{name: speed})
+
+    def test_round_trip_fills_missing_keys_with_defaults(self):
+        assert train_config_from_dict({"seed": 4}) == TrainConfig(seed=4)
+        sc = scenario_from_dict({"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6]})
+        assert sc == Scenario(pursuer_start=(1, 2, 3), evader_start=(4, 5, 6))
+        assert sc.name == "custom"
+
+
+class TestCheckScenario:
+    def test_builtin_scenarios_pass(self):
+        for sc in builtin_scenarios().values():
+            check_scenario(sc, TrainConfig())
+
+    def test_starts_on_the_box_faces_pass(self):
+        sc = Scenario(pursuer_start=(0.0, 0.0, 0.0), evader_start=(35.0, 35.0, 20.0))
+        check_scenario(sc, TrainConfig())
+
+    @pytest.mark.parametrize(
+        "start",
+        [(50.0, 50.0, 50.0), (5.0, 5.0, -0.1), (5.0, 35.5, 0.0), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)],
+    )
+    def test_start_outside_the_box_or_not_three_floats_rejected(self, start):
+        sc = Scenario(pursuer_start=(5.0, 30.0, 0.0), evader_start=start)
+        with pytest.raises(ValueError, match="evader_start must be 3 floats in the arena"):
+            check_scenario(sc, TrainConfig())
+
+    def test_start_checked_against_the_configured_box(self):
+        sc = Scenario(pursuer_start=(30.0, 30.0, 30.0), evader_start=(5.0, 5.0, 0.0))
+        check_scenario(sc, TrainConfig(arena_extents=(40.0, 40.0, 40.0)))
+        with pytest.raises(ValueError, match="pursuer_start"):
+            check_scenario(sc, TrainConfig())
+
+    def test_start_inside_explicit_obstacle_rejected(self):
+        sc = Scenario(
+            pursuer_start=(10.5, 10.0, 5.0),
+            evader_start=(5.0, 5.0, 0.0),
+            obstacles=((20.0, 20.0, 5.0, 1.0), (10.0, 10.0, 5.0, 1.0)),
+        )
+        with pytest.raises(ValueError, match="pursuer_start .* inside an obstacle"):
+            check_scenario(sc, TrainConfig())
+        # on the surface is outside
+        check_scenario(dataclasses.replace(sc, pursuer_start=(11.0, 10.0, 5.0)), TrainConfig())
 
 
 class TestInitialStates:
@@ -255,3 +393,75 @@ pursuer_heading = 0.5 1.2
         )
         with pytest.raises(ValueError, match="obstacle"):
             load_config(path)
+
+    def test_accepted_keys_pinned(self):
+        assert {section: set(keys) for section, (_, keys) in INI_SECTIONS.items()} == ACCEPTED_KEYS
+
+    def test_readme_block_names_every_key_with_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        cfg, scenario = load_config(path)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string(block)
+        assert {section: set(parser.options(section)) for section in parser.sections()} == (
+            ACCEPTED_KEYS
+        )
+        # the documented values are the defaults (the example seed aside)
+        assert dataclasses.replace(cfg, seed=0) == TrainConfig()
+        assert scenario.pursuer_start == builtin_scenarios()[1].pursuer_start
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_ini_to_dict_round_trip_and_defaults(self, tmp_path, data):
+        chosen = data.draw(st.sets(st.sampled_from(sorted(VALID_VALUES))))
+        if any(section == "scenario" for section, _ in chosen):
+            chosen |= {("scenario", "pursuer_start"), ("scenario", "evader_start")}
+        values = {item: data.draw(VALID_VALUES[item]) for item in sorted(chosen)}
+        sections: dict[str, list[str]] = {}
+        for (section, key), value in values.items():
+            sections.setdefault(section, []).append(f"{key} = {_ini_text(value)}")
+        path = tmp_path / "random.ini"
+        path.write_text(
+            "".join(f"[{s}]\n" + "\n".join(rows) + "\n" for s, rows in sections.items())
+        )
+
+        cfg, scenario = load_config(path)
+        assert train_config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        if scenario is None:
+            assert "scenario" not in sections
+        else:
+            assert scenario_from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
+
+        defaults = {
+            "train": TrainConfig(),
+            "arena": TrainConfig(),
+            "agents": TrainConfig(),
+            "learner": LearnerConfig(),
+            "reward": RewardConfig(),
+        }
+        loaded = {
+            "train": cfg,
+            "arena": cfg,
+            "agents": cfg,
+            "learner": cfg.learner,
+            "reward": cfg.reward,
+            "scenario": scenario,
+        }
+        scenario_defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        for section, keys in ACCEPTED_KEYS.items():
+            if section == "config" or loaded[section] is None:
+                continue
+            for key in keys:
+                name = "arena_extents" if key == "extents" else key
+                if (section, key) in values:
+                    expected = values[section, key]
+                elif section == "scenario":
+                    expected = scenario_defaults[name]
+                else:
+                    expected = getattr(defaults[section], name)
+                assert getattr(loaded[section], name) == expected, (section, key)
+
