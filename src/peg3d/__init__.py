@@ -32,7 +32,7 @@ from .geometry import (
     pursuit_cone_halfangle,
     pursuit_offset_angle,
 )
-from .learner import FuzzyActorCritic, extract_inputs
+from .learner import FuzzyActorCritic, LearnerConfig, extract_inputs
 from .logs import EpisodeLog, StepRecord, export_csv, export_episode, export_json, load_episode
 from .reward import (
     RewardConfig,
@@ -42,7 +42,6 @@ from .reward import (
     total_reward,
 )
 from .scenarios import (
-    LearnerConfig,
     Scenario,
     TrainConfig,
     builtin_scenarios,

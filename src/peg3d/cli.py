@@ -17,7 +17,7 @@ from .scenarios import (
     check_scenario,
     load_config,
 )
-from .training import build_learners, build_rulebase, evaluate, load_checkpoint, train
+from .training import build_rulebase, evaluate, load_checkpoint, train
 
 # Bad input files and values: each exits with "peg3d <command>: <message>".
 _BAD_INPUT = (ValueError, OSError, configparser.Error)
@@ -51,8 +51,8 @@ def _cmd_train(args):
         scenario, config = _resolve_scenario(args.scenario, args.config)
         # replace() builds a new config, so its validation runs on the overrides.
         config = dataclasses.replace(config, **overrides)
-        # Building the rule base and learners runs their own checks on [learner].
-        build_learners(config, build_rulebase(config).n_rules)
+        # Building the rule base checks the [learner] layout.
+        build_rulebase(config)
         check_scenario(scenario, config)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d train: {exc}") from None

@@ -40,8 +40,6 @@ RUNNING = "running"
 CAPTURED = "captured"
 TIMEOUT = "timeout"
 
-_STEERING_MODES = ("incremental", "absolute")
-
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -88,7 +86,6 @@ class Arena:
     capture_distance: float = 1.0
     max_time: float = 100.0
     dt: float = 0.1
-    steering_mode: str = "incremental"
     sensing_range: float = 35.0
 
     def __post_init__(self):
@@ -96,8 +93,6 @@ class Arena:
             raise ValueError("capture_distance must be positive")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.steering_mode not in _STEERING_MODES:
-            raise ValueError(f"steering_mode must be one of {_STEERING_MODES}")
         ex, ey, ez = self.extents
         for obs in self.obstacles:
             if obs.radius <= 0.0:
@@ -127,25 +122,16 @@ class StepCommand:
 def step_agent(state: AgentState, cmd: StepCommand, dt: float, arena: Arena) -> AgentState:
     """Advance one agent by one time step.
 
-    In the default ``incremental`` steering mode the command turns the
-    persistent heading (azimuth wraps, polar clamps to [0, pi]); in
-    ``absolute`` mode the command *is* the heading, each channel limited to
-    the turn limit (a negative polar command is normalized by flipping the
-    azimuth).  The agent then moves ``speed * dt`` along the heading and is
+    The command turns the persistent heading (azimuth wraps, polar clamps to
+    [0, pi]); the agent then moves ``speed * dt`` along the heading and is
     clipped to the arena box.
     """
-    if arena.steering_mode == "incremental":
-        alpha = wrap_angle(state.alpha + cmd.dalpha)
-        theta = state.theta + cmd.dtheta
-        if theta < 0.0:
-            theta = 0.0
-        elif theta > math.pi:
-            theta = math.pi
-    else:
-        alpha, theta = cmd.dalpha, cmd.dtheta
-        if theta < 0.0:
-            theta = -theta
-            alpha = wrap_angle(alpha + math.pi)
+    alpha = wrap_angle(state.alpha + cmd.dalpha)
+    theta = state.theta + cmd.dtheta
+    if theta < 0.0:
+        theta = 0.0
+    elif theta > math.pi:
+        theta = math.pi
     step = state.speed * dt
     sin_theta = math.sin(theta)
     x, y, z = state.position

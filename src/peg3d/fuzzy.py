@@ -138,8 +138,7 @@ class RuleBase:
     row-major (the last input varies fastest), matching the flattening of
     the outer product in :meth:`fire`.  Every partition needs at least two
     membership functions with feet at the neighboring peaks (the layout
-    :func:`uniform_partition` and :meth:`from_dict` build), because
-    :meth:`fire` relies on it.
+    :func:`uniform_partition` builds), because :meth:`fire` relies on it.
     """
 
     def __init__(self, partitions):
@@ -213,25 +212,6 @@ class RuleBase:
         raw = np.zeros(self.n_rules)
         raw[base + self._offsets] = products
         return raw / raw.sum()
-
-    def to_dict(self) -> dict:
-        """Peak-parameterized layout, sufficient to rebuild the rule base."""
-        return {
-            "inputs": [
-                {"lo": p.lo, "hi": p.hi, "peaks": list(p.peaks)} for p in self.partitions
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RuleBase":
-        return cls(
-            InputPartition(
-                lo=float(spec["lo"]),
-                hi=float(spec["hi"]),
-                mfs=_neighbor_footed([float(v) for v in spec["peaks"]]),
-            )
-            for spec in data["inputs"]
-        )
 
 
 def build_default_partitions(

@@ -10,20 +10,19 @@ the critic step and a perturbation-correlated actor step.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .env import AgentState, Arena, heading_vector, nearest_obstacle
+from .env import TURN_LIMIT, AgentState, Arena, heading_vector, nearest_obstacle
+from .fuzzy import ANGLE_DOMAIN, DISTANCE_DOMAIN
 
 __all__ = [
-    "ACTION_LIMIT",
     "CHANNELS",
     "FuzzyActorCritic",
+    "LearnerConfig",
     "extract_inputs",
 ]
-
-# Commands saturate here, matching the arena's per-step steering limit.
-ACTION_LIMIT = math.pi / 4.0
 
 # Output channels: azimuth turn, polar turn.
 CHANNELS = ("dalpha", "dtheta")
@@ -31,40 +30,46 @@ CHANNELS = ("dalpha", "dtheta")
 _COINCIDENT_TOL = 1e-12
 
 
-class FuzzyActorCritic:
-    """Actor-critic weights over rule firing features, with their update rules.
+@dataclass(frozen=True)
+class LearnerConfig:
+    """Hyperparameters shared by both agents' learners, and their rule layout.
 
     The actor learning rate must stay below the critic's so the policy moves
     on a slower timescale than the value estimate it trusts.
     """
 
-    def __init__(
-        self,
-        n_rules: int,
-        n_channels: int = 2,
-        alpha_actor: float = 0.001,
-        alpha_critic: float = 0.05,
-        gamma: float = 0.95,
-        sigma: float = 0.1,
-        action_limit: float = ACTION_LIMIT,
-    ):
-        if not alpha_actor < alpha_critic:
-            raise ValueError(
-                f"actor rate must be below critic rate, got {alpha_actor} >= {alpha_critic}"
-            )
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {gamma}")
-        if sigma <= 0.0:
+    alpha_actor: float = 0.001
+    alpha_critic: float = 0.05
+    gamma: float = 0.95
+    sigma: float = 0.1
+    mfs_per_input: int = 5
+    distance_domain: tuple[float, float] = DISTANCE_DOMAIN
+    angle_domain: tuple[float, float] = ANGLE_DOMAIN
+
+    def __post_init__(self):
+        if not self.alpha_actor < self.alpha_critic:
+            actor, critic = self.alpha_actor, self.alpha_critic
+            raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
+        if self.sigma <= 0.0:
             raise ValueError("exploration stddev must be positive")
-        self.n_rules = int(n_rules)
-        self.n_channels = int(n_channels)
-        self.alpha_actor = float(alpha_actor)
-        self.alpha_critic = float(alpha_critic)
-        self.gamma = float(gamma)
-        self.sigma = float(sigma)
-        self.action_limit = float(action_limit)
-        self.actor = np.zeros((self.n_channels, self.n_rules))
-        self.critic = np.zeros(self.n_rules)
+
+
+class FuzzyActorCritic:
+    """Actor-critic weights over rule firing features, with their update rules.
+
+    One actor row per output channel in :data:`CHANNELS`; the hyperparameters
+    are read from ``config``.
+    """
+
+    # Commands saturate here, matching the arena's per-step steering limit.
+    action_limit = TURN_LIMIT
+
+    def __init__(self, n_rules: int, config: LearnerConfig):
+        self.config = config
+        self.actor = np.zeros((len(CHANNELS), n_rules))
+        self.critic = np.zeros(n_rules)
 
     def act(self, phi: np.ndarray, rng: np.random.Generator | None = None):
         """Commanded and executed actions for the current firing vector.
@@ -76,7 +81,7 @@ class FuzzyActorCritic:
         """
         u = self.actor @ phi
         if rng is not None:
-            u_exec = u + rng.normal(0.0, self.sigma, size=u.shape)
+            u_exec = u + rng.normal(0.0, self.config.sigma, size=u.shape)
             np.maximum(u_exec, -self.action_limit, out=u_exec)
         else:
             u_exec = np.maximum(u, -self.action_limit)
@@ -92,11 +97,11 @@ class FuzzyActorCritic:
     ) -> float:
         """Temporal-difference error; terminal successor states count as value 0."""
         v_next = 0.0 if terminal else self.value(phi_next)
-        return reward + self.gamma * v_next - self.value(phi_t)
+        return reward + self.config.gamma * v_next - self.value(phi_t)
 
     def update_critic(self, phi: np.ndarray, delta: float):
         """Move the critic along the firing features by the TD error."""
-        self.critic += (self.alpha_critic * delta) * phi
+        self.critic += (self.config.alpha_critic * delta) * phi
 
     def update_actor(self, phi: np.ndarray, u: np.ndarray, u_exec, delta: float):
         """Reinforce the executed perturbation in proportion to the TD error.
@@ -107,44 +112,24 @@ class FuzzyActorCritic:
         ``u_exec`` may be any per-channel sequence, such as the plain floats
         the environment executed.
         """
-        scale = (self.alpha_actor * delta / self.sigma) * (u_exec - u)
+        config = self.config
+        scale = (config.alpha_actor * delta / config.sigma) * (u_exec - u)
         self.actor += scale[:, None] * phi[None, :]
 
     def state_dict(self) -> dict:
-        """Weights and hyperparameters as plain JSON-ready types."""
-        return {
-            "n_rules": self.n_rules,
-            "n_channels": self.n_channels,
-            "alpha_actor": self.alpha_actor,
-            "alpha_critic": self.alpha_critic,
-            "gamma": self.gamma,
-            "sigma": self.sigma,
-            "action_limit": self.action_limit,
-            "actor": self.actor.tolist(),
-            "critic": self.critic.tolist(),
-        }
+        """Actor and critic weights as plain JSON-ready lists."""
+        return {"actor": self.actor.tolist(), "critic": self.critic.tolist()}
 
-    @classmethod
-    def from_state_dict(cls, data: dict) -> "FuzzyActorCritic":
-        learner = cls(
-            n_rules=data["n_rules"],
-            n_channels=data["n_channels"],
-            alpha_actor=data["alpha_actor"],
-            alpha_critic=data["alpha_critic"],
-            gamma=data["gamma"],
-            sigma=data["sigma"],
-            action_limit=data.get("action_limit", ACTION_LIMIT),
-        )
+    def load_state_dict(self, data: dict):
+        """Take the weights of a :meth:`state_dict`; ``ValueError`` if their shapes differ."""
         actor = np.asarray(data["actor"], dtype=float)
         critic = np.asarray(data["critic"], dtype=float)
-        if actor.shape != learner.actor.shape or critic.shape != learner.critic.shape:
+        if actor.shape != self.actor.shape or critic.shape != self.critic.shape:
             raise ValueError(
                 f"weight shapes {actor.shape}/{critic.shape} do not match "
-                f"declared layout {learner.actor.shape}/{learner.critic.shape}"
+                f"the layout {self.actor.shape}/{self.critic.shape}"
             )
-        learner.actor = actor
-        learner.critic = critic
-        return learner
+        self.actor, self.critic = actor, critic
 
 
 def _heading_offset(heading, dx: float, dy: float, dz: float, norm: float) -> float:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .env import Arena, AgentState, Obstacle
+from .learner import LearnerConfig
 from .reward import RewardConfig
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "FREEZE_MODES",
     "INI_SECTIONS",
     "LOG_STEPS_MODES",
-    "LearnerConfig",
     "TrainConfig",
     "Scenario",
     "builtin_scenarios",
@@ -42,19 +42,6 @@ LOG_STEPS_MODES = ("none", "final", "all")
 
 
 @dataclass(frozen=True)
-class LearnerConfig:
-    """Hyperparameters shared by both agents' learners."""
-
-    alpha_actor: float = 0.001
-    alpha_critic: float = 0.05
-    gamma: float = 0.95
-    sigma: float = 0.1
-    mfs_per_input: int = 5
-    distance_domain: tuple[float, float] = (0.0, 35.0)
-    angle_domain: tuple[float, float] = (-math.pi, math.pi)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs besides the scenario."""
 
@@ -66,7 +53,6 @@ class TrainConfig:
     max_time: float = 100.0
     pursuer_speed: float = 1.1
     evader_speed: float = 1.0
-    steering_mode: str = "incremental"
     arena_extents: tuple[float, float, float] = (35.0, 35.0, 20.0)
     sensing_range: float = 35.0
     cone_constraint: bool = True
@@ -130,6 +116,17 @@ def builtin_scenarios() -> dict[int, Scenario]:
     }
 
 
+def _center_bounds(extents, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest center of a sphere of ``radius`` inside the box."""
+    if not radius > 0.0:
+        raise ValueError(f"obstacle_radius must be > 0, got {radius!r}")
+    low = np.array([radius, radius, radius])
+    high = np.asarray(extents, dtype=float) - radius
+    if np.any(low > high):
+        raise ValueError(f"obstacle_radius {radius!r} exceeds half the arena extents {extents!r}")
+    return low, high
+
+
 def place_obstacles(
     rng: np.random.Generator,
     extents: tuple[float, float, float],
@@ -145,10 +142,7 @@ def place_obstacles(
     of any keepout point (the agents' starts), or would poke out of the box.
     """
     keepout = [tuple(map(float, p)) for p in keepout_points]
-    low = np.array([radius, radius, radius])
-    high = np.asarray(extents, dtype=float) - radius
-    if np.any(low > high):
-        raise ValueError("obstacle radius exceeds arena half-extent")
+    low, high = _center_bounds(extents, radius)
     obstacles: list[Obstacle] = []
     for _ in range(count):
         for _ in range(max_attempts):
@@ -191,22 +185,35 @@ def build_arena(scenario: Scenario, config: TrainConfig, obstacles) -> Arena:
         capture_distance=config.capture_distance,
         max_time=config.max_time,
         dt=config.dt,
-        steering_mode=config.steering_mode,
         sensing_range=config.sensing_range,
     )
 
 
 def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
-    """Build the arena once, running its checks on the config and explicit
-    obstacles, and reject starts that are not 3 floats inside the box or that
-    lie inside an explicit obstacle; ``train`` and ``evaluate`` call this first."""
+    """Reject a scenario that cannot run under ``config``, before any episode.
+
+    Builds the arena once (its checks cover the config and explicit obstacles),
+    fits a random layout's radius as :func:`place_obstacles` does, and checks
+    each start (3 floats in the box, outside explicit obstacles) and explicit
+    heading (2 floats).
+    """
     obstacles = realize_obstacles(scenario, config, None) if scenario.obstacles else []
     box = build_arena(scenario, config, obstacles).extents
-    for role, start in (("pursuer", scenario.pursuer_start), ("evader", scenario.evader_start)):
+    if scenario.obstacles is None:
+        if scenario.obstacle_count < 0:
+            raise ValueError(f"obstacle_count must be >= 0, got {scenario.obstacle_count}")
+        if scenario.obstacle_count:
+            _center_bounds(box, scenario.obstacle_radius)
+    for role, start, heading in (
+        ("pursuer", scenario.pursuer_start, scenario.pursuer_heading),
+        ("evader", scenario.evader_start, scenario.evader_heading),
+    ):
         if len(start) != 3 or not all(0.0 <= c <= hi for c, hi in zip(start, box)):
             raise ValueError(f"{role}_start must be 3 floats in the arena {box!r}, got {start!r}")
         if any(obs.surface_distance(start) < 0.0 for obs in obstacles):
             raise ValueError(f"{role}_start {start!r} lies inside an obstacle")
+        if heading and len(heading) != 2:
+            raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
 
 
 def _chase_axis_heading(pursuer_start, evader_start) -> tuple[float, float]:
@@ -272,7 +279,7 @@ INI_SECTIONS = {
     "train": (TrainConfig, ("episodes", "max_plays", "seed", "freeze", "log_steps")),
     "arena": (
         TrainConfig,
-        ("extents", "dt", "capture_distance", "max_time", "steering_mode", "sensing_range"),
+        ("extents", "dt", "capture_distance", "max_time", "sensing_range"),
     ),
     "agents": (TrainConfig, ("pursuer_speed", "evader_speed", "cone_constraint")),
     "learner": (LearnerConfig, ("alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input")),
@@ -334,14 +341,22 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _from_dict(cls, data: dict):
+    """``cls(**data)``, rejecting keys that are not fields of ``cls`` by name."""
+    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key {', '.join(map(repr, unknown))}")
+    return cls(**data)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Inverse of :meth:`Scenario.to_dict`; missing keys take the defaults."""
-    return Scenario(**_tuples(data))
+    return _from_dict(Scenario, _tuples(data))
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
     """Inverse of :meth:`TrainConfig.to_dict`; missing keys take the defaults."""
     data = _tuples(data)
-    data["learner"] = LearnerConfig(**data.get("learner", {}))
-    data["reward"] = RewardConfig(**data.get("reward", {}))
-    return TrainConfig(**data)
+    data["learner"] = _from_dict(LearnerConfig, data.get("learner", {}))
+    data["reward"] = _from_dict(RewardConfig, data.get("reward", {}))
+    return _from_dict(TrainConfig, data)

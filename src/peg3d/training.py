@@ -32,7 +32,7 @@ from .env import (
 )
 from .fuzzy import RuleBase, build_default_partitions, firing_entropy
 from .geometry import pursuit_cone_halfangle
-from .learner import CHANNELS, FuzzyActorCritic, extract_inputs
+from .learner import FuzzyActorCritic, extract_inputs
 from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_rows_csv
 from .reward import EVADER, PURSUER, total_reward
 from .scenarios import (
@@ -62,7 +62,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_SCHEMA = "peg3d.checkpoint.v1"
+CHECKPOINT_SCHEMA = "peg3d.checkpoint.v2"
 MANIFEST_SCHEMA = "peg3d.manifest.v1"
 METRICS_SCHEMA = "peg3d.metrics.v1"
 EPISODES_CSV_SCHEMA = "peg3d.episodes.v1"
@@ -72,7 +72,7 @@ _ROLES = (PURSUER, EVADER)
 
 
 class CheckpointLayoutError(ValueError):
-    """Checkpoint weights do not match the rule-base layout."""
+    """Checkpoint weights do not match the rule-base layout its config defines."""
 
 
 def build_rulebase(config: TrainConfig) -> RuleBase:
@@ -84,18 +84,7 @@ def build_rulebase(config: TrainConfig) -> RuleBase:
 
 
 def build_learners(config: TrainConfig, n_rules: int) -> dict[str, FuzzyActorCritic]:
-    lc = config.learner
-    return {
-        role: FuzzyActorCritic(
-            n_rules=n_rules,
-            n_channels=len(CHANNELS),
-            alpha_actor=lc.alpha_actor,
-            alpha_critic=lc.alpha_critic,
-            gamma=lc.gamma,
-            sigma=lc.sigma,
-        )
-        for role in _ROLES
-    }
+    return {role: FuzzyActorCritic(n_rules, config.learner) for role in _ROLES}
 
 
 def run_episode(
@@ -363,7 +352,7 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
         if progress is not None:
             progress(ep, log)
 
-    checkpoint = make_checkpoint(learners, rulebase, scenario, config)
+    checkpoint = make_checkpoint(learners, scenario, config)
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "version": __version__,
@@ -495,17 +484,12 @@ def evaluate(
 
 
 def make_checkpoint(
-    learners: dict[str, FuzzyActorCritic],
-    rulebase: RuleBase,
-    scenario: Scenario,
-    config: TrainConfig,
+    learners: dict[str, FuzzyActorCritic], scenario: Scenario, config: TrainConfig
 ) -> dict:
-    """Self-contained checkpoint: fuzzy layout, weights, scenario, and config."""
+    """Scenario, config and weights; the rule base and learner settings follow from config."""
     return {
         "schema": CHECKPOINT_SCHEMA,
         "version": __version__,
-        "seed": config.seed,
-        "fuzzy": rulebase.to_dict(),
         "scenario": scenario.to_dict(),
         "config": config.to_dict(),
         "agents": {role: learners[role].state_dict() for role in _ROLES},
@@ -523,8 +507,9 @@ def save_checkpoint(checkpoint: dict, path):
 def load_checkpoint(path_or_dict):
     """Rebuild (learners, rulebase, scenario, config) from a checkpoint.
 
-    Raises :class:`CheckpointLayoutError` when the stored weight vectors do
-    not match the stored rule-base layout.
+    The rule base and learners come from the stored config, then take the
+    stored weights.  Raises :class:`CheckpointLayoutError` when the weights
+    do not match the rule-base layout that config defines.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -534,18 +519,13 @@ def load_checkpoint(path_or_dict):
     schema = data.get("schema")
     if schema != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {schema!r} (expected {CHECKPOINT_SCHEMA})")
-    rulebase = RuleBase.from_dict(data["fuzzy"])
-    learners = {}
-    for role in _ROLES:
-        try:
-            learners[role] = FuzzyActorCritic.from_state_dict(data["agents"][role])
-        except ValueError as exc:
-            raise CheckpointLayoutError(f"{role}: {exc}") from exc
-        if learners[role].n_rules != rulebase.n_rules:
-            raise CheckpointLayoutError(
-                f"{role} weights cover {learners[role].n_rules} rules but the "
-                f"rule base defines {rulebase.n_rules}"
-            )
     scenario = scenario_from_dict(data["scenario"])
     config = train_config_from_dict(data["config"])
+    rulebase = build_rulebase(config)
+    learners = build_learners(config, rulebase.n_rules)
+    for role in _ROLES:
+        try:
+            learners[role].load_state_dict(data["agents"][role])
+        except ValueError as exc:
+            raise CheckpointLayoutError(f"{role}: {exc}") from exc
     return learners, rulebase, scenario, config

@@ -22,7 +22,7 @@ from peg3d.geometry import (
     pursuit_cone_halfangle,
     pursuit_offset_angle,
 )
-from peg3d.learner import FuzzyActorCritic
+from peg3d.learner import FuzzyActorCritic, LearnerConfig
 from peg3d.reward import RewardConfig
 from peg3d.scenarios import TrainConfig, builtin_scenarios
 from peg3d.training import train
@@ -188,7 +188,7 @@ def test_criterion_5_gradient_check():
 
 def test_criterion_6_critic_convergence():
     """Single-rule critic with no discounting converges to the mean reward."""
-    learner = FuzzyActorCritic(n_rules=1, gamma=0.0, alpha_actor=0.001, alpha_critic=0.05)
+    learner = FuzzyActorCritic(1, LearnerConfig(gamma=0.0, alpha_actor=0.001, alpha_critic=0.05))
     phi = np.ones(1)
     rng = np.random.default_rng(606)
     for _ in range(10_000):

@@ -147,16 +147,6 @@ class TestStepAgent:
                 assert np.linalg.norm(cross) < 1e-9
             prev = nxt
 
-    def test_absolute_steering_mode(self):
-        arena = Arena(steering_mode="absolute")
-        s = step_agent(agent((5.0, 5.0, 5.0), alpha=2.0, theta=2.0), StepCommand(0.3, 0.4), 1.0, arena)
-        assert s.alpha == 0.3
-        assert s.theta == 0.4
-        # negative polar command flips to a proper polar angle
-        s = step_agent(agent((5.0, 5.0, 5.0)), StepCommand(0.0, -0.4), 1.0, arena)
-        assert s.theta == 0.4
-        assert s.alpha == pytest.approx(math.pi, abs=1e-12)
-
 
 class TestTermination:
     def test_captured_within_distance(self):
@@ -242,8 +232,6 @@ class TestObstacles:
             Arena(dt=0.0)
         with pytest.raises(ValueError):
             Arena(capture_distance=-1.0)
-        with pytest.raises(ValueError):
-            Arena(steering_mode="sideways")
 
 
 class TestConeLimitedCommand:

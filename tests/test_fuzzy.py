@@ -11,6 +11,7 @@ from peg3d.fuzzy import (
     InputPartition,
     RuleBase,
     TriangularMF,
+    _neighbor_footed,
     build_default_partitions,
     firing_entropy,
     infer,
@@ -139,21 +140,6 @@ class TestRuleBase:
             phi1 = rb.fire(tuple(x + eps * dx))
             assert np.max(np.abs(phi1 - phi0)) < 1e-5
 
-    def test_serialization_round_trip(self):
-        rb = build_default_partitions()
-        clone = RuleBase.from_dict(rb.to_dict())
-        assert clone.shape == rb.shape
-        assert [p.peaks for p in clone.partitions] == [p.peaks for p in rb.partitions]
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            x = (
-                rng.uniform(0.0, 35.0),
-                rng.uniform(-3.0, 3.0),
-                rng.uniform(0.0, 35.0),
-                rng.uniform(-3.0, 3.0),
-            )
-            assert np.array_equal(rb.fire(x), clone.fire(x))
-
 
 def dense_firing(rb, x):
     """Reference firing: the dense outer product of every membership, normalized."""
@@ -163,8 +149,9 @@ def dense_firing(rb, x):
 
 
 def _layout(*inputs):
-    return RuleBase.from_dict(
-        {"inputs": [{"lo": lo, "hi": hi, "peaks": peaks} for lo, hi, peaks in inputs]}
+    """Rule base over ``(lo, hi, peaks)`` inputs with neighbor-footed triangles."""
+    return RuleBase(
+        InputPartition(lo=lo, hi=hi, mfs=_neighbor_footed(peaks)) for lo, hi, peaks in inputs
     )
 
 
@@ -237,10 +224,10 @@ class TestClosedFormFiring:
             RuleBase([uniform_partition(0.0, 2.0, 3), uniform_partition(0.0, 2.0, 3), wide])
 
     def test_single_peak_layout_rejected_at_load(self):
-        data = build_default_partitions().to_dict()
-        data["inputs"][3]["peaks"] = [0.0]
+        partitions = list(build_default_partitions().partitions)
+        partitions[3] = InputPartition(lo=-math.pi, hi=math.pi, mfs=_neighbor_footed([0.0]))
         with pytest.raises(ValueError, match="input 3"):
-            RuleBase.from_dict(data)
+            RuleBase(partitions)
 
 
 class TestInfer:

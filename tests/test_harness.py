@@ -331,9 +331,37 @@ class TestCheckpoints:
         with pytest.raises(CheckpointLayoutError):
             load_checkpoint(broken)
         mismatched = json.loads(json.dumps(res.checkpoint))
-        mismatched["fuzzy"]["inputs"][0]["peaks"] = [0.0, 17.5, 35.0]
-        with pytest.raises(CheckpointLayoutError):
+        mismatched["config"]["learner"]["mfs_per_input"] = 3
+        with pytest.raises(CheckpointLayoutError, match="do not match the layout"):
             load_checkpoint(mismatched)
+
+    def test_v2_layout_pinned(self):
+        sc = builtin_scenarios()[1]
+        res = train(sc, TrainConfig(episodes=1, max_plays=10, seed=3))
+        checkpoint = res.checkpoint
+        assert set(checkpoint) == {"schema", "version", "scenario", "config", "agents"}
+        assert checkpoint["schema"] == "peg3d.checkpoint.v2"
+        assert checkpoint["scenario"] == sc.to_dict() == res.manifest["scenario"]
+        assert checkpoint["config"] == res.manifest["config"]
+        assert {role: set(weights) for role, weights in checkpoint["agents"].items()} == {
+            "pursuer": {"actor", "critic"},
+            "evader": {"actor", "critic"},
+        }
+
+    def test_v1_checkpoint_rejected(self):
+        res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
+        hyper = {"n_rules": 625, "n_channels": 2, "alpha_actor": 0.001, "alpha_critic": 0.05,
+                 "gamma": 0.95, "sigma": 0.1, "action_limit": np.pi / 4}  # fmt: skip
+        v1 = dict(
+            res.checkpoint,
+            schema="peg3d.checkpoint.v1",
+            seed=0,
+            fuzzy={"inputs": [{"lo": 0.0, "hi": 35.0, "peaks": [0.0, 8.75, 17.5, 26.25, 35.0]}]},
+            agents={role: {**w, **hyper} for role, w in res.checkpoint["agents"].items()},
+        )
+        expected = r"'peg3d.checkpoint.v1' \(expected peg3d.checkpoint.v2\)"
+        with pytest.raises(ValueError, match=f"^unsupported checkpoint schema {expected}$"):
+            load_checkpoint(v1)
 
     def test_unsupported_schema_rejected(self):
         sc = builtin_scenarios()[1]
@@ -596,7 +624,11 @@ class TestCLI:
             ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be > 0"),
             ("[agents]\ncone_constraint = maybe\n", "expected a boolean"),
             ("[arena]\ndt = 0\n", "dt must be positive"),
-            ("[arena]\nsteering_mode = sideways\n", "steering_mode must be one of"),
+            # steering_mode is gone: a config that still sets it fails, even to the old default.
+            (
+                "[arena]\nsteering_mode = incremental\n",
+                r"unknown key 'steering_mode' in section \[arena\]",
+            ),
             ("[simulation]\ndt = 0.1\n", r"unknown config section \[simulation\]"),
             ("episodes = 3\n", "File contains no section headers"),
         ],
@@ -627,11 +659,31 @@ class TestCLI:
                 "pursuer_start = 5 30 0\nevader_start = 5 5 0\nobstacles = 34.5 10 5 1\n",
                 r"obstacle at \(34.5, 10.0, 5.0\) not fully inside arena",
             ),
+            (
+                "pursuer_start = 5 30 0\nevader_start = 5 5 0\npursuer_heading = 1 2 3\n",
+                r"pursuer_heading must be 2 floats \(alpha theta\), got \(1.0, 2.0, 3.0\)",
+            ),
+            # Cases that set obstacle_count draw random obstacles.
+            (
+                "obstacle_count = 3\nobstacle_radius = 11\npursuer_start = 5 30 0\n"
+                "evader_start = 5 5 0\n",
+                r"obstacle_radius 11.0 exceeds half the arena extents \(35.0, 35.0, 20.0\)",
+            ),
+            (
+                "obstacle_count = 3\nobstacle_radius = -1\npursuer_start = 5 30 0\n"
+                "evader_start = 5 5 0\n",
+                "obstacle_radius must be > 0, got -1.0",
+            ),
+            (
+                "obstacle_count = -2\npursuer_start = 5 30 0\nevader_start = 5 5 0\n",
+                "obstacle_count must be >= 0, got -2",
+            ),
         ],
     )
     def test_invalid_scenario_file_exits_before_training(self, tmp_path, starts, message):
         scenario = tmp_path / "scenario.ini"
-        scenario.write_text("[scenario]\nobstacle_count = 0\n" + starts)
+        count = "" if "obstacle_count" in starts else "obstacle_count = 0\n"
+        scenario.write_text("[scenario]\n" + count + starts)
         out_dir = tmp_path / "run"
         with pytest.raises(SystemExit, match=f"^peg3d train: {message}"):
             cli_main(
@@ -659,6 +711,37 @@ class TestCLI:
                     "--scenario", str(scenario), "--runs", "1",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("config", "bogus"), 1, "unknown TrainConfig key 'bogus'"),
+            (("config", "learner", "bogus"), 1, "unknown LearnerConfig key 'bogus'"),
+            (("config", "reward", "bogus"), 1, "unknown RewardConfig key 'bogus'"),
+            (("scenario", "bogus"), 1, "unknown Scenario key 'bogus'"),
+            (("config", "learner", "alpha_actor"), 0.9, "actor rate must be below critic rate"),
+        ],
+    )
+    def test_evaluate_rejects_a_bad_checkpoint(self, tmp_path, keys, value, message):
+        run_dir = tmp_path / "run"
+        cli_main(
+            [
+                "train", "--scenario", "1", "--episodes", "1", "--max-plays", "5",
+                "--out", str(run_dir), "--quiet",
+            ]
+        )
+        path = run_dir / "checkpoint.json"
+        checkpoint = json.loads(path.read_text())
+        *parents, last = keys
+        target = checkpoint
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps(checkpoint))
+        out_dir = tmp_path / "eval"
+        with pytest.raises(SystemExit, match=f"^peg3d evaluate: {message}"):
+            cli_main(["evaluate", "--checkpoint", str(path), "--runs", "1", "--out", str(out_dir)])
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_evaluate_runs_below_one_exits_before_loading(self, tmp_path, runs):

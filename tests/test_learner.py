@@ -1,11 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from peg3d.env import Arena, AgentState, Obstacle
+from peg3d.env import TURN_LIMIT, Arena, AgentState, Obstacle
 from peg3d.fuzzy import build_default_partitions
-from peg3d.learner import ACTION_LIMIT, FuzzyActorCritic, extract_inputs
+from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
 
 
 def one_hot(n, k):
@@ -16,19 +17,19 @@ def one_hot(n, k):
 
 class TestConstruction:
     def test_learning_rate_guard(self):
-        with pytest.raises(ValueError):
-            FuzzyActorCritic(n_rules=10, alpha_actor=0.05, alpha_critic=0.05)
-        with pytest.raises(ValueError):
-            FuzzyActorCritic(n_rules=10, alpha_actor=0.1, alpha_critic=0.05)
+        with pytest.raises(ValueError, match="actor rate must be below critic rate"):
+            LearnerConfig(alpha_actor=0.05, alpha_critic=0.05)
+        with pytest.raises(ValueError, match="actor rate must be below critic rate"):
+            LearnerConfig(alpha_actor=0.1, alpha_critic=0.05)
 
     def test_gamma_and_sigma_validated(self):
-        with pytest.raises(ValueError):
-            FuzzyActorCritic(n_rules=10, gamma=1.0)
-        with pytest.raises(ValueError):
-            FuzzyActorCritic(n_rules=10, sigma=0.0)
+        with pytest.raises(ValueError, match="discount must lie in"):
+            LearnerConfig(gamma=1.0)
+        with pytest.raises(ValueError, match="exploration stddev must be positive"):
+            LearnerConfig(sigma=0.0)
 
     def test_zero_initialization(self):
-        learner = FuzzyActorCritic(n_rules=625)
+        learner = FuzzyActorCritic(625, LearnerConfig())
         assert not learner.actor.any()
         assert not learner.critic.any()
         assert learner.actor.shape == (2, 625)
@@ -36,33 +37,33 @@ class TestConstruction:
 
 class TestAct:
     def test_zero_weights_zero_action(self):
-        learner = FuzzyActorCritic(n_rules=8)
+        learner = FuzzyActorCritic(8, LearnerConfig())
         u, u_exec = learner.act(one_hot(8, 2), rng=None)
         assert np.array_equal(u, np.zeros(2))
         assert np.array_equal(u_exec, np.zeros(2))
 
     def test_one_hot_firing_reads_weight(self):
-        learner = FuzzyActorCritic(n_rules=8)
+        learner = FuzzyActorCritic(8, LearnerConfig())
         learner.actor[0, 3] = 0.25
         learner.actor[1, 3] = -0.5
         u, _ = learner.act(one_hot(8, 3), rng=None)
         assert u == pytest.approx([0.25, -0.5], abs=1e-15)
 
     def test_executed_action_clamped(self):
-        learner = FuzzyActorCritic(n_rules=4)
+        learner = FuzzyActorCritic(4, LearnerConfig())
         learner.actor[0, 1] = math.pi / 3.0
         u, u_exec = learner.act(one_hot(4, 1), rng=None)
         assert u[0] == pytest.approx(math.pi / 3.0, abs=1e-15)
-        assert u_exec[0] == ACTION_LIMIT
+        assert u_exec[0] == TURN_LIMIT
         assert u_exec[1] == 0.0
 
     def test_noise_added_per_channel(self):
-        learner = FuzzyActorCritic(n_rules=4, sigma=0.1)
+        learner = FuzzyActorCritic(4, LearnerConfig(sigma=0.1))
         rng = np.random.default_rng(11)
         u, u_exec = learner.act(one_hot(4, 0), rng=rng)
         assert np.array_equal(u, np.zeros(2))
         assert u_exec[0] != 0.0 and u_exec[1] != 0.0
-        assert np.all(np.abs(u_exec) <= ACTION_LIMIT)
+        assert np.all(np.abs(u_exec) <= TURN_LIMIT)
         # same seed, same draw
         u2, u_exec2 = learner.act(one_hot(4, 0), rng=np.random.default_rng(11))
         assert np.array_equal(u_exec, u_exec2)
@@ -70,18 +71,18 @@ class TestAct:
 
 class TestTDError:
     def test_zero_value_function(self):
-        learner = FuzzyActorCritic(n_rules=6)
+        learner = FuzzyActorCritic(6, LearnerConfig())
         phi = np.full(6, 1.0 / 6.0)
         assert learner.td_error(phi, phi, 1.0, False) == 1.0
 
     def test_terminal_drops_successor(self):
-        learner = FuzzyActorCritic(n_rules=4)
+        learner = FuzzyActorCritic(4, LearnerConfig())
         learner.critic[:] = 2.0
         phi = np.full(4, 0.25)
         assert learner.td_error(phi, None, 0.0, True) == -2.0
 
     def test_band_discount_substitution(self):
-        learner = FuzzyActorCritic(n_rules=2, gamma=0.95)
+        learner = FuzzyActorCritic(2, LearnerConfig(gamma=0.95))
         learner.critic[:] = [0.5, 1.0]
         phi_t = one_hot(2, 0)
         phi_next = one_hot(2, 1)
@@ -90,7 +91,7 @@ class TestTDError:
 
 class TestUpdates:
     def test_zero_td_no_change(self):
-        learner = FuzzyActorCritic(n_rules=8)
+        learner = FuzzyActorCritic(8, LearnerConfig())
         phi = np.full(8, 1.0 / 8.0)
         learner.update_critic(phi, 0.0)
         learner.update_actor(phi, np.zeros(2), np.full(2, 0.3), 0.0)
@@ -98,7 +99,7 @@ class TestUpdates:
         assert not learner.actor.any()
 
     def test_zero_perturbation_no_actor_change(self):
-        learner = FuzzyActorCritic(n_rules=8)
+        learner = FuzzyActorCritic(8, LearnerConfig())
         phi = np.full(8, 1.0 / 8.0)
         u = np.array([0.1, -0.2])
         learner.update_actor(phi, u, u.copy(), 5.0)
@@ -106,7 +107,7 @@ class TestUpdates:
 
     def test_actor_single_rule_increment(self):
         # alpha_a=0.001, delta=1, (u_exec - u)/sigma = 1, one-hot firing
-        learner = FuzzyActorCritic(n_rules=8, alpha_actor=0.001, sigma=0.1)
+        learner = FuzzyActorCritic(8, LearnerConfig(alpha_actor=0.001, sigma=0.1))
         phi = one_hot(8, 5)
         u = np.zeros(2)
         u_exec = np.array([0.1, 0.0])
@@ -115,21 +116,21 @@ class TestUpdates:
         assert np.count_nonzero(learner.actor) == 1
 
     def test_critic_single_rule_increment(self):
-        learner = FuzzyActorCritic(n_rules=8, alpha_critic=0.05)
+        learner = FuzzyActorCritic(8, LearnerConfig(alpha_critic=0.05))
         learner.update_critic(one_hot(8, 2), 1.0)
         assert learner.critic[2] == 0.05
         assert np.count_nonzero(learner.critic) == 1
 
     def test_critic_uniform_firing(self):
         n = 10
-        learner = FuzzyActorCritic(n_rules=n, alpha_critic=0.05)
+        learner = FuzzyActorCritic(n, LearnerConfig(alpha_critic=0.05))
         phi = np.full(n, 1.0 / n)
         learner.update_critic(phi, 1.0)
         assert np.allclose(learner.critic, 0.05 * (1.0 / n), atol=1e-18)
 
     def test_critic_moves_value_in_td_direction(self):
         rng = np.random.default_rng(13)
-        learner = FuzzyActorCritic(n_rules=16)
+        learner = FuzzyActorCritic(16, LearnerConfig())
         learner.critic[:] = rng.normal(size=16)
         phi = rng.random(16)
         phi /= phi.sum()
@@ -141,7 +142,7 @@ class TestUpdates:
         # actor/critic sensitivities equal the firing strengths
         rb = build_default_partitions()
         rng = np.random.default_rng(17)
-        learner = FuzzyActorCritic(n_rules=rb.n_rules)
+        learner = FuzzyActorCritic(rb.n_rules, LearnerConfig())
         eps = 1e-4
         for _ in range(10):
             x = (
@@ -165,7 +166,8 @@ class TestUpdates:
 class TestConvergence:
     def test_single_rule_critic_converges_to_mean_reward(self):
         # degenerate one-rule system, no discounting, i.i.d. rewards
-        learner = FuzzyActorCritic(n_rules=1, gamma=0.0, alpha_critic=0.05, alpha_actor=0.001)
+        config = LearnerConfig(gamma=0.0, alpha_critic=0.05, alpha_actor=0.001)
+        learner = FuzzyActorCritic(1, config)
         phi = np.ones(1)
         rng = np.random.default_rng(19)
         for _ in range(10_000):
@@ -178,7 +180,7 @@ class TestConvergence:
         rb = build_default_partitions()
 
         def run():
-            learner = FuzzyActorCritic(n_rules=rb.n_rules)
+            learner = FuzzyActorCritic(rb.n_rules, LearnerConfig())
             rng = np.random.default_rng(23)
             phi = rb.fire((12.0, 0.4, 20.0, -1.0))
             for _ in range(200):
@@ -196,21 +198,24 @@ class TestConvergence:
 
 class TestStateDict:
     def test_round_trip(self):
-        learner = FuzzyActorCritic(n_rules=6, alpha_actor=0.002, alpha_critic=0.03, sigma=0.2)
+        config = LearnerConfig(alpha_actor=0.002, alpha_critic=0.03, sigma=0.2)
+        learner = FuzzyActorCritic(6, config)
         learner.actor += np.arange(12.0).reshape(2, 6)
         learner.critic += np.arange(6.0)
-        clone = FuzzyActorCritic.from_state_dict(learner.state_dict())
+        state = json.loads(json.dumps(learner.state_dict()))
+        assert set(state) == {"actor", "critic"}
+        clone = FuzzyActorCritic(6, config)
+        clone.load_state_dict(state)
         assert np.array_equal(clone.actor, learner.actor)
         assert np.array_equal(clone.critic, learner.critic)
-        assert clone.alpha_actor == learner.alpha_actor
-        assert clone.sigma == learner.sigma
 
     def test_shape_mismatch_rejected(self):
-        learner = FuzzyActorCritic(n_rules=6)
-        state = learner.state_dict()
-        state["actor"] = [[0.0] * 5, [0.0] * 5]
-        with pytest.raises(ValueError):
-            FuzzyActorCritic.from_state_dict(state)
+        learner = FuzzyActorCritic(6, LearnerConfig())
+        for part, weights in (("actor", [[0.0] * 5] * 2), ("critic", [0.0] * 7)):
+            state = dict(learner.state_dict(), **{part: weights})
+            with pytest.raises(ValueError, match="do not match the layout"):
+                learner.load_state_dict(state)
+        assert learner.actor.shape == (2, 6) and learner.critic.shape == (6,)
 
 
 class TestExtractInputs:

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from peg3d.env import heading_vector
+from peg3d.learner import LearnerConfig
 from peg3d.reward import RewardConfig
 from peg3d.scenarios import (
     CONFIG_SCHEMA,
     INI_SECTIONS,
-    LearnerConfig,
     Scenario,
     TrainConfig,
     builtin_scenarios,
@@ -31,7 +32,7 @@ from peg3d.scenarios import (
 ACCEPTED_KEYS = {
     "config": {"schema"},
     "train": {"episodes", "max_plays", "seed", "freeze", "log_steps"},
-    "arena": {"extents", "dt", "capture_distance", "max_time", "steering_mode", "sensing_range"},
+    "arena": {"extents", "dt", "capture_distance", "max_time", "sensing_range"},
     "agents": {"pursuer_speed", "evader_speed", "cone_constraint"},
     "learner": {"alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input"},
     "reward": {
@@ -71,7 +72,6 @@ VALID_VALUES = {
     ("arena", "dt"): _positive,
     ("arena", "capture_distance"): _positive,
     ("arena", "max_time"): _positive,
-    ("arena", "steering_mode"): st.sampled_from(["incremental", "absolute"]),
     ("arena", "sensing_range"): _positive,
     ("agents", "pursuer_speed"): _positive,
     ("agents", "evader_speed"): _positive,
@@ -170,6 +170,15 @@ class TestTrainConfigDefaults:
         assert sc == Scenario(pursuer_start=(1, 2, 3), evader_start=(4, 5, 6))
         assert sc.name == "custom"
 
+    def test_unknown_keys_named(self):
+        with pytest.raises(ValueError, match="^unknown TrainConfig key 'bogus'$"):
+            train_config_from_dict({"seed": 4, "bogus": 1})
+        for part, cls in (("learner", "LearnerConfig"), ("reward", "RewardConfig")):
+            with pytest.raises(ValueError, match=f"^unknown {cls} key 'bogus', 'extra'$"):
+                train_config_from_dict({part: {"extra": 2, "bogus": 1}})
+        with pytest.raises(ValueError, match="^unknown Scenario key 'bogus'$"):
+            scenario_from_dict({"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6], "bogus": 1})
+
 
 class TestCheckScenario:
     def test_builtin_scenarios_pass(self):
@@ -205,6 +214,39 @@ class TestCheckScenario:
             check_scenario(sc, TrainConfig())
         # on the surface is outside
         check_scenario(dataclasses.replace(sc, pursuer_start=(11.0, 10.0, 5.0)), TrainConfig())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"obstacle_radius": 0.0}, "obstacle_radius must be > 0, got 0.0"),
+            ({"obstacle_radius": math.nan}, "obstacle_radius must be > 0"),
+            ({"obstacle_radius": 10.5}, "obstacle_radius 10.5 exceeds half the arena extents"),
+        ],
+    )
+    def test_random_obstacle_fields_rejected(self, fields, message):
+        sc = dataclasses.replace(builtin_scenarios()[1], **fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            check_scenario(sc, TrainConfig())
+        # place_obstacles applies the same rule
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            realize_obstacles(sc, TrainConfig(), np.random.default_rng(0))
+
+    def test_random_obstacle_fit_follows_the_configured_box(self):
+        sc = dataclasses.replace(builtin_scenarios()[1], obstacle_radius=10.0)
+        check_scenario(sc, TrainConfig())  # 2 * 10 = 20, the height of the box
+        with pytest.raises(ValueError, match="exceeds half the arena extents"):
+            check_scenario(sc, TrainConfig(arena_extents=(35.0, 35.0, 19.0)))
+        # random-obstacle fields are not read when no obstacles are drawn
+        for fields in ({"obstacle_count": 0}, {"obstacles": ()}):
+            check_scenario(dataclasses.replace(sc, obstacle_radius=-1.0, **fields), TrainConfig())
+
+    @pytest.mark.parametrize("heading", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_heading_must_be_two_floats(self, heading):
+        sc = dataclasses.replace(builtin_scenarios()[1], evader_heading=heading)
+        with pytest.raises(ValueError, match=r"evader_heading must be 2 floats \(alpha theta\)"):
+            check_scenario(sc, TrainConfig())
+        check_scenario(dataclasses.replace(sc, evader_heading=(1.0, 2.0)), TrainConfig())
+        check_scenario(dataclasses.replace(sc, evader_heading=()), TrainConfig())
 
 
 class TestInitialStates:
