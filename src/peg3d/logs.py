@@ -112,32 +112,34 @@ class EpisodeLog:
         return log
 
 
+# EpisodeLog's per-role fields in column order; each is a pursuer_ and an evader_ column.
+_ROLE_FIELDS = (
+    "reward_total",
+    "reward_mean",
+    "path_length",
+    "min_clearance",
+    "collision_steps",
+    "cone_fraction",
+    "td_abs_mean",
+    "entropy_mean",
+)
+
+
 def summary_row(log: EpisodeLog) -> dict:
     """Flat per-episode row for summary CSV files; key order is the column order."""
-    return {
+    row = {
         "episode": log.episode,
         "outcome": log.outcome,
         "steps": log.steps,
         "elapsed": log.elapsed,
         "final_distance": log.final_distance,
         "capture_time": log.capture_time,
-        "pursuer_reward_total": log.reward_total["pursuer"],
-        "evader_reward_total": log.reward_total["evader"],
-        "pursuer_reward_mean": log.reward_mean["pursuer"],
-        "evader_reward_mean": log.reward_mean["evader"],
-        "pursuer_path_length": log.path_length["pursuer"],
-        "evader_path_length": log.path_length["evader"],
-        "pursuer_min_clearance": log.min_clearance["pursuer"],
-        "evader_min_clearance": log.min_clearance["evader"],
-        "pursuer_collision_steps": log.collision_steps["pursuer"],
-        "evader_collision_steps": log.collision_steps["evader"],
-        "pursuer_cone_fraction": log.cone_fraction["pursuer"],
-        "evader_cone_fraction": log.cone_fraction["evader"],
-        "pursuer_td_abs_mean": log.td_abs_mean["pursuer"],
-        "evader_td_abs_mean": log.td_abs_mean["evader"],
-        "pursuer_entropy_mean": log.entropy_mean["pursuer"],
-        "evader_entropy_mean": log.entropy_mean["evader"],
     }
+    for name in _ROLE_FIELDS:
+        per_role = getattr(log, name)
+        for role in ("pursuer", "evader"):
+            row[f"{role}_{name}"] = per_role[role]
+    return row
 
 
 def _fmt(value) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -116,17 +116,6 @@ def builtin_scenarios() -> dict[int, Scenario]:
     }
 
 
-def _center_bounds(extents, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest and highest center of a sphere of ``radius`` inside the box."""
-    if not radius > 0.0:
-        raise ValueError(f"obstacle_radius must be > 0, got {radius!r}")
-    low = np.array([radius, radius, radius])
-    high = np.asarray(extents, dtype=float) - radius
-    if np.any(low > high):
-        raise ValueError(f"obstacle_radius {radius!r} exceeds half the arena extents {extents!r}")
-    return low, high
-
-
 def place_obstacles(
     rng: np.random.Generator,
     extents: tuple[float, float, float],
@@ -140,9 +129,16 @@ def place_obstacles(
 
     A placement is rejected when the sphere surface comes within ``margin``
     of any keepout point (the agents' starts), or would poke out of the box.
+    Raises ``ValueError`` when the radius does not fit the box, or when
+    ``max_attempts`` draws in a row are all rejected.
     """
+    if not radius > 0.0:
+        raise ValueError(f"obstacle_radius must be > 0, got {radius!r}")
+    low = np.array([radius, radius, radius])
+    high = np.asarray(extents, dtype=float) - radius
+    if np.any(low > high):
+        raise ValueError(f"obstacle_radius {radius!r} exceeds half the arena extents {extents!r}")
     keepout = [tuple(map(float, p)) for p in keepout_points]
-    low, high = _center_bounds(extents, radius)
     obstacles: list[Obstacle] = []
     for _ in range(count):
         for _ in range(max_attempts):
@@ -151,7 +147,10 @@ def place_obstacles(
                 obstacles.append(Obstacle(center=center, radius=radius))
                 break
         else:
-            raise RuntimeError("could not place obstacle clear of the start positions")
+            raise ValueError(
+                f"no obstacle of radius {radius!r} clears the starts by obstacle_margin "
+                f"{margin!r} in {max_attempts} draws"
+            )
     return obstacles
 
 
@@ -178,7 +177,7 @@ def realize_obstacles(
     )
 
 
-def build_arena(scenario: Scenario, config: TrainConfig, obstacles) -> Arena:
+def build_arena(config: TrainConfig, obstacles) -> Arena:
     return Arena(
         extents=config.arena_extents,
         obstacles=list(obstacles),
@@ -193,17 +192,15 @@ def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
     """Reject a scenario that cannot run under ``config``, before any episode.
 
     Builds the arena once (its checks cover the config and explicit obstacles),
-    fits a random layout's radius as :func:`place_obstacles` does, and checks
-    each start (3 floats in the box, outside explicit obstacles) and explicit
-    heading (2 floats).
+    checks each start (3 floats in the box, outside explicit obstacles) and
+    explicit heading (2 floats), then draws one trial random layout, so that a
+    radius that does not fit the box or a margin no draw meets fails here.
+    The trial has a generator of its own: the runs' streams are not touched.
     """
     obstacles = realize_obstacles(scenario, config, None) if scenario.obstacles else []
-    box = build_arena(scenario, config, obstacles).extents
-    if scenario.obstacles is None:
-        if scenario.obstacle_count < 0:
-            raise ValueError(f"obstacle_count must be >= 0, got {scenario.obstacle_count}")
-        if scenario.obstacle_count:
-            _center_bounds(box, scenario.obstacle_radius)
+    box = build_arena(config, obstacles).extents
+    if scenario.obstacles is None and scenario.obstacle_count < 0:
+        raise ValueError(f"obstacle_count must be >= 0, got {scenario.obstacle_count}")
     for role, start, heading in (
         ("pursuer", scenario.pursuer_start, scenario.pursuer_heading),
         ("evader", scenario.evader_start, scenario.evader_heading),
@@ -214,6 +211,8 @@ def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
             raise ValueError(f"{role}_start {start!r} lies inside an obstacle")
         if heading and len(heading) != 2:
             raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
+    if scenario.obstacles is None:
+        realize_obstacles(scenario, config, np.random.default_rng(0))
 
 
 def _chase_axis_heading(pursuer_start, evader_start) -> tuple[float, float]:
@@ -341,22 +340,68 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _from_dict(cls, data: dict):
-    """``cls(**data)``, rejecting keys that are not fields of ``cls`` by name."""
-    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+def _numbers(value, count: int | None = None) -> bool:
+    """True for a tuple of real numbers, of ``count`` of them when given."""
+    return (
+        isinstance(value, tuple)
+        and (count is None or len(value) == count)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )
+
+
+def _obstacle_rows(value) -> bool:
+    """None, or rows of 4 numbers (x y z radius), as in INI files."""
+    return value is None or (isinstance(value, tuple) and all(_numbers(row, 4) for row in value))
+
+
+# What a JSON value must be to fill a field, keyed by annotation text like
+# _CASTS.  Start, heading and extent counts are left to check_scenario and Arena.
+_JSON_CHECKS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: _numbers((v,)),
+    "str": lambda v: isinstance(v, str),
+    "tuple[float, float]": lambda v: _numbers(v, 2),  # the learner's input domains
+    "tuple[float, float, float]": _numbers,
+    "tuple[float, float] | None": lambda v: v is None or _numbers(v),
+    "tuple[tuple[float, float, float, float], ...] | None": _obstacle_rows,
+}
+_NESTED = {"LearnerConfig": LearnerConfig, "RewardConfig": RewardConfig}
+
+
+def _from_dict(cls, data):
+    """``cls(**data)``, naming an unknown or missing key or a value of the wrong type.
+
+    Fields holding a nested config dataclass are built from their own dicts.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(data.keys() - types.keys())
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key {', '.join(map(repr, unknown))}")
-    return cls(**data)
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key {', '.join(map(repr, missing))}")
+    values = {}
+    for name, value in data.items():
+        if types[name] in _NESTED:
+            value = _from_dict(_NESTED[types[name]], value)
+        elif not _JSON_CHECKS[types[name]](value):
+            raise ValueError(f"{cls.__name__} key {name!r} must be {types[name]}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Inverse of :meth:`Scenario.to_dict`; missing keys take the defaults."""
+    """Inverse of :meth:`Scenario.to_dict`; missing optional keys take the defaults."""
     return _from_dict(Scenario, _tuples(data))
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
     """Inverse of :meth:`TrainConfig.to_dict`; missing keys take the defaults."""
-    data = _tuples(data)
-    data["learner"] = _from_dict(LearnerConfig, data.get("learner", {}))
-    data["reward"] = _from_dict(RewardConfig, data.get("reward", {}))
-    return _from_dict(TrainConfig, data)
+    return _from_dict(TrainConfig, _tuples(data))

@@ -18,12 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+
+# perfbench/ times and counts the layers by rebinding the module-level names
+# imported here and the RuleBase and FuzzyActorCritic methods, so the episode
+# loop calls them through this module and the instances, never via local aliases.
 from .env import (
     CAPTURED,
     RUNNING,
     TIMEOUT,
-    Arena,
-    AgentState,
     StepCommand,
     check_termination,
     cone_limited_command,
@@ -88,30 +90,28 @@ def build_learners(config: TrainConfig, n_rules: int) -> dict[str, FuzzyActorCri
 
 
 def run_episode(
-    arena: Arena,
-    pursuer: AgentState,
-    evader: AgentState,
+    scenario: Scenario,
+    config: TrainConfig,
+    obstacles,
     rulebase: RuleBase,
     learners: dict[str, FuzzyActorCritic],
-    reward_cfg,
     rng: np.random.Generator | None,
-    max_plays: int,
-    train: bool = True,
-    freeze: str = "none",
-    cone_constraint: bool = True,
     record_steps: bool = False,
-    scenario_name: str = "",
     seed: int | None = None,
     episode: int | None = None,
 ) -> EpisodeLog:
-    """Play one episode to termination; updates learner weights in place when training.
+    """Play one episode among ``obstacles``; an ``rng`` means training, with updates in place.
 
     Each iteration: both agents act on the current state, both move, the
     shared transition is scored, and (when training) both critics and actors
     update from it before the next iteration.  An episode ends on capture,
-    on the arena time budget, or when the play budget ``max_plays`` runs out
-    (logged as a timeout).
+    on the arena time budget, or when the play budget ``config.max_plays``
+    runs out (logged as a timeout).
     """
+    arena = build_arena(config, obstacles)
+    pursuer, evader = initial_states(scenario, config)
+    reward_cfg, max_plays, freeze = config.reward, config.max_plays, config.freeze
+    cone_constraint, train = config.cone_constraint, rng is not None
     p_state, e_state = pursuer, evader
     v_p, v_e = p_state.speed, e_state.speed
     halfangle = pursuit_cone_halfangle(v_p, v_e) if 0.0 < v_e < v_p else None
@@ -258,7 +258,7 @@ def run_episode(
         return {role: (total[role] / steps if steps else 0.0) for role in _ROLES}
 
     return EpisodeLog(
-        scenario=scenario_name,
+        scenario=scenario.name,
         seed=seed,
         episode=episode,
         dt=arena.dt,
@@ -321,28 +321,13 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
     summaries: list[dict] = []
     final_log: EpisodeLog | None = None
     for ep in range(config.episodes):
-        obstacles = realize_obstacles(scenario, config, obstacle_rng)
-        arena = build_arena(scenario, config, obstacles)
-        p0, e0 = initial_states(scenario, config)
         record = config.log_steps == "all" or (
             config.log_steps == "final" and ep == config.episodes - 1
         )
+        obstacles = realize_obstacles(scenario, config, obstacle_rng)
         log = run_episode(
-            arena,
-            p0,
-            e0,
-            rulebase,
-            learners,
-            config.reward,
-            noise_rng,
-            max_plays=config.max_plays,
-            train=True,
-            freeze=config.freeze,
-            cone_constraint=config.cone_constraint,
-            record_steps=record,
-            scenario_name=scenario.name,
-            seed=config.seed,
-            episode=ep,
+            scenario, config, obstacles, rulebase, learners, noise_rng,
+            record_steps=record, seed=config.seed, episode=ep,
         )
         summaries.append(summary_row(log))
         if record:
@@ -372,14 +357,7 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=1)
             fh.write("\n")
-    return TrainResult(
-        manifest=manifest,
-        learners=learners,
-        rulebase=rulebase,
-        summaries=summaries,
-        final_log=final_log,
-        checkpoint=checkpoint,
-    )
+    return TrainResult(manifest, learners, rulebase, summaries, final_log, checkpoint)
 
 
 def evaluate(
@@ -411,25 +389,10 @@ def evaluate(
     out = Path(out_dir) if out_dir is not None else None
     rows: list[dict] = []
     for i, child in enumerate(children):
-        obstacle_rng = np.random.default_rng(child)
-        obstacles = realize_obstacles(scenario, config, obstacle_rng)
-        arena = build_arena(scenario, config, obstacles)
-        p0, e0 = initial_states(scenario, config)
+        obstacles = realize_obstacles(scenario, config, np.random.default_rng(child))
         log = run_episode(
-            arena,
-            p0,
-            e0,
-            rulebase,
-            learners,
-            config.reward,
-            rng=None,
-            max_plays=config.max_plays,
-            train=False,
-            cone_constraint=config.cone_constraint,
-            record_steps=record_steps,
-            scenario_name=scenario.name,
-            seed=seed,
-            episode=i,
+            scenario, config, obstacles, rulebase, learners, None,
+            record_steps=record_steps, seed=seed, episode=i,
         )
         row = summary_row(log)
         row.pop("episode")
@@ -438,7 +401,9 @@ def evaluate(
             export_json(log, out / "runs" / f"run_{i:03d}.json")
 
     captured = [row for row in rows if row["outcome"] == CAPTURED]
-    capture_times = [row["capture_time"] for row in captured]
+
+    def _column(key):
+        return [row[key] for row in rows]
 
     def _stats(values):
         if not values:
@@ -446,12 +411,10 @@ def evaluate(
         arr = np.asarray(values, dtype=float)
         return float(arr.mean()), float(arr.std())
 
-    ct_mean, ct_std = _stats(capture_times)
-    pp_mean, pp_std = _stats([row["pursuer_path_length"] for row in rows])
-    ep_mean, ep_std = _stats([row["evader_path_length"] for row in rows])
-    collisions = [
-        row["pursuer_collision_steps"] + row["evader_collision_steps"] for row in rows
-    ]
+    ct_mean, ct_std = _stats([row["capture_time"] for row in captured])
+    pp_mean, pp_std = _stats(_column("pursuer_path_length"))
+    ep_mean, ep_std = _stats(_column("evader_path_length"))
+    collisions = np.add(_column("pursuer_collision_steps"), _column("evader_collision_steps"))
     metrics = {
         "schema": METRICS_SCHEMA,
         "scenario": scenario.name,
@@ -466,13 +429,9 @@ def evaluate(
         "evader_path_std": ep_std,
         "collision_steps_mean": float(np.mean(collisions)),
         "collision_steps_total": int(np.sum(collisions)),
-        "final_distance_mean": float(np.mean([row["final_distance"] for row in rows])),
-        "pursuer_cone_fraction_mean": float(
-            np.mean([row["pursuer_cone_fraction"] for row in rows])
-        ),
-        "evader_cone_fraction_mean": float(
-            np.mean([row["evader_cone_fraction"] for row in rows])
-        ),
+        "final_distance_mean": float(np.mean(_column("final_distance"))),
+        "pursuer_cone_fraction_mean": float(np.mean(_column("pursuer_cone_fraction"))),
+        "evader_cone_fraction_mean": float(np.mean(_column("evader_cone_fraction"))),
     }
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -516,16 +475,27 @@ def load_checkpoint(path_or_dict):
     else:
         with open(path_or_dict) as fh:
             data = json.load(fh)
-    schema = data.get("schema")
+    schema = data.get("schema") if isinstance(data, dict) else None
     if schema != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {schema!r} (expected {CHECKPOINT_SCHEMA})")
-    scenario = scenario_from_dict(data["scenario"])
-    config = train_config_from_dict(data["config"])
+    scenario = scenario_from_dict(_lookup(data, "scenario"))
+    config = train_config_from_dict(_lookup(data, "config"))
     rulebase = build_rulebase(config)
     learners = build_learners(config, rulebase.n_rules)
     for role in _ROLES:
+        weights = {part: _lookup(data, f"agents.{role}.{part}") for part in ("actor", "critic")}
         try:
-            learners[role].load_state_dict(data["agents"][role])
+            learners[role].load_state_dict(weights)
         except ValueError as exc:
             raise CheckpointLayoutError(f"{role}: {exc}") from exc
     return learners, rulebase, scenario, config
+
+
+def _lookup(data, path: str):
+    """``data[a][b]...`` for the dotted ``path``; ``ValueError`` names the first absent key."""
+    keys = path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"checkpoint has no {'.'.join(keys[: i + 1])!r}")
+        data = data[key]
+    return data

@@ -21,32 +21,30 @@ from peg3d.training import (
     save_checkpoint,
     train,
 )
-from peg3d.scenarios import build_arena, initial_states
+
+# Marks a checkpoint key that a test deletes instead of setting.
+DELETE = object()
 
 
-def zero_weight_setup(scenario, config):
+def zero_weight_setup(config):
     rulebase = build_rulebase(config)
-    learners = build_learners(config, rulebase.n_rules)
-    arena = build_arena(scenario, config, [])
-    p0, e0 = initial_states(scenario, config)
-    return arena, p0, e0, rulebase, learners
+    return rulebase, build_learners(config, rulebase.n_rules)
 
 
 class TestRunEpisode:
     def test_zero_policy_three_steps_straight(self):
         sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None,
-            max_plays=3, train=False, record_steps=True, scenario_name=sc.name,
-        )
+        cfg = TrainConfig(max_plays=3)
+        rb, learners = zero_weight_setup(cfg)
+        log = run_episode(sc, cfg, [], rb, learners, None, record_steps=True)
         assert log.steps == 3
         assert len(log.records) == 3
         assert log.outcome == TIMEOUT
+        assert log.scenario == sc.name
+        assert (log.pursuer_start, log.evader_start) == ([5.0, 30.0, 0.0], [5.0, 5.0, 0.0])
         # straight-line motion along the chase axis for both agents
-        for role, start, speed in (("pursuer", p0, 1.1), ("evader", e0, 1.0)):
-            pts = [start.position] + [
+        for role, speed in (("pursuer", 1.1), ("evader", 1.0)):
+            pts = [getattr(log, f"{role}_start")] + [
                 getattr(r, f"{role}_pos") for r in log.records
             ]
             for i, (a, b) in enumerate(zip(pts, pts[1:])):
@@ -56,12 +54,9 @@ class TestRunEpisode:
 
     def test_immediate_capture(self):
         sc = Scenario(name="close", pursuer_start=(5.0, 5.0, 0.0), evader_start=(5.5, 5.0, 0.0))
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None,
-            max_plays=100, train=False, record_steps=True,
-        )
+        cfg = TrainConfig(max_plays=100)
+        rb, learners = zero_weight_setup(cfg)
+        log = run_episode(sc, cfg, [], rb, learners, None, record_steps=True)
         assert log.outcome == CAPTURED
         assert log.steps == 0
         assert log.capture_time == 0.0
@@ -70,23 +65,17 @@ class TestRunEpisode:
 
     def test_never_ends_running_and_respects_step_cap(self):
         sc = builtin_scenarios()[2]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None, max_plays=7, train=False,
-        )
+        cfg = TrainConfig(max_plays=7)
+        rb, learners = zero_weight_setup(cfg)
+        log = run_episode(sc, cfg, [], rb, learners, None)
         assert log.outcome in (CAPTURED, TIMEOUT)
         assert log.steps <= 7
 
     def test_training_updates_weights_and_freeze_blocks(self):
         sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        rng = np.random.default_rng(3)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=rng,
-            max_plays=40, train=True, freeze="evader",
-        )
+        cfg = TrainConfig(max_plays=40, freeze="evader")
+        rb, learners = zero_weight_setup(cfg)
+        log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(3))
         assert learners["pursuer"].critic.any()
         assert not learners["evader"].critic.any()
         assert not learners["evader"].actor.any()
@@ -95,11 +84,9 @@ class TestRunEpisode:
 
     def test_cone_fractions_full_compliance_for_zero_policy(self):
         sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None, max_plays=20, train=False,
-        )
+        cfg = TrainConfig(max_plays=20)
+        rb, learners = zero_weight_setup(cfg)
+        log = run_episode(sc, cfg, [], rb, learners, None)
         # straight chase along the axis: pursuer aligned, evader pointed away
         assert log.cone_fraction["pursuer"] == 1.0
         assert log.cone_fraction["evader"] == 1.0
@@ -107,8 +94,8 @@ class TestRunEpisode:
     @pytest.mark.parametrize("cone_constraint", [True, False])
     def test_step_loop_carries_plain_floats(self, monkeypatch, cone_constraint):
         sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
+        cfg = TrainConfig(max_plays=25, cone_constraint=cone_constraint)
+        rb, learners = zero_weight_setup(cfg)
         step_agent, states = training.step_agent, []
 
         def recording_step_agent(*args, **kwargs):
@@ -116,10 +103,7 @@ class TestRunEpisode:
             return states[-1]
 
         monkeypatch.setattr(training, "step_agent", recording_step_agent)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=np.random.default_rng(5),
-            max_plays=25, train=True, cone_constraint=cone_constraint, record_steps=True,
-        )
+        log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(5), record_steps=True)
         assert log.steps == 25
         assert len(states) == 2 * log.steps
         for state in states:
@@ -134,31 +118,23 @@ class TestRunEpisode:
 
 class TestEpisodeLogExports:
     def _small_log(self, max_plays=3):
-        sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        return run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None,
-            max_plays=max_plays, train=False, record_steps=True, scenario_name=sc.name,
-        )
+        cfg = TrainConfig(max_plays=max_plays)
+        rb, learners = zero_weight_setup(cfg)
+        return run_episode(builtin_scenarios()[1], cfg, [], rb, learners, None, record_steps=True)
 
     def _close_log(self):
         # Starts inside the capture radius, so the episode records zero steps.
         sc = Scenario(name="close", pursuer_start=(5.0, 5.0, 0.0), evader_start=(5.4, 5.0, 0.0))
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        return run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None,
-            max_plays=10, train=False, record_steps=True,
-        )
+        cfg = TrainConfig(max_plays=10)
+        rb, learners = zero_weight_setup(cfg)
+        return run_episode(sc, cfg, [], rb, learners, None, record_steps=True)
 
     def _training_log(self):
-        sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
+        cfg = TrainConfig(max_plays=6)
+        rb, learners = zero_weight_setup(cfg)
         return run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=np.random.default_rng(4),
-            max_plays=6, train=True, record_steps=True, scenario_name=sc.name, seed=4, episode=0,
+            builtin_scenarios()[1], cfg, [], rb, learners, np.random.default_rng(4),
+            record_steps=True, seed=4, episode=0,
         )
 
     @pytest.mark.parametrize("kind", ["training", "evaluation", "close"])
@@ -678,6 +654,12 @@ class TestCLI:
                 "obstacle_count = -2\npursuer_start = 5 30 0\nevader_start = 5 5 0\n",
                 "obstacle_count must be >= 0, got -2",
             ),
+            (
+                "obstacle_count = 3\nobstacle_margin = 100\npursuer_start = 5 30 0\n"
+                "evader_start = 5 5 0\n",
+                "no obstacle of radius 1.0 clears the starts by obstacle_margin 100.0 "
+                "in 10000 draws",
+            ),
         ],
     )
     def test_invalid_scenario_file_exits_before_training(self, tmp_path, starts, message):
@@ -720,6 +702,15 @@ class TestCLI:
             (("config", "reward", "bogus"), 1, "unknown RewardConfig key 'bogus'"),
             (("scenario", "bogus"), 1, "unknown Scenario key 'bogus'"),
             (("config", "learner", "alpha_actor"), 0.9, "actor rate must be below critic rate"),
+            (("scenario", "pursuer_start"), DELETE, "missing Scenario key 'pursuer_start'$"),
+            (("config", "episodes"), "5", "TrainConfig key 'episodes' must be int, got '5'$"),
+            (
+                ("scenario", "pursuer_start"),
+                5,
+                r"Scenario key 'pursuer_start' must be tuple\[float, float, float\], got 5$",
+            ),
+            (("agents",), DELETE, "checkpoint has no 'agents'$"),
+            (("agents", "evader", "critic"), DELETE, "checkpoint has no 'agents.evader.critic'$"),
         ],
     )
     def test_evaluate_rejects_a_bad_checkpoint(self, tmp_path, keys, value, message):
@@ -736,7 +727,10 @@ class TestCLI:
         target = checkpoint
         for key in parents:
             target = target[key]
-        target[last] = value
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
         path.write_text(json.dumps(checkpoint))
         out_dir = tmp_path / "eval"
         with pytest.raises(SystemExit, match=f"^peg3d evaluate: {message}"):
@@ -766,13 +760,9 @@ class TestCLI:
 
 class TestSummaryRow:
     def test_column_set(self):
-        sc = builtin_scenarios()[1]
-        cfg = TrainConfig()
-        arena, p0, e0, rb, learners = zero_weight_setup(sc, cfg)
-        log = run_episode(
-            arena, p0, e0, rb, learners, cfg.reward, rng=None, max_plays=3, train=False,
-        )
-        row = summary_row(log)
+        cfg = TrainConfig(max_plays=3)
+        rb, learners = zero_weight_setup(cfg)
+        row = summary_row(run_episode(builtin_scenarios()[1], cfg, [], rb, learners, None))
         assert row["steps"] == 3
         assert row["outcome"] == TIMEOUT
         for key in (
@@ -780,3 +770,21 @@ class TestSummaryRow:
             "pursuer_path_length", "pursuer_cone_fraction", "evader_entropy_mean",
         ):
             assert key in row
+
+    def test_csv_headers_pinned(self, tmp_path):
+        columns = (
+            "outcome,steps,elapsed,final_distance,capture_time,"
+            "pursuer_reward_total,evader_reward_total,pursuer_reward_mean,evader_reward_mean,"
+            "pursuer_path_length,evader_path_length,pursuer_min_clearance,evader_min_clearance,"
+            "pursuer_collision_steps,evader_collision_steps,"
+            "pursuer_cone_fraction,evader_cone_fraction,pursuer_td_abs_mean,evader_td_abs_mean,"
+            "pursuer_entropy_mean,evader_entropy_mean"
+        )
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig(episodes=1, max_plays=5)
+        res = train(sc, cfg, out_dir=tmp_path / "train")
+        evaluate(res.learners, res.rulebase, sc, cfg, runs=1, out_dir=tmp_path / "eval")
+        episodes = (tmp_path / "train" / "episodes.csv").read_text().splitlines()
+        runs = (tmp_path / "eval" / "runs.csv").read_text().splitlines()
+        assert episodes[:2] == ["# schema=peg3d.episodes.v1", "episode," + columns]
+        assert runs[:2] == ["# schema=peg3d.runs.v1", "run," + columns]

@@ -28,6 +28,8 @@ from peg3d.scenarios import (
     train_config_from_dict,
 )
 
+STARTS = {"pursuer_start": [5, 30, 0], "evader_start": [5, 5, 0]}
+
 # The accepted INI keys, written out as the reference for the loader's table.
 ACCEPTED_KEYS = {
     "config": {"schema"},
@@ -179,6 +181,42 @@ class TestTrainConfigDefaults:
         with pytest.raises(ValueError, match="^unknown Scenario key 'bogus'$"):
             scenario_from_dict({"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6], "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"cone_constraint": "on"}, "TrainConfig key 'cone_constraint' must be bool, got 'on'"),
+            ({"seed": 1.5}, "TrainConfig key 'seed' must be int, got 1.5"),
+            ({"seed": True}, "TrainConfig key 'seed' must be int, got True"),
+            ({"dt": "0.1"}, "TrainConfig key 'dt' must be float, got '0.1'"),
+            ({"arena_extents": [35, "35", 20]}, "TrainConfig key 'arena_extents' must be "),
+            ({"learner": 5}, "LearnerConfig must be a JSON object, got 5"),
+            ({"learner": {"angle_domain": None}}, "LearnerConfig key 'angle_domain' must be "),
+            (
+                {"learner": {"distance_domain": [0, 35, 1]}},
+                "LearnerConfig key 'distance_domain' must be tuple[float, float], got (0, 35, 1)",
+            ),
+            ({"reward": {"success_coeff": None}}, "RewardConfig key 'success_coeff' must be float"),
+            ([], "TrainConfig must be a JSON object, got ()"),
+        ],
+    )
+    def test_wrong_types_named(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            train_config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"pursuer_start": [1, 2, 3]}, "missing Scenario key 'evader_start'"),
+            ({}, "missing Scenario key 'pursuer_start', 'evader_start'"),
+            ({**STARTS, "obstacles": [[1, 2, 3]]}, "Scenario key 'obstacles' must be "),
+            ({**STARTS, "pursuer_heading": "up"}, "Scenario key 'pursuer_heading' must be "),
+            ({**STARTS, "obstacle_count": 2.0}, "Scenario key 'obstacle_count' must be int"),
+        ],
+    )
+    def test_scenario_missing_or_mistyped_keys_named(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            scenario_from_dict(data)
+
 
 class TestCheckScenario:
     def test_builtin_scenarios_pass(self):
@@ -303,7 +341,8 @@ class TestObstaclePlacement:
 
     def test_unplaceable_layout_raises(self):
         # margin larger than the arena diagonal: every draw is rejected
-        with pytest.raises(RuntimeError):
+        message = "no obstacle of radius 1.0 clears the starts by obstacle_margin 60.0 in 50 draws"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             place_obstacles(
                 np.random.default_rng(1),
                 (35.0, 35.0, 20.0),
