@@ -89,13 +89,18 @@ class Arena:
     sensing_range: float = 35.0
 
     def __post_init__(self):
-        if self.capture_distance <= 0.0:
-            raise ValueError("capture_distance must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        # Written as `not x > 0.0` so that NaN fails too.
+        for name in ("capture_distance", "max_time", "dt", "sensing_range"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if len(self.extents) != 3:
+            raise ValueError(f"extents must be 3 floats, got {self.extents!r}")
+        for axis, extent in zip("xyz", self.extents):
+            if not (extent > 0.0 and math.isfinite(extent)):
+                raise ValueError(f"arena extent {axis} must be finite and > 0, got {extent!r}")
         ex, ey, ez = self.extents
         for obs in self.obstacles:
-            if obs.radius <= 0.0:
+            if not obs.radius > 0.0:
                 raise ValueError("obstacle radius must be positive")
             cx, cy, cz = obs.center
             inside = (

@@ -52,7 +52,7 @@ class LearnerConfig:
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError("exploration stddev must be positive")
 
 

@@ -45,7 +45,7 @@ class RewardConfig:
             "repulsion_weight",
             "attraction_weight",
         ):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 

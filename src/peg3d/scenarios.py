@@ -193,8 +193,8 @@ def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
 
     Builds the arena once (its checks cover the config and explicit obstacles),
     checks each start (3 floats in the box, outside explicit obstacles) and
-    explicit heading (2 floats), then draws one trial random layout, so that a
-    radius that does not fit the box or a margin no draw meets fails here.
+    explicit heading (2 finite floats), then draws one trial random layout, so
+    that a radius that does not fit the box or a margin no draw meets fails here.
     The trial has a generator of its own: the runs' streams are not touched.
     """
     obstacles = realize_obstacles(scenario, config, None) if scenario.obstacles else []
@@ -211,6 +211,8 @@ def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
             raise ValueError(f"{role}_start {start!r} lies inside an obstacle")
         if heading and len(heading) != 2:
             raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
+        if heading and not all(map(math.isfinite, heading)):
+            raise ValueError(f"{role}_heading must be finite, got {heading!r}")
     if scenario.obstacles is None:
         realize_obstacles(scenario, config, np.random.default_rng(0))
 
@@ -231,21 +233,16 @@ def initial_states(scenario: Scenario, config: TrainConfig) -> tuple[AgentState,
     from the pursuer (the same direction vector, seen from each end).
     """
     auto = _chase_axis_heading(scenario.pursuer_start, scenario.evader_start)
-    p_alpha, p_theta = scenario.pursuer_heading or auto
-    e_alpha, e_theta = scenario.evader_heading or auto
-    pursuer = AgentState(
-        position=tuple(map(float, scenario.pursuer_start)),
-        alpha=p_alpha,
-        theta=p_theta,
-        speed=config.pursuer_speed,
-    )
-    evader = AgentState(
-        position=tuple(map(float, scenario.evader_start)),
-        alpha=e_alpha,
-        theta=e_theta,
-        speed=config.evader_speed,
-    )
-    return pursuer, evader
+    states = []
+    for start, heading, speed in (
+        (scenario.pursuer_start, scenario.pursuer_heading, config.pursuer_speed),
+        (scenario.evader_start, scenario.evader_heading, config.evader_speed),
+    ):
+        alpha, theta = heading or auto
+        states.append(
+            AgentState(position=tuple(map(float, start)), alpha=alpha, theta=theta, speed=speed)
+        )
+    return tuple(states)
 
 
 # --- INI config files -------------------------------------------------------

@@ -109,154 +109,138 @@ def run_episode(
     runs out (logged as a timeout).
     """
     arena = build_arena(config, obstacles)
-    pursuer, evader = initial_states(scenario, config)
-    reward_cfg, max_plays, freeze = config.reward, config.max_plays, config.freeze
-    cone_constraint, train = config.cone_constraint, rng is not None
-    p_state, e_state = pursuer, evader
-    v_p, v_e = p_state.speed, e_state.speed
+    starts = initial_states(scenario, config)
+    reward_cfg, max_plays = config.reward, config.max_plays
+    cone_constraint = config.cone_constraint
+    v_p, v_e = starts[0].speed, starts[1].speed
     halfangle = pursuit_cone_halfangle(v_p, v_e) if 0.0 < v_e < v_p else None
     half_pi = math.pi / 2.0
 
-    near_p = nearest_obstacle(p_state.position, arena)
-    near_e = nearest_obstacle(e_state.position, arena)
-    feats_p = extract_inputs(p_state, e_state, arena, nearest=near_p)
-    feats_e = extract_inputs(e_state, p_state, arena, nearest=near_e)
-    phi_p = rulebase.fire(feats_p)
-    phi_e = rulebase.fire(feats_e)
+    # Per-role slots, indexed like _ROLES and allocated once: every phase of
+    # the loop runs the same code for each role in turn.  A role learns when it
+    # has a noise stream.  Its cone limit bounds its heading's offset from the
+    # P -> E line: the pursuer's cone (only when it is faster), the evader's
+    # away half-space.  Its arc is the range of heading offsets from the line
+    # to the opponent that counts as inside its cone (empty without one).
+    agents = [learners[role] for role in _ROLES]
+    noise = [None if rng is None or config.freeze == role else rng for role in _ROLES]
+    limits = [halfangle, half_pi] if cone_constraint else [None, None]
+    no_arc = (math.inf, math.inf)
+    arcs = [(0.0, halfangle) if halfangle is not None else no_arc, (half_pi, math.pi)]
+    states, prev = list(starts), list(starts)
+    near, feats, phi = [None, None], [None, None], [None, None]
+    for i in (0, 1):
+        near[i] = nearest_obstacle(states[i].position, arena)
+        feats[i] = extract_inputs(states[i], states[1 - i], arena, nearest=near[i])
+        phi[i] = rulebase.fire(feats[i])
+    u, x, r, td, ent, cone = ([None, None] for _ in range(6))  # this step's, for its record
 
-    path = {PURSUER: 0.0, EVADER: 0.0}
-    min_clear = {PURSUER: near_p[1], EVADER: near_e[1]}
-    collisions = {PURSUER: 0, EVADER: 0}
-    cone_hits = {PURSUER: 0, EVADER: 0}
-    reward_sum = {PURSUER: 0.0, EVADER: 0.0}
-    td_abs_sum = {PURSUER: 0.0, EVADER: 0.0}
-    td_count = {PURSUER: 0, EVADER: 0}
-    entropy_sum = {PURSUER: 0.0, EVADER: 0.0}
+    path, reward_sum, td_abs_sum, entropy_sum = ([0.0, 0.0] for _ in range(4))
+    collisions, cone_hits = [0, 0], [0, 0]
+    min_clear = [clear for _, clear in near]
     records: list[StepRecord] | None = [] if record_steps else None
 
     steps = 0
     elapsed = 0.0
-    d_now = float(feats_p[0])
-    outcome = check_termination(p_state, e_state, arena, elapsed)
+    d_now = feats[0][0]
+    outcome = check_termination(states[0], states[1], arena, elapsed)
 
     while outcome == RUNNING and steps < max_plays:
-        p_rng = rng if (train and freeze != PURSUER) else None
-        e_rng = rng if (train and freeze != EVADER) else None
-        u_p, x_p = learners[PURSUER].act(phi_p, p_rng)
-        u_e, x_e = learners[EVADER].act(phi_e, e_rng)
-        # The executed actions continue as plain floats: scalar math on them
-        # is cheaper than on numpy scalars, and the states stay plain floats.
-        x_p, x_e = x_p.tolist(), x_e.tolist()
         if cone_constraint:
-            px, py, pz = p_state.position
-            qx, qy, qz = e_state.position
+            (px, py, pz), (qx, qy, qz) = states[0].position, states[1].position
             los = (qx - px, qy - py, qz - pz)  # P -> E; also the evader's away direction
-            if halfangle is not None:
-                x_p = cone_limited_command(p_state, x_p[0], x_p[1], los, halfangle)
-            x_e = cone_limited_command(e_state, x_e[0], x_e[1], los, half_pi)
+        for i in (0, 1):  # the pursuer draws its noise first
+            u[i], executed = agents[i].act(phi[i], noise[i])
+            # The executed actions continue as plain floats: scalar math on them
+            # is cheaper than on numpy scalars, and the states stay plain floats.
+            dalpha, dtheta = executed.tolist()
+            limit = limits[i]
+            if limit is not None:
+                dalpha, dtheta = cone_limited_command(states[i], dalpha, dtheta, los, limit)
+            x[i] = (dalpha, dtheta)
 
-        prev_p, prev_e = p_state, e_state
-        p_state = step_agent(p_state, StepCommand(x_p[0], x_p[1]), arena.dt, arena)
-        e_state = step_agent(e_state, StepCommand(x_e[0], x_e[1]), arena.dt, arena)
+        for i in (0, 1):
+            prev[i] = state = states[i]
+            dalpha, dtheta = x[i]
+            states[i] = step_agent(state, StepCommand(dalpha, dtheta), arena.dt, arena)
         steps += 1
         elapsed = steps * arena.dt
-        outcome = check_termination(p_state, e_state, arena, elapsed)
+        outcome = check_termination(states[0], states[1], arena, elapsed)
         if outcome == RUNNING and steps >= max_plays:
             outcome = TIMEOUT
         terminal = outcome != RUNNING
         captured = outcome == CAPTURED
 
-        near_p = nearest_obstacle(p_state.position, arena)
-        near_e = nearest_obstacle(e_state.position, arena)
-        feats_p = extract_inputs(p_state, e_state, arena, nearest=near_p)
-        feats_e = extract_inputs(e_state, p_state, arena, nearest=near_e)
+        for i in (0, 1):
+            state = states[i]
+            near[i] = nearest = nearest_obstacle(state.position, arena)
+            feats[i] = extract_inputs(state, states[1 - i], arena, nearest=nearest)
+        d_prev, d_next = d_now, feats[0][0]
 
-        d_prev, d_next = d_now, float(feats_p[0])
-        # Obstacle-distance change is measured against the obstacle that is
-        # nearest after the move.
-        p_obs, p_clear = near_p
-        e_obs, e_clear = near_e
-        p_clear_prev = (
-            p_obs.surface_distance(prev_p.position) if p_obs is not None else arena.sensing_range
-        )
-        e_clear_prev = (
-            e_obs.surface_distance(prev_e.position) if e_obs is not None else arena.sensing_range
-        )
-        r_p = total_reward(p_clear_prev, p_clear, d_prev, d_next, captured, PURSUER, reward_cfg)
-        r_e = total_reward(e_clear_prev, e_clear, d_prev, d_next, captured, EVADER, reward_cfg)
-
-        phi_p_next = rulebase.fire(feats_p) if not terminal else None
-        phi_e_next = rulebase.fire(feats_e) if not terminal else None
-
-        td_p = td_e = None
-        if train:
-            if freeze != PURSUER:
-                td_p = learners[PURSUER].td_error(phi_p, phi_p_next, r_p, terminal)
-                learners[PURSUER].update_critic(phi_p, td_p)
-                learners[PURSUER].update_actor(phi_p, u_p, x_p, td_p)
-                td_abs_sum[PURSUER] += abs(td_p)
-                td_count[PURSUER] += 1
-            if freeze != EVADER:
-                td_e = learners[EVADER].td_error(phi_e, phi_e_next, r_e, terminal)
-                learners[EVADER].update_critic(phi_e, td_e)
-                learners[EVADER].update_actor(phi_e, u_e, x_e, td_e)
-                td_abs_sum[EVADER] += abs(td_e)
-                td_count[EVADER] += 1
-
-        reward_sum[PURSUER] += r_p
-        reward_sum[EVADER] += r_e
-        path[PURSUER] += math.dist(p_state.position, prev_p.position)
-        path[EVADER] += math.dist(e_state.position, prev_e.position)
-        min_clear[PURSUER] = min(min_clear[PURSUER], p_clear)
-        min_clear[EVADER] = min(min_clear[EVADER], e_clear)
-        if p_clear < 0.0:
-            collisions[PURSUER] += 1
-        if e_clear < 0.0:
-            collisions[EVADER] += 1
-        p_cone = halfangle is not None and feats_p[1] <= halfangle
-        e_cone = feats_e[1] >= half_pi
-        cone_hits[PURSUER] += p_cone
-        cone_hits[EVADER] += e_cone
-        ent_p = firing_entropy(phi_p)
-        ent_e = firing_entropy(phi_e)
-        entropy_sum[PURSUER] += ent_p
-        entropy_sum[EVADER] += ent_e
+        for i, role in enumerate(_ROLES):
+            # Obstacle-distance change is measured against the obstacle that is
+            # nearest after the move.
+            obs, clear = near[i]
+            before = prev[i].position
+            clear_prev = obs.surface_distance(before) if obs is not None else arena.sensing_range
+            r[i] = reward = total_reward(
+                clear_prev, clear, d_prev, d_next, captured, role, reward_cfg
+            )
+            phi_now = phi[i]
+            phi_next = rulebase.fire(feats[i]) if not terminal else None
+            if noise[i] is not None:
+                agent = agents[i]
+                td[i] = delta = agent.td_error(phi_now, phi_next, reward, terminal)
+                agent.update_critic(phi_now, delta)
+                agent.update_actor(phi_now, u[i], x[i], delta)
+                td_abs_sum[i] += abs(delta)
+            reward_sum[i] += reward
+            path[i] += math.dist(states[i].position, before)
+            if clear < min_clear[i]:
+                min_clear[i] = clear
+            if clear < 0.0:
+                collisions[i] += 1
+            low, high = arcs[i]
+            cone[i] = hit = low <= feats[i][1] <= high
+            cone_hits[i] += hit
+            ent[i] = entropy = firing_entropy(phi_now)
+            entropy_sum[i] += entropy
+            if not terminal:
+                phi[i] = phi_next
 
         if records is not None:
+            p, e = states
             records.append(
                 StepRecord(
                     time=elapsed,
-                    pursuer_pos=list(p_state.position),
-                    pursuer_alpha=p_state.alpha,
-                    pursuer_theta=p_state.theta,
-                    evader_pos=list(e_state.position),
-                    evader_alpha=e_state.alpha,
-                    evader_theta=e_state.theta,
-                    pursuer_u=u_p.tolist(),
-                    pursuer_u_exec=list(x_p),
-                    evader_u=u_e.tolist(),
-                    evader_u_exec=list(x_e),
-                    pursuer_reward=r_p,
-                    evader_reward=r_e,
-                    pursuer_td=td_p,
-                    evader_td=td_e,
-                    pursuer_entropy=ent_p,
-                    evader_entropy=ent_e,
-                    pursuer_cone=bool(p_cone),
-                    evader_cone=bool(e_cone),
+                    pursuer_pos=list(p.position),
+                    pursuer_alpha=p.alpha,
+                    pursuer_theta=p.theta,
+                    evader_pos=list(e.position),
+                    evader_alpha=e.alpha,
+                    evader_theta=e.theta,
+                    pursuer_u=u[0].tolist(),
+                    pursuer_u_exec=list(x[0]),
+                    evader_u=u[1].tolist(),
+                    evader_u_exec=list(x[1]),
+                    pursuer_reward=r[0],
+                    evader_reward=r[1],
+                    pursuer_td=td[0],
+                    evader_td=td[1],
+                    pursuer_entropy=ent[0],
+                    evader_entropy=ent[1],
+                    pursuer_cone=cone[0],
+                    evader_cone=cone[1],
                     distance=d_next,
-                    pursuer_clearance=p_clear,
-                    evader_clearance=e_clear,
+                    pursuer_clearance=near[0][1],
+                    evader_clearance=near[1][1],
                 )
             )
 
         d_now = d_next
-        if not terminal:
-            phi_p, phi_e = phi_p_next, phi_e_next
 
-    def _per_step(total):
-        return {role: (total[role] / steps if steps else 0.0) for role in _ROLES}
-
+    per_step = (steps, steps)
+    updates = [steps if n is not None else 0 for n in noise]  # a learning role updates every step
     return EpisodeLog(
         scenario=scenario.name,
         seed=seed,
@@ -267,22 +251,29 @@ def run_episode(
         elapsed=elapsed,
         final_distance=d_now,
         capture_time=elapsed if outcome == CAPTURED else None,
-        pursuer_start=list(pursuer.position),
-        evader_start=list(evader.position),
+        pursuer_start=list(starts[0].position),
+        evader_start=list(starts[1].position),
         obstacles=[[*obs.center, obs.radius] for obs in arena.obstacles],
-        path_length=dict(path),
-        min_clearance=dict(min_clear),
-        collision_steps=dict(collisions),
-        cone_fraction=_per_step(cone_hits),
-        reward_total=dict(reward_sum),
-        reward_mean=_per_step(reward_sum),
-        td_abs_mean={
-            role: (td_abs_sum[role] / td_count[role] if td_count[role] else None)
-            for role in _ROLES
-        },
-        entropy_mean=_per_step(entropy_sum),
+        path_length=_by_role(path),
+        min_clearance=_by_role(min_clear),
+        collision_steps=_by_role(collisions),
+        cone_fraction=_by_role(cone_hits, per_step),
+        reward_total=_by_role(reward_sum),
+        reward_mean=_by_role(reward_sum, per_step),
+        td_abs_mean=_by_role(td_abs_sum, updates, empty=None),
+        entropy_mean=_by_role(entropy_sum, per_step),
         records=records,
     )
+
+
+def _by_role(values, counts=None, empty=0.0) -> dict:
+    """``values`` (in ``_ROLES`` order) keyed by role; divided by ``counts`` when given.
+
+    A zero count gives ``empty``.
+    """
+    if counts is None:
+        return dict(zip(_ROLES, values))
+    return {role: (v / n if n else empty) for role, v, n in zip(_ROLES, values, counts)}
 
 
 @dataclass

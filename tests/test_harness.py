@@ -71,16 +71,17 @@ class TestRunEpisode:
         assert log.outcome in (CAPTURED, TIMEOUT)
         assert log.steps <= 7
 
-    def test_training_updates_weights_and_freeze_blocks(self):
+    @pytest.mark.parametrize("frozen, learning", [("evader", "pursuer"), ("pursuer", "evader")])
+    def test_training_updates_weights_and_freeze_blocks(self, frozen, learning):
         sc = builtin_scenarios()[1]
-        cfg = TrainConfig(max_plays=40, freeze="evader")
+        cfg = TrainConfig(max_plays=40, freeze=frozen)
         rb, learners = zero_weight_setup(cfg)
         log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(3))
-        assert learners["pursuer"].critic.any()
-        assert not learners["evader"].critic.any()
-        assert not learners["evader"].actor.any()
-        assert log.td_abs_mean["pursuer"] is not None
-        assert log.td_abs_mean["evader"] is None
+        assert learners[learning].critic.any()
+        assert not learners[frozen].critic.any()
+        assert not learners[frozen].actor.any()
+        assert log.td_abs_mean[learning] is not None
+        assert log.td_abs_mean[frozen] is None
 
     def test_cone_fractions_full_compliance_for_zero_policy(self):
         sc = builtin_scenarios()[1]
@@ -90,6 +91,23 @@ class TestRunEpisode:
         # straight chase along the axis: pursuer aligned, evader pointed away
         assert log.cone_fraction["pursuer"] == 1.0
         assert log.cone_fraction["evader"] == 1.0
+
+    def test_slower_pursuer_has_no_cone_and_leaves_the_evader_limited(self, monkeypatch):
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig(max_plays=20, pursuer_speed=1.0, evader_speed=1.1)
+        rb, learners = zero_weight_setup(cfg)
+        cone_limited_command, limited = training.cone_limited_command, []
+
+        def recording_cone_limited_command(state, *args):
+            limited.append(state.speed)
+            return cone_limited_command(state, *args)
+
+        monkeypatch.setattr(training, "cone_limited_command", recording_cone_limited_command)
+        log = run_episode(sc, cfg, [], rb, learners, None)
+        assert log.steps == 20
+        # No pursuit cone exists, so only the evader's command is limited, once per step.
+        assert limited == [1.1] * 20
+        assert log.cone_fraction == {"pursuer": 0.0, "evader": 1.0}
 
     @pytest.mark.parametrize("cone_constraint", [True, False])
     def test_step_loop_carries_plain_floats(self, monkeypatch, cone_constraint):
@@ -600,6 +618,26 @@ class TestCLI:
             ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be > 0"),
             ("[agents]\ncone_constraint = maybe\n", "expected a boolean"),
             ("[arena]\ndt = 0\n", "dt must be positive"),
+            ("[arena]\nmax_time = -5\n", "max_time must be positive"),
+            ("[arena]\nsensing_range = 0\n", "sensing_range must be positive"),
+            # NaN compares false with everything, so it must fail each positivity check.
+            ("[arena]\ndt = nan\n", "dt must be positive"),
+            ("[arena]\ncapture_distance = nan\n", "capture_distance must be positive"),
+            ("[arena]\nextents = 35 nan 20\n", "arena extent y must be finite and > 0, got nan"),
+            ("[arena]\nextents = 35 -1 20\n", "arena extent y must be finite and > 0, got -1.0"),
+            ("[arena]\nextents = 35 35 inf\n", "arena extent z must be finite and > 0, got inf"),
+            ("[arena]\nextents = 35 20\n", r"extents must be 3 floats, got \(35.0, 20.0\)"),
+            ("[learner]\nsigma = nan\n", "exploration stddev must be positive"),
+            *(
+                (f"[reward]\n{name} = nan\n", f"{name} must be positive")
+                for name in (
+                    "repulsion_coeff",
+                    "attraction_coeff",
+                    "success_coeff",
+                    "repulsion_weight",
+                    "attraction_weight",
+                )
+            ),
             # steering_mode is gone: a config that still sets it fails, even to the old default.
             (
                 "[arena]\nsteering_mode = incremental\n",
@@ -638,6 +676,18 @@ class TestCLI:
             (
                 "pursuer_start = 5 30 0\nevader_start = 5 5 0\npursuer_heading = 1 2 3\n",
                 r"pursuer_heading must be 2 floats \(alpha theta\), got \(1.0, 2.0, 3.0\)",
+            ),
+            (
+                "pursuer_start = 5 30 0\nevader_start = 5 5 0\npursuer_heading = nan 1\n",
+                r"pursuer_heading must be finite, got \(nan, 1.0\)",
+            ),
+            (
+                "pursuer_start = 5 30 0\nevader_start = 5 5 0\nevader_heading = 0 inf\n",
+                r"evader_heading must be finite, got \(0.0, inf\)",
+            ),
+            (
+                "pursuer_start = 5 30 0\nevader_start = 5 5 0\nobstacles = 10 10 5 nan\n",
+                "obstacle radius must be positive",
             ),
             # Cases that set obstacle_count draw random obstacles.
             (
@@ -711,6 +761,9 @@ class TestCLI:
             ),
             (("agents",), DELETE, "checkpoint has no 'agents'$"),
             (("agents", "evader", "critic"), DELETE, "checkpoint has no 'agents.evader.critic'$"),
+            (("config", "max_time"), -5, "max_time must be positive$"),
+            (("config", "sensing_range"), 0, "sensing_range must be positive$"),
+            (("config", "capture_distance"), float("nan"), "capture_distance must be positive$"),
         ],
     )
     def test_evaluate_rejects_a_bad_checkpoint(self, tmp_path, keys, value, message):
