@@ -5,7 +5,6 @@ from .env import (
     AgentState,
     Arena,
     Obstacle,
-    StepCommand,
     check_termination,
     collision_check,
     heading_vector,
@@ -15,10 +14,7 @@ from .env import (
 from .fuzzy import (
     InputPartition,
     RuleBase,
-    TriangularMF,
-    build_default_partitions,
     firing_entropy,
-    infer,
     uniform_partition,
 )
 from .geometry import (

@@ -19,6 +19,8 @@ from .scenarios import (
 )
 from .training import build_rulebase, evaluate, load_checkpoint, train
 
+__all__ = ["build_parser", "main"]
+
 # Bad input files and values: each exits with "peg3d <command>: <message>".
 _BAD_INPUT = (ValueError, OSError, configparser.Error)
 
@@ -117,7 +119,10 @@ def _cmd_evaluate(args):
 
 
 def _cmd_replay(args):
-    log = load_episode(args.log)
+    try:
+        log = load_episode(args.log)
+    except _BAD_INPUT as exc:
+        raise SystemExit(f"peg3d replay: {exc}") from None
     out_dir = args.out if args.out is not None else Path(args.log).parent
     stem = Path(args.log).stem
     paths = export_episode(log, args.export, out_dir, stem=stem)

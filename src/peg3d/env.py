@@ -2,7 +2,7 @@
 
 Agents move at constant speed along a persistent heading given by an azimuth
 ``alpha`` (angle in the x-y plane from the x-axis) and a polar angle ``theta``
-(from the z-axis).  A step command turns the heading, then the agent advances
+(from the z-axis).  A step's turn changes the heading, then the agent advances
 ``speed * dt`` along it; positions are clipped to the arena box so agents
 slide along walls instead of leaving the arena.
 
@@ -23,7 +23,6 @@ __all__ = [
     "AgentState",
     "Obstacle",
     "Arena",
-    "StepCommand",
     "heading_vector",
     "wrap_angle",
     "step_agent",
@@ -89,19 +88,19 @@ class Arena:
     sensing_range: float = 35.0
 
     def __post_init__(self):
-        # Written as `not x > 0.0` so that NaN fails too.
         for name in ("capture_distance", "max_time", "dt", "sensing_range"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if len(self.extents) != 3:
             raise ValueError(f"extents must be 3 floats, got {self.extents!r}")
         for axis, extent in zip("xyz", self.extents):
-            if not (extent > 0.0 and math.isfinite(extent)):
+            if not 0.0 < extent < math.inf:
                 raise ValueError(f"arena extent {axis} must be finite and > 0, got {extent!r}")
         ex, ey, ez = self.extents
         for obs in self.obstacles:
-            if not obs.radius > 0.0:
-                raise ValueError("obstacle radius must be positive")
+            if not 0.0 < obs.radius < math.inf:
+                raise ValueError(f"obstacle radius must be finite and > 0, got {obs.radius!r}")
             cx, cy, cz = obs.center
             inside = (
                 obs.radius <= cx <= ex - obs.radius
@@ -112,27 +111,17 @@ class Arena:
                 raise ValueError(f"obstacle at {tuple(obs.center)} not fully inside arena")
 
 
-@dataclass(slots=True)
-class StepCommand:
-    """Steering command; both channels are clamped to the turn limit on creation."""
-
-    dalpha: float
-    dtheta: float
-
-    def __post_init__(self):
-        self.dalpha = max(-TURN_LIMIT, min(TURN_LIMIT, self.dalpha))
-        self.dtheta = max(-TURN_LIMIT, min(TURN_LIMIT, self.dtheta))
-
-
-def step_agent(state: AgentState, cmd: StepCommand, dt: float, arena: Arena) -> AgentState:
+def step_agent(
+    state: AgentState, dalpha: float, dtheta: float, dt: float, arena: Arena
+) -> AgentState:
     """Advance one agent by one time step.
 
-    The command turns the persistent heading (azimuth wraps, polar clamps to
-    [0, pi]); the agent then moves ``speed * dt`` along the heading and is
-    clipped to the arena box.
+    The turn ``(dalpha, dtheta)``, each clamped to the turn limit, changes the
+    persistent heading (azimuth wraps, polar clamps to [0, pi]); the agent
+    then moves ``speed * dt`` along the heading and is clipped to the arena box.
     """
-    alpha = wrap_angle(state.alpha + cmd.dalpha)
-    theta = state.theta + cmd.dtheta
+    alpha = wrap_angle(state.alpha + max(-TURN_LIMIT, min(TURN_LIMIT, dalpha)))
+    theta = state.theta + max(-TURN_LIMIT, min(TURN_LIMIT, dtheta))
     if theta < 0.0:
         theta = 0.0
     elif theta > math.pi:

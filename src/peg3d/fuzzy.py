@@ -1,18 +1,18 @@
-"""Product-inference fuzzy engine on triangular partitions.
+"""Product-inference fuzzy rule grid on triangular partitions.
 
-Each input gets an ordered bank of triangular membership functions whose feet
-sit at the neighboring peaks, with shouldered triangles at the domain edges.
-Evenly spaced peaks make the bank a partition of unity, so the normalized
-rule firing strengths of the full cross-product rule grid are exact and the
-derivative of the inferred output with respect to a rule consequent is simply
-that rule's firing strength.
+Each input's domain is covered by shouldered triangular membership functions,
+one per peak, whose feet sit at the neighboring peaks.  Evenly spaced peaks
+make the bank a partition of unity, so the normalized rule firing strengths
+of the full cross-product rule grid are exact and the derivative of the
+inferred output with respect to a rule consequent is simply that rule's
+firing strength.
 
 Because every foot sits at a neighboring peak, an input between peaks ``k``
 and ``k + 1`` has nonzero membership in those two functions only.  Rule
 firing is therefore computed in closed form: one peak lookup per input gives
-its cell and two degrees, and only the ``2 ** n_inputs`` rules at the corners
-of that cell (16 of 625 for the default layout) get a nonzero strength.
-:class:`RuleBase` rejects any other layout at construction.
+its cell and two degrees, and only the ``2 ** n`` rules at the corners of
+that cell, for ``n`` inputs (16 of 625 for the default layout), get a nonzero
+strength.
 """
 
 from __future__ import annotations
@@ -25,110 +25,64 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TriangularMF",
     "InputPartition",
     "RuleBase",
     "uniform_partition",
-    "build_default_partitions",
-    "infer",
     "firing_entropy",
-    "DISTANCE_DOMAIN",
-    "ANGLE_DOMAIN",
 ]
-
-DISTANCE_DOMAIN = (0.0, 35.0)
-ANGLE_DOMAIN = (-math.pi, math.pi)
-
-
-@dataclass(frozen=True)
-class TriangularMF:
-    """Triangular membership with optional shoulders.
-
-    Membership is 1 at ``peak``, falls linearly to 0 at ``left`` and
-    ``right``.  A degenerate side (``left == peak`` or ``right == peak``)
-    marks a shoulder: membership stays 1 beyond the peak on that side.
-    """
-
-    left: float
-    peak: float
-    right: float
-
-    def __post_init__(self):
-        if not self.left <= self.peak <= self.right:
-            raise ValueError(f"require left <= peak <= right, got {self}")
-
-    def membership(self, x: float) -> float:
-        if x < self.peak:
-            if self.left == self.peak:
-                return 1.0
-            if x <= self.left:
-                return 0.0
-            return (x - self.left) / (self.peak - self.left)
-        if x > self.peak:
-            if self.right == self.peak:
-                return 1.0
-            if x >= self.right:
-                return 0.0
-            return (self.right - x) / (self.right - self.peak)
-        return 1.0
-
-    __call__ = membership
 
 
 @dataclass(frozen=True)
 class InputPartition:
-    """Ordered bank of membership functions covering ``[lo, hi]``."""
+    """Domain ``[lo, hi]`` and the peaks of its membership functions.
+
+    Function ``k`` is 1 at ``peaks[k]`` and falls linearly to 0 at the
+    neighboring peaks; the first and last are shouldered, holding 1 beyond
+    their peak.  Inputs are clamped to the domain.
+    """
 
     lo: float
     hi: float
-    mfs: tuple[TriangularMF, ...]
+    peaks: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("partition domain must have lo < hi")
-        peaks = [mf.peak for mf in self.mfs]
-        if peaks != sorted(peaks):
-            raise ValueError("membership functions must be ordered by peak")
-        for a, b in zip(self.mfs, self.mfs[1:]):
-            if a.right <= b.left:
-                raise ValueError("adjacent membership functions must overlap")
-
-    @property
-    def peaks(self) -> tuple[float, ...]:
-        return tuple(mf.peak for mf in self.mfs)
-
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
+        lo, hi, peaks = self.lo, self.hi, self.peaks
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"partition domain must be finite with lo < hi, got ({lo!r}, {hi!r})")
+        if len(peaks) < 2:
+            raise ValueError(f"need at least 2 membership functions, got {len(peaks)}")
+        if not (all(map(math.isfinite, peaks)) and all(a < b for a, b in zip(peaks, peaks[1:]))):
+            raise ValueError(f"peaks must be finite and strictly increasing, got {peaks!r}")
 
     def memberships(self, x: float) -> np.ndarray:
-        """Membership degree of the clamped input in every bank member."""
-        xc = self.clamp(x)
-        return np.array([mf.membership(xc) for mf in self.mfs])
+        """Membership degree of the clamped input in every function, one by one.
+
+        This is the dense reference that :meth:`RuleBase.fire` reproduces.
+        """
+        xc = min(max(x, self.lo), self.hi)
+        peaks, last = self.peaks, len(self.peaks) - 1
+        degrees = []
+        for k, peak in enumerate(peaks):
+            if xc < peak and k > 0:
+                left = peaks[k - 1]
+                degrees.append(0.0 if xc <= left else (xc - left) / (peak - left))
+            elif xc > peak and k < last:
+                right = peaks[k + 1]
+                degrees.append(0.0 if xc >= right else (right - xc) / (right - peak))
+            else:  # at the peak, or on a shoulder
+                degrees.append(1.0)
+        return np.array(degrees)
 
 
-def _neighbor_footed(peaks) -> tuple[TriangularMF, ...]:
-    """Shouldered triangles at ``peaks`` whose feet sit at the neighboring peaks."""
-    last = len(peaks) - 1
-    return tuple(
-        TriangularMF(
-            left=peaks[k - 1] if k > 0 else peak,
-            peak=peak,
-            right=peaks[k + 1] if k < last else peak,
-        )
-        for k, peak in enumerate(peaks)
-    )
-
-
-def uniform_partition(lo: float, hi: float, n_mfs: int = 5) -> InputPartition:
-    """Evenly spaced shouldered triangles with feet at the neighboring peaks.
+def uniform_partition(lo: float, hi: float, n_mfs: int) -> InputPartition:
+    """``n_mfs`` evenly spaced peaks from ``lo`` to ``hi``.
 
     This layout is a partition of unity on ``[lo, hi]``: memberships at any
     point sum to exactly 1.
     """
     if n_mfs < 2:
         raise ValueError("need at least 2 membership functions")
-    peaks = [lo + k * (hi - lo) / (n_mfs - 1) for k in range(n_mfs)]
-    return InputPartition(lo=lo, hi=hi, mfs=_neighbor_footed(peaks))
+    return InputPartition(lo, hi, tuple(lo + k * (hi - lo) / (n_mfs - 1) for k in range(n_mfs)))
 
 
 class RuleBase:
@@ -136,23 +90,14 @@ class RuleBase:
 
     Rule ``l`` pairs one membership function per input; rules are ordered
     row-major (the last input varies fastest), matching the flattening of
-    the outer product in :meth:`fire`.  Every partition needs at least two
-    membership functions with feet at the neighboring peaks (the layout
-    :func:`uniform_partition` builds), because :meth:`fire` relies on it.
+    the outer product in :meth:`fire`.
     """
 
     def __init__(self, partitions):
         self.partitions = tuple(partitions)
         if not self.partitions:
             raise ValueError("rule base needs at least one input partition")
-        for i, p in enumerate(self.partitions):
-            if len(p.mfs) < 2:
-                raise ValueError(f"input {i}: need at least 2 membership functions")
-            if p.mfs != _neighbor_footed(p.peaks):
-                raise ValueError(
-                    f"input {i}: membership function feet must sit at the neighboring peaks"
-                )
-        self.shape = tuple(len(p.mfs) for p in self.partitions)
+        self.shape = tuple(len(p.peaks) for p in self.partitions)
         self.n_rules = int(np.prod(self.shape))
         strides = [int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape))]
         # Per input: the clamp range, the peaks, the last cell's index and
@@ -178,10 +123,6 @@ class RuleBase:
             dtype=np.intp,
         )
 
-    @property
-    def n_inputs(self) -> int:
-        return len(self.partitions)
-
     def fire(self, x) -> np.ndarray:
         """Normalized firing strength of every rule for input vector ``x``.
 
@@ -192,7 +133,7 @@ class RuleBase:
         Closed form: input ``i`` clamped between peaks ``k`` and ``k + 1``
         has degrees ``(right - x) / w`` and ``(x - left) / w`` (``w`` the
         peak gap) in those two functions and 0 in every other, since the
-        feet sit at the neighboring peaks.  The ``2 ** n_inputs`` corner
+        feet sit at the neighboring peaks.  The ``2 ** len(x)`` corner
         products are scattered into a dense zero vector, so the result is
         bit for bit the normalized dense outer product of
         :meth:`InputPartition.memberships`.
@@ -212,26 +153,6 @@ class RuleBase:
         raw = np.zeros(self.n_rules)
         raw[base + self._offsets] = products
         return raw / raw.sum()
-
-
-def build_default_partitions(
-    distance_domain: tuple[float, float] = DISTANCE_DOMAIN,
-    angle_domain: tuple[float, float] = ANGLE_DOMAIN,
-    n_mfs: int = 5,
-) -> RuleBase:
-    """Rule base for the four chase features: [distance, angle, distance, angle]."""
-    distance = uniform_partition(*distance_domain, n_mfs=n_mfs)
-    angle = uniform_partition(*angle_domain, n_mfs=n_mfs)
-    return RuleBase([distance, angle, distance, angle])
-
-
-def infer(phi, params) -> float:
-    """Firing-weighted sum of rule consequents: ``sum_l phi_l * params_l``."""
-    phi = np.asarray(phi, dtype=float)
-    params = np.asarray(params, dtype=float)
-    if phi.shape != params.shape:
-        raise ValueError(f"length mismatch: firing {phi.shape} vs params {params.shape}")
-    return float(phi @ params)
 
 
 def firing_entropy(phi) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import TURN_LIMIT, AgentState, Arena, heading_vector, nearest_obstacle
-from .fuzzy import ANGLE_DOMAIN, DISTANCE_DOMAIN
 
 __all__ = [
     "CHANNELS",
@@ -43,17 +42,19 @@ class LearnerConfig:
     gamma: float = 0.95
     sigma: float = 0.1
     mfs_per_input: int = 5
-    distance_domain: tuple[float, float] = DISTANCE_DOMAIN
-    angle_domain: tuple[float, float] = ANGLE_DOMAIN
+    distance_domain: tuple[float, float] = (0.0, 35.0)
+    angle_domain: tuple[float, float] = (-math.pi, math.pi)
 
     def __post_init__(self):
+        for name in ("alpha_actor", "alpha_critic", "sigma"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not self.alpha_actor < self.alpha_critic:
             actor, critic = self.alpha_actor, self.alpha_critic
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
-        if not self.sigma > 0.0:
-            raise ValueError("exploration stddev must be positive")
 
 
 class FuzzyActorCritic:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "StepRecord",
     "EpisodeLog",
     "summary_row",
+    "write_rows_csv",
     "export_json",
     "load_episode",
     "export_csv",
@@ -104,12 +105,37 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeLog":
+        """Inverse of :meth:`to_dict`; ``ValueError`` names unknown and missing keys."""
         data = dict(data)
         records = data.pop("records", None)
-        log = cls(**data, records=None)
+        log = _build(cls, data)
         if records is not None:
-            log.records = [StepRecord(**row) for row in records]
+            log.records = [_build(StepRecord, row) for row in records]
         return log
+
+
+def _build(cls, data):
+    """``cls(**data)``; a ``ValueError`` names the unknown and missing keys.
+
+    The keys are only inspected once the call fails, so a well-formed log
+    costs nothing extra per record.
+    """
+    try:
+        return cls(**data)
+    except TypeError:
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}") from None
+        names = {f.name for f in fields(cls)}
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        problems = [
+            f"{kind} {cls.__name__} key {', '.join(map(repr, keys))}"
+            for kind, keys in (
+                ("unknown", sorted(data.keys() - names)),
+                ("missing", [name for name in required if name not in data]),
+            )
+            if keys
+        ]
+        raise ValueError("; ".join(problems)) from None
 
 
 # EpisodeLog's per-role fields in column order; each is a pursuer_ and an evader_ column.
@@ -174,7 +200,7 @@ def export_json(log: EpisodeLog, path):
 def load_episode(path) -> EpisodeLog:
     with open(path) as fh:
         data = json.load(fh)
-    schema = data.get("schema")
+    schema = data.get("schema") if isinstance(data, dict) else None
     if schema != EPISODE_SCHEMA:
         raise ValueError(f"unsupported episode schema {schema!r} (expected {EPISODE_SCHEMA})")
     return EpisodeLog.from_dict(data)

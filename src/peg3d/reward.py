@@ -45,8 +45,9 @@ class RewardConfig:
             "repulsion_weight",
             "attraction_weight",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_role(role: str):

@@ -67,8 +67,9 @@ class TrainConfig:
         if self.max_plays < 1:
             raise ValueError("max_plays must be >= 1")
         for name in ("pursuer_speed", "evader_speed"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name, modes in (("freeze", FREEZE_MODES), ("log_steps", LOG_STEPS_MODES)):
             if getattr(self, name) not in modes:
                 raise ValueError(f"{name} must be {'|'.join(modes)}, got {getattr(self, name)!r}")

@@ -26,13 +26,12 @@ from .env import (
     CAPTURED,
     RUNNING,
     TIMEOUT,
-    StepCommand,
     check_termination,
     cone_limited_command,
     nearest_obstacle,
     step_agent,
 )
-from .fuzzy import RuleBase, build_default_partitions, firing_entropy
+from .fuzzy import RuleBase, firing_entropy, uniform_partition
 from .geometry import pursuit_cone_halfangle
 from .learner import FuzzyActorCritic, extract_inputs
 from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_rows_csv
@@ -78,11 +77,11 @@ class CheckpointLayoutError(ValueError):
 
 
 def build_rulebase(config: TrainConfig) -> RuleBase:
-    return build_default_partitions(
-        distance_domain=config.learner.distance_domain,
-        angle_domain=config.learner.angle_domain,
-        n_mfs=config.learner.mfs_per_input,
-    )
+    """Rule grid over the four chase features: [distance, angle, distance, angle]."""
+    learner = config.learner
+    distance = uniform_partition(*learner.distance_domain, learner.mfs_per_input)
+    angle = uniform_partition(*learner.angle_domain, learner.mfs_per_input)
+    return RuleBase([distance, angle, distance, angle])
 
 
 def build_learners(config: TrainConfig, n_rules: int) -> dict[str, FuzzyActorCritic]:
@@ -161,8 +160,7 @@ def run_episode(
 
         for i in (0, 1):
             prev[i] = state = states[i]
-            dalpha, dtheta = x[i]
-            states[i] = step_agent(state, StepCommand(dalpha, dtheta), arena.dt, arena)
+            states[i] = step_agent(state, *x[i], arena.dt, arena)
         steps += 1
         elapsed = steps * arena.dt
         outcome = check_termination(states[0], states[1], arena, elapsed)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from peg3d.env import Arena, AgentState, StepCommand, heading_vector, step_agent
-from peg3d.fuzzy import build_default_partitions, uniform_partition
+from peg3d.env import Arena, AgentState, heading_vector, step_agent
+from peg3d.fuzzy import uniform_partition
 from peg3d.geometry import (
     BOUNDARY,
     EVADER_DOMINANT,
@@ -25,7 +25,7 @@ from peg3d.geometry import (
 from peg3d.learner import FuzzyActorCritic, LearnerConfig
 from peg3d.reward import RewardConfig
 from peg3d.scenarios import TrainConfig, builtin_scenarios
-from peg3d.training import train
+from peg3d.training import build_rulebase, train
 
 
 def test_criterion_1_geometry_oracle():
@@ -149,7 +149,7 @@ def test_criterion_4_partition_of_unity():
             worst_mf = max(worst_mf, abs(part.memberships(x).sum() - 1.0))
     assert worst_mf <= 1e-12
 
-    rb = build_default_partitions()
+    rb = build_rulebase(TrainConfig())
     worst_fire = 0.0
     for _ in range(10_000):
         x = (
@@ -166,7 +166,7 @@ def test_criterion_4_partition_of_unity():
 def test_criterion_5_gradient_check():
     """Analytic update sensitivities equal central finite differences of the
     inferred outputs at 1e-6, across 100 random states."""
-    rb = build_default_partitions()
+    rb = build_rulebase(TrainConfig())
     rng = np.random.default_rng(505)
     eps = 1e-4
     eye = np.eye(rb.n_rules)
@@ -265,9 +265,9 @@ def test_criterion_9_kinematics():
             theta=rng.uniform(0.0, math.pi),
             speed=rng.uniform(0.1, 1.1),
         )
-        cmd = StepCommand(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        dalpha, dtheta = rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)
         dt = rng.uniform(0.01, 0.2)
-        moved = step_agent(state, cmd, dt, arena)
+        moved = step_agent(state, dalpha, dtheta, dt, arena)
         step_len = math.dist(moved.position, state.position)
         worst_step = max(worst_step, abs(step_len - state.speed * dt))
         h = heading_vector(moved.alpha, moved.theta)

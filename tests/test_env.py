@@ -11,7 +11,6 @@ from peg3d.env import (
     AgentState,
     Arena,
     Obstacle,
-    StepCommand,
     check_termination,
     collision_check,
     cone_limited_command,
@@ -60,37 +59,30 @@ class TestHeadingVector:
             assert abs(math.hypot(*h) - 1.0) <= 1e-12
 
 
-class TestStepCommand:
-    def test_clamped_on_creation(self):
-        cmd = StepCommand(dalpha=2.0, dtheta=-2.0)
-        assert cmd.dalpha == TURN_LIMIT
-        assert cmd.dtheta == -TURN_LIMIT
-
-    def test_within_limits_untouched(self):
-        cmd = StepCommand(dalpha=0.3, dtheta=-0.3)
-        assert cmd.dalpha == 0.3
-        assert cmd.dtheta == -0.3
-
-
 class TestStepAgent:
+    def test_turn_clamped_to_the_limit(self):
+        arena = Arena()
+        s = step_agent(agent((5.0, 5.0, 5.0), theta=1.5), 2.0, -2.0, 0.1, arena)
+        assert (s.alpha, s.theta) == (TURN_LIMIT, 1.5 - TURN_LIMIT)
+
+    def test_turn_within_limits_untouched(self):
+        arena = Arena()
+        s = step_agent(agent((5.0, 5.0, 5.0), theta=1.5), 0.3, -0.3, 0.1, arena)
+        assert (s.alpha, s.theta) == (0.3, 1.5 - 0.3)
+
     def test_unit_motion_along_x(self):
         arena = Arena()
-        s = step_agent(agent((0.0, 0.0, 0.0)), StepCommand(0.0, 0.0), 1.0, arena)
+        s = step_agent(agent((0.0, 0.0, 0.0)), 0.0, 0.0, 1.0, arena)
         assert s.position == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
     def test_vertical_motion_at_zero_polar(self):
         arena = Arena()
-        s = step_agent(agent((0.0, 0.0, 0.0), alpha=2.5, theta=0.0), StepCommand(0.0, 0.0), 1.0, arena)
+        s = step_agent(agent((0.0, 0.0, 0.0), alpha=2.5, theta=0.0), 0.0, 0.0, 1.0, arena)
         assert s.position == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     def test_turn_applied_before_advance(self):
         arena = Arena()
-        s = step_agent(
-            agent((0.0, 0.0, 0.0), speed=1.1),
-            StepCommand(math.pi / 4.0, 0.0),
-            0.1,
-            arena,
-        )
+        s = step_agent(agent((0.0, 0.0, 0.0), speed=1.1), math.pi / 4.0, 0.0, 0.1, arena)
         assert s.alpha == pytest.approx(math.pi / 4.0, abs=1e-12)
         expected = 0.11 * math.cos(math.pi / 4.0)
         assert s.position == pytest.approx((expected, expected, 0.0), abs=1e-9)
@@ -107,28 +99,28 @@ class TestStepAgent:
                 theta=rng.uniform(0.0, math.pi),
                 speed=rng.uniform(0.1, 1.1),
             )
-            cmd = StepCommand(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            dalpha, dtheta = rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)
             dt = rng.uniform(0.01, 0.5)
-            moved = step_agent(st, cmd, dt, arena)
+            moved = step_agent(st, dalpha, dtheta, dt, arena)
             assert abs(math.dist(moved.position, pos) - st.speed * dt) <= 1e-12
 
     def test_position_clipped_to_box(self):
         arena = Arena(extents=(10.0, 10.0, 5.0))
-        s = step_agent(agent((9.95, 5.0, 0.0)), StepCommand(0.0, 0.0), 1.0, arena)
+        s = step_agent(agent((9.95, 5.0, 0.0)), 0.0, 0.0, 1.0, arena)
         assert s.position[0] == 10.0
-        s = step_agent(agent((0.02, 5.0, 0.0), alpha=math.pi), StepCommand(0.0, 0.0), 1.0, arena)
+        s = step_agent(agent((0.02, 5.0, 0.0), alpha=math.pi), 0.0, 0.0, 1.0, arena)
         assert s.position[0] == 0.0
 
     def test_theta_clamped_to_polar_range(self):
         arena = Arena()
-        s = step_agent(agent((5.0, 5.0, 5.0), theta=0.1), StepCommand(0.0, -0.5), 1.0, arena)
+        s = step_agent(agent((5.0, 5.0, 5.0), theta=0.1), 0.0, -0.5, 1.0, arena)
         assert s.theta == 0.0
-        s = step_agent(agent((5.0, 5.0, 5.0), theta=3.0), StepCommand(0.0, 0.5), 1.0, arena)
+        s = step_agent(agent((5.0, 5.0, 5.0), theta=3.0), 0.0, 0.5, 1.0, arena)
         assert s.theta == math.pi
 
     def test_alpha_wraps(self):
         arena = Arena()
-        s = step_agent(agent((5.0, 5.0, 5.0), alpha=3.0), StepCommand(0.5, 0.0), 0.1, arena)
+        s = step_agent(agent((5.0, 5.0, 5.0), alpha=3.0), 0.5, 0.0, 0.1, arena)
         assert -math.pi < s.alpha <= math.pi
         assert s.alpha == pytest.approx(3.5 - 2.0 * math.pi, abs=1e-12)
 
@@ -138,7 +130,7 @@ class TestStepAgent:
         first = None
         prev = st
         for _ in range(50):
-            nxt = step_agent(prev, StepCommand(0.0, 0.0), 0.1, arena)
+            nxt = step_agent(prev, 0.0, 0.0, 0.1, arena)
             d = np.subtract(nxt.position, prev.position)
             if first is None:
                 first = d / np.linalg.norm(d)

@@ -7,39 +7,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peg3d.fuzzy import (
-    InputPartition,
-    RuleBase,
-    TriangularMF,
-    _neighbor_footed,
-    build_default_partitions,
-    firing_entropy,
-    infer,
-    uniform_partition,
-)
+from peg3d.fuzzy import InputPartition, RuleBase, firing_entropy, uniform_partition
+from peg3d.scenarios import TrainConfig
+from peg3d.training import build_rulebase
 
 
-class TestTriangularMF:
+def default_rulebase():
+    return build_rulebase(TrainConfig())
+
+
+class TestInputPartition:
     def test_interior_triangle(self):
-        mf = TriangularMF(left=0.0, peak=1.0, right=3.0)
-        assert mf.membership(1.0) == 1.0
-        assert mf.membership(0.5) == 0.5
-        assert mf.membership(2.0) == 0.5
-        assert mf.membership(-0.1) == 0.0
-        assert mf.membership(3.0) == 0.0
+        part = InputPartition(0.0, 3.0, (0.0, 1.0, 3.0))
+        assert part.memberships(1.0).tolist() == [0.0, 1.0, 0.0]
+        assert part.memberships(0.5).tolist() == [0.5, 0.5, 0.0]
+        assert part.memberships(2.0).tolist() == [0.0, 0.5, 0.5]
+        assert part.memberships(3.0).tolist() == [0.0, 0.0, 1.0]
 
     def test_shoulders_hold_one_beyond_peak(self):
-        low = TriangularMF(left=0.0, peak=0.0, right=2.0)
-        high = TriangularMF(left=8.0, peak=10.0, right=10.0)
-        assert low.membership(-5.0) == 1.0
-        assert low.membership(0.0) == 1.0
-        assert low.membership(1.0) == 0.5
-        assert high.membership(15.0) == 1.0
-        assert high.membership(9.0) == 0.5
+        part = InputPartition(-5.0, 15.0, (0.0, 2.0, 8.0, 10.0))
+        assert part.memberships(-5.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert part.memberships(1.0).tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert part.memberships(9.0).tolist() == [0.0, 0.0, 0.5, 0.5]
+        assert part.memberships(15.0).tolist() == [0.0, 0.0, 0.0, 1.0]
 
-    def test_ordering_validated(self):
-        with pytest.raises(ValueError):
-            TriangularMF(left=1.0, peak=0.0, right=2.0)
+    @pytest.mark.parametrize(
+        "lo, hi, peaks, message",
+        [
+            (1.0, 1.0, (0.0, 1.0), r"finite with lo < hi, got \(1.0, 1.0\)"),
+            (2.0, 1.0, (0.0, 1.0), "finite with lo < hi"),
+            (0.0, math.inf, (0.0, 1.0), r"finite with lo < hi, got \(0.0, inf\)"),
+            (math.nan, 1.0, (0.0, 1.0), "finite with lo < hi"),
+            (0.0, 1.0, (0.5,), "need at least 2 membership functions, got 1"),
+            (0.0, 1.0, (), "need at least 2 membership functions, got 0"),
+            (0.0, 3.0, (0.0, 2.0, 1.0, 3.0), "strictly increasing"),
+            (0.0, 3.0, (0.0, 1.0, 1.0, 3.0), "strictly increasing"),
+            (0.0, 3.0, (0.0, 1.0, math.inf), "finite and strictly increasing"),
+            (0.0, 3.0, (math.nan, 1.0), "finite and strictly increasing"),
+        ],
+    )
+    def test_invalid_partition_rejected(self, lo, hi, peaks, message):
+        with pytest.raises(ValueError, match=message):
+            InputPartition(lo, hi, peaks)
 
 
 class TestPartitions:
@@ -71,23 +80,19 @@ class TestPartitions:
         assert np.array_equal(part.memberships(60.0), part.memberships(35.0))
         assert np.array_equal(part.memberships(-3.0), part.memberships(0.0))
 
-    def test_gapped_partition_rejected(self):
-        mfs = (
-            TriangularMF(left=0.0, peak=0.0, right=1.0),
-            TriangularMF(left=2.0, peak=3.0, right=3.0),
-        )
-        with pytest.raises(ValueError):
-            InputPartition(lo=0.0, hi=3.0, mfs=mfs)
+    def test_uniform_partition_needs_two_peaks(self):
+        with pytest.raises(ValueError, match="need at least 2 membership functions"):
+            uniform_partition(0.0, 1.0, 1)
 
 
 class TestRuleBase:
     def test_default_layout(self):
-        rb = build_default_partitions()
+        rb = default_rulebase()
         assert rb.n_rules == 625
         assert rb.shape == (5, 5, 5, 5)
 
     def test_single_rule_activation_at_isolated_peaks(self):
-        rb = build_default_partitions()
+        rb = default_rulebase()
         phi = rb.fire((8.75, -math.pi / 2.0, 17.5, 0.0))
         assert np.count_nonzero(phi) == 1
         # row-major rule order: indices (1, 1, 2, 2)
@@ -95,7 +100,7 @@ class TestRuleBase:
         assert phi[idx] == 1.0
 
     def test_firing_normalized(self):
-        rb = build_default_partitions()
+        rb = default_rulebase()
         rng = np.random.default_rng(31)
         for _ in range(500):
             x = (
@@ -117,12 +122,12 @@ class TestRuleBase:
         assert np.allclose(phi, 1.0 / 16.0, atol=1e-15)
 
     def test_wrong_input_count(self):
-        rb = build_default_partitions()
+        rb = default_rulebase()
         with pytest.raises(ValueError):
             rb.fire((1.0, 2.0, 3.0))
 
     def test_continuity_under_small_perturbation(self):
-        rb = build_default_partitions()
+        rb = default_rulebase()
         rng = np.random.default_rng(37)
         eps = 1e-6
         for _ in range(200):
@@ -149,14 +154,12 @@ def dense_firing(rb, x):
 
 
 def _layout(*inputs):
-    """Rule base over ``(lo, hi, peaks)`` inputs with neighbor-footed triangles."""
-    return RuleBase(
-        InputPartition(lo=lo, hi=hi, mfs=_neighbor_footed(peaks)) for lo, hi, peaks in inputs
-    )
+    """Rule base over ``(lo, hi, peaks)`` inputs."""
+    return RuleBase(InputPartition(lo, hi, tuple(peaks)) for lo, hi, peaks in inputs)
 
 
 FIRING_LAYOUTS = {
-    "default": build_default_partitions(),
+    "default": default_rulebase(),
     "two-mf-toy": RuleBase([uniform_partition(0.0, 1.0, 2) for _ in range(4)]),
     "non-uniform": _layout(
         (0.0, 35.0, [0.0, 3.0, 10.0, 20.0, 35.0]),
@@ -204,82 +207,6 @@ class TestClosedFormFiring:
             for p in rb.partitions
         )
         assert np.array_equal(rb.fire(x), dense_firing(rb, x))
-
-    def test_rejects_single_mf_input(self):
-        single = InputPartition(0.0, 1.0, (TriangularMF(0.5, 0.5, 0.5),))
-        with pytest.raises(ValueError, match="input 1"):
-            RuleBase([uniform_partition(0.0, 1.0, 2), single])
-
-    def test_rejects_feet_off_the_neighboring_peaks(self):
-        wide = InputPartition(
-            0.0,
-            2.0,
-            (
-                TriangularMF(0.0, 0.0, 2.0),
-                TriangularMF(0.0, 1.0, 2.0),
-                TriangularMF(0.0, 2.0, 2.0),
-            ),
-        )
-        with pytest.raises(ValueError, match="input 2"):
-            RuleBase([uniform_partition(0.0, 2.0, 3), uniform_partition(0.0, 2.0, 3), wide])
-
-    def test_single_peak_layout_rejected_at_load(self):
-        partitions = list(build_default_partitions().partitions)
-        partitions[3] = InputPartition(lo=-math.pi, hi=math.pi, mfs=_neighbor_footed([0.0]))
-        with pytest.raises(ValueError, match="input 3"):
-            RuleBase(partitions)
-
-
-class TestInfer:
-    def test_constant_params(self):
-        rb = build_default_partitions()
-        phi = rb.fire((4.0, 0.3, 21.0, -2.0))
-        assert infer(phi, np.full(625, 3.25)) == pytest.approx(3.25, abs=1e-12)
-
-    def test_one_hot(self):
-        phi = np.zeros(8)
-        phi[5] = 1.0
-        params = np.arange(8.0)
-        assert infer(phi, params) == 5.0
-
-    def test_weighted_mean(self):
-        assert infer(np.array([0.25, 0.75]), np.array([0.0, 1.0])) == 0.75
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            infer(np.ones(3) / 3.0, np.ones(4))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(43)
-        rb = build_default_partitions()
-        phi = rb.fire((12.0, 1.0, 30.0, 2.0))
-        p = rng.normal(size=625)
-        q = rng.normal(size=625)
-        a, b = 1.7, -0.4
-        assert infer(phi, a * p + b * q) == pytest.approx(
-            a * infer(phi, p) + b * infer(phi, q), abs=1e-9
-        )
-
-    def test_gradient_equals_firing_strength(self):
-        # d(infer)/d(param_l) == phi_l, cross-checked by central differences
-        rb = build_default_partitions()
-        rng = np.random.default_rng(47)
-        eps = 1e-4
-        for _ in range(20):
-            x = (
-                rng.uniform(0.0, 35.0),
-                rng.uniform(-3.1, 3.1),
-                rng.uniform(0.0, 35.0),
-                rng.uniform(-3.1, 3.1),
-            )
-            phi = rb.fire(x)
-            w = rng.normal(size=625)
-            for l in rng.integers(0, 625, size=10):
-                wp, wm = w.copy(), w.copy()
-                wp[l] += eps
-                wm[l] -= eps
-                fd = (infer(phi, wp) - infer(phi, wm)) / (2.0 * eps)
-                assert fd == pytest.approx(phi[l], abs=1e-6)
 
 
 class TestEntropy:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -569,6 +570,41 @@ class TestCLI:
         reloaded = load_episode(replay_dir / "episode_final.json")
         assert reloaded == load_episode(out_dir / "episode_final.json")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, r"\[Errno 2\] No such file or directory"),
+            (lambda data: "{not json", "Expecting property name enclosed in double quotes"),
+            (lambda data: "[]", "unsupported episode schema None"),
+            (lambda data: json.dumps({**data, "bogus": 1}), "unknown EpisodeLog key 'bogus'$"),
+            (
+                lambda data: json.dumps({k: v for k, v in data.items() if k != "outcome"}),
+                "missing EpisodeLog key 'outcome'$",
+            ),
+            (
+                lambda data: json.dumps(
+                    {**data, "records": [{**rec, "bogus": 1} for rec in data["records"]]}
+                ),
+                "unknown StepRecord key 'bogus'$",
+            ),
+            (
+                lambda data: json.dumps({**data, "records": [[1, 2]]}),
+                r"StepRecord must be a JSON object, got \[1, 2\]$",
+            ),
+        ],
+        ids=["no file", "not json", "a list", "unknown key", "missing key", "record key", "row"],
+    )
+    def test_replay_rejects_a_bad_log(self, tmp_path, text, message):
+        sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=3)
+        log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
+        path = tmp_path / "episode.json"
+        if text is not None:
+            path.write_text(text(log.to_dict()))
+        out_dir = tmp_path / "replay"
+        with pytest.raises(SystemExit, match=f"^peg3d replay: {message}"):
+            cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
     def test_train_with_config_and_scenario_file(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("[train]\nepisodes = 2\nmax_plays = 20\nseed = 13\n")
@@ -615,21 +651,28 @@ class TestCLI:
             ("[train]\nepisodes = 0\n", "episodes must be >= 1"),
             ("[learner]\nalpha_actor = 0.1\n", "actor rate must be below critic rate"),
             ("[learner]\nmfs_per_input = 1\n", "need at least 2 membership functions"),
-            ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be > 0"),
+            ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be finite and > 0, got -1.0$"),
+            ("[agents]\nevader_speed = inf\n", "evader_speed must be finite and > 0, got inf$"),
             ("[agents]\ncone_constraint = maybe\n", "expected a boolean"),
-            ("[arena]\ndt = 0\n", "dt must be positive"),
-            ("[arena]\nmax_time = -5\n", "max_time must be positive"),
-            ("[arena]\nsensing_range = 0\n", "sensing_range must be positive"),
-            # NaN compares false with everything, so it must fail each positivity check.
-            ("[arena]\ndt = nan\n", "dt must be positive"),
-            ("[arena]\ncapture_distance = nan\n", "capture_distance must be positive"),
+            ("[arena]\ndt = 0\n", "dt must be finite and > 0, got 0.0$"),
+            ("[arena]\nmax_time = -5\n", "max_time must be finite and > 0, got -5.0$"),
+            ("[arena]\nsensing_range = 0\n", "sensing_range must be finite and > 0, got 0.0$"),
+            # NaN compares false with everything, so it must fail each positivity check;
+            # inf must fail it too.
+            ("[arena]\ndt = nan\n", "dt must be finite and > 0, got nan$"),
+            ("[arena]\ndt = inf\n", "dt must be finite and > 0, got inf$"),
+            ("[arena]\ncapture_distance = nan\n", "capture_distance must be finite and > 0"),
+            ("[arena]\nmax_time = inf\n", "max_time must be finite and > 0, got inf$"),
             ("[arena]\nextents = 35 nan 20\n", "arena extent y must be finite and > 0, got nan"),
             ("[arena]\nextents = 35 -1 20\n", "arena extent y must be finite and > 0, got -1.0"),
             ("[arena]\nextents = 35 35 inf\n", "arena extent z must be finite and > 0, got inf"),
             ("[arena]\nextents = 35 20\n", r"extents must be 3 floats, got \(35.0, 20.0\)"),
-            ("[learner]\nsigma = nan\n", "exploration stddev must be positive"),
+            ("[learner]\nsigma = nan\n", "sigma must be finite and > 0, got nan$"),
+            ("[learner]\nsigma = inf\n", "sigma must be finite and > 0, got inf$"),
+            ("[learner]\nalpha_critic = inf\n", "alpha_critic must be finite and > 0, got inf$"),
+            ("[learner]\nalpha_actor = -1\n", "alpha_actor must be finite and > 0, got -1.0$"),
             *(
-                (f"[reward]\n{name} = nan\n", f"{name} must be positive")
+                (f"[reward]\n{name} = {value}\n", f"{name} must be finite and > 0, got {value}$")
                 for name in (
                     "repulsion_coeff",
                     "attraction_coeff",
@@ -637,6 +680,7 @@ class TestCLI:
                     "repulsion_weight",
                     "attraction_weight",
                 )
+                for value in ("nan", "inf")
             ),
             # steering_mode is gone: a config that still sets it fails, even to the old default.
             (
@@ -687,7 +731,7 @@ class TestCLI:
             ),
             (
                 "pursuer_start = 5 30 0\nevader_start = 5 5 0\nobstacles = 10 10 5 nan\n",
-                "obstacle radius must be positive",
+                "obstacle radius must be finite and > 0, got nan",
             ),
             # Cases that set obstacle_count draw random obstacles.
             (
@@ -761,9 +805,32 @@ class TestCLI:
             ),
             (("agents",), DELETE, "checkpoint has no 'agents'$"),
             (("agents", "evader", "critic"), DELETE, "checkpoint has no 'agents.evader.critic'$"),
-            (("config", "max_time"), -5, "max_time must be positive$"),
-            (("config", "sensing_range"), 0, "sensing_range must be positive$"),
-            (("config", "capture_distance"), float("nan"), "capture_distance must be positive$"),
+            (("config", "max_time"), -5, "max_time must be finite and > 0, got -5$"),
+            (("config", "sensing_range"), 0, "sensing_range must be finite and > 0, got 0$"),
+            (("config", "capture_distance"), math.nan, "capture_distance must be finite and > 0"),
+            (("config", "dt"), math.inf, "dt must be finite and > 0, got inf$"),
+            (("config", "evader_speed"), math.inf, "evader_speed must be finite and > 0, got inf$"),
+            (("config", "learner", "sigma"), math.inf, "sigma must be finite and > 0, got inf$"),
+            (
+                ("config", "learner", "alpha_actor"),
+                -1.0,
+                "alpha_actor must be finite and > 0, got -1.0$",
+            ),
+            (
+                ("config", "reward", "success_coeff"),
+                math.inf,
+                "success_coeff must be finite and > 0, got inf$",
+            ),
+            (
+                ("config", "learner", "distance_domain"),
+                [0.0, math.inf],
+                r"partition domain must be finite with lo < hi, got \(0.0, inf\)$",
+            ),
+            (
+                ("config", "learner", "angle_domain"),
+                [1.0, -1.0],
+                r"partition domain must be finite with lo < hi, got \(1.0, -1.0\)$",
+            ),
         ],
     )
     def test_evaluate_rejects_a_bad_checkpoint(self, tmp_path, keys, value, message):

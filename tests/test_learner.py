@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from peg3d.env import TURN_LIMIT, Arena, AgentState, Obstacle
-from peg3d.fuzzy import build_default_partitions
 from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
+from peg3d.scenarios import TrainConfig
+from peg3d.training import build_rulebase
 
 
 def one_hot(n, k):
@@ -25,8 +26,14 @@ class TestConstruction:
     def test_gamma_and_sigma_validated(self):
         with pytest.raises(ValueError, match="discount must lie in"):
             LearnerConfig(gamma=1.0)
-        with pytest.raises(ValueError, match="exploration stddev must be positive"):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             LearnerConfig(sigma=0.0)
+
+    @pytest.mark.parametrize("name", ["alpha_actor", "alpha_critic", "sigma"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rates_and_sigma_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
+            LearnerConfig(**{name: value})
 
     def test_zero_initialization(self):
         learner = FuzzyActorCritic(625, LearnerConfig())
@@ -140,7 +147,7 @@ class TestUpdates:
 
     def test_gradient_matches_finite_differences(self):
         # actor/critic sensitivities equal the firing strengths
-        rb = build_default_partitions()
+        rb = build_rulebase(TrainConfig())
         rng = np.random.default_rng(17)
         learner = FuzzyActorCritic(rb.n_rules, LearnerConfig())
         eps = 1e-4
@@ -177,7 +184,7 @@ class TestConvergence:
         assert learner.value(phi) == pytest.approx(0.3, abs=0.05)
 
     def test_weight_trajectory_determinism(self):
-        rb = build_default_partitions()
+        rb = build_rulebase(TrainConfig())
 
         def run():
             learner = FuzzyActorCritic(rb.n_rules, LearnerConfig())

@@ -161,9 +161,9 @@ class TestTrainConfigDefaults:
             clone.seed = 1
 
     @pytest.mark.parametrize("name", ["pursuer_speed", "evader_speed"])
-    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan, math.inf])
     def test_speeds_must_be_positive(self, name, speed):
-        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {speed!r}$"):
             TrainConfig(**{name: speed})
 
     def test_round_trip_fills_missing_keys_with_defaults(self):
