@@ -186,6 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
+    if out is not None:
+        # A file at --out or above it would only fail when the outputs are
+        # written, after every episode has run; stop before any work instead.
+        existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+        if not existing.is_dir():
+            raise SystemExit(f"peg3d {args.command}: --out {out} is not a directory")
     return args.func(args)
 
 

@@ -7,7 +7,8 @@ of rows.  JSON export round-trips losslessly; CSV export writes one
 trajectory file, one reward/TD time-series file, and a JSON summary.
 
 Exports only read a log: they serialise its fields and records as they are,
-without copying them first, and stream the JSON to the file.
+without copying them first, and stream them to the file.  An episode JSON file
+holds one line per top-level key and one compact line per step record.
 """
 
 from __future__ import annotations
@@ -91,21 +92,9 @@ class EpisodeLog:
     records: list[StepRecord] | None = None
     schema: str = EPISODE_SCHEMA
 
-    def to_dict(self) -> dict:
-        """Plain-dict form in field order, records as dicts, for serialisation.
-
-        Equal to ``dataclasses.asdict(self)`` but shallow: the nested lists
-        and dicts are the log's own objects, not copies, so mutating the
-        result mutates the log.
-        """
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.records is not None:
-            data["records"] = [dict(vars(rec)) for rec in self.records]
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeLog":
-        """Inverse of :meth:`to_dict`; ``ValueError`` names unknown and missing keys."""
+        """Inverse of ``dataclasses.asdict``; ``ValueError`` names unknown and missing keys."""
         data = dict(data)
         records = data.pop("records", None)
         log = _build(cls, data)
@@ -168,33 +157,44 @@ def summary_row(log: EpisodeLog) -> dict:
     return row
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_rows_csv(path, header, rows, schema: str):
+    """CSV with a leading ``# schema=...`` comment line; ``rows`` list values in header order.
 
-
-def write_rows_csv(path, fieldnames, rows, schema: str):
-    """CSV with a leading ``# schema=...`` comment line and repr-exact floats."""
-    path = Path(path)
+    ``csv.writer`` writes floats with ``repr`` (exact) and ``None`` as an
+    empty field; it would write bools as ``True``/``False``, so pass them as ints.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={schema}\n")
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def export_json(log: EpisodeLog, path):
+    """Write ``log`` with each top-level key on one line and each step record on one line.
+
+    Every value goes through ``json.dumps`` without ``indent``, which runs the C
+    encoder, and the records are written one at a time, so the whole text is
+    never held in memory.  Keys, key order and float tokens are those of
+    ``json.dump(dataclasses.asdict(log), indent=1)``; only the whitespace differs.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(log.to_dict(), fh, indent=1)
-        fh.write("\n")
+        sep = "{\n"
+        for f in fields(log):
+            value = getattr(log, f.name)
+            fh.write(f'{sep}"{f.name}": ')
+            sep = ",\n"
+            if f.name != "records" or not value:
+                fh.write(json.dumps(value))
+                continue
+            lines = map(json.dumps, map(vars, value))
+            fh.write("[\n" + next(lines))
+            for line in lines:
+                fh.write(",\n" + line)
+            fh.write("\n]")
+        fh.write("\n}\n")
 
 
 def load_episode(path) -> EpisodeLog:
@@ -207,46 +207,30 @@ def load_episode(path) -> EpisodeLog:
 
 
 def _trajectory_rows(log: EpisodeLog):
-    if log.records:
-        for rec in log.records:
-            yield {
-                "time": rec.time,
-                "pursuer_x": rec.pursuer_pos[0],
-                "pursuer_y": rec.pursuer_pos[1],
-                "pursuer_z": rec.pursuer_pos[2],
-                "evader_x": rec.evader_pos[0],
-                "evader_y": rec.evader_pos[1],
-                "evader_z": rec.evader_pos[2],
-                "distance": rec.distance,
-            }
-    else:
+    """Rows in ``_TRAJECTORY_FIELDS`` order."""
+    if not log.records:
         # Zero recorded steps (for example an immediate capture): emit the
         # terminal state so the file is still well-formed.
-        yield {
-            "time": log.elapsed,
-            "pursuer_x": log.pursuer_start[0],
-            "pursuer_y": log.pursuer_start[1],
-            "pursuer_z": log.pursuer_start[2],
-            "evader_x": log.evader_start[0],
-            "evader_y": log.evader_start[1],
-            "evader_z": log.evader_start[2],
-            "distance": log.final_distance,
-        }
+        yield (log.elapsed, *log.pursuer_start, *log.evader_start, log.final_distance)
+        return
+    for rec in log.records:
+        yield (rec.time, *rec.pursuer_pos, *rec.evader_pos, rec.distance)
 
 
 def _series_rows(log: EpisodeLog):
-    for rec in log.records or []:
-        yield {
-            "time": rec.time,
-            "pursuer_reward": rec.pursuer_reward,
-            "evader_reward": rec.evader_reward,
-            "pursuer_td": rec.pursuer_td,
-            "evader_td": rec.evader_td,
-            "pursuer_entropy": rec.pursuer_entropy,
-            "evader_entropy": rec.evader_entropy,
-            "pursuer_cone": rec.pursuer_cone,
-            "evader_cone": rec.evader_cone,
-        }
+    """Rows in ``_SERIES_FIELDS`` order, cone flags as ints."""
+    for rec in log.records or ():
+        yield (
+            rec.time,
+            rec.pursuer_reward,
+            rec.evader_reward,
+            rec.pursuer_td,
+            rec.evader_td,
+            rec.pursuer_entropy,
+            rec.evader_entropy,
+            int(rec.pursuer_cone),
+            int(rec.evader_cone),
+        )
 
 
 _TRAJECTORY_FIELDS = (

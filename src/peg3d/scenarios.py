@@ -193,15 +193,21 @@ def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
     """Reject a scenario that cannot run under ``config``, before any episode.
 
     Builds the arena once (its checks cover the config and explicit obstacles),
-    checks each start (3 floats in the box, outside explicit obstacles) and
-    explicit heading (2 finite floats), then draws one trial random layout, so
-    that a radius that does not fit the box or a margin no draw meets fails here.
+    checks each start (3 floats in the box, outside explicit obstacles), each
+    explicit heading (2 finite floats) and, for random obstacles, the count and
+    the margin (finite and >= 0: a negative one lets an obstacle cover a start).
+    Then it draws one trial random layout, so that a radius that does not fit
+    the box or a margin no draw meets fails here.
     The trial has a generator of its own: the runs' streams are not touched.
     """
     obstacles = realize_obstacles(scenario, config, None) if scenario.obstacles else []
     box = build_arena(config, obstacles).extents
     if scenario.obstacles is None and scenario.obstacle_count < 0:
         raise ValueError(f"obstacle_count must be >= 0, got {scenario.obstacle_count}")
+    if scenario.obstacles is None and not 0.0 <= scenario.obstacle_margin < math.inf:
+        raise ValueError(
+            f"obstacle_margin must be finite and >= 0, got {scenario.obstacle_margin!r}"
+        )
     for role, start, heading in (
         ("pursuer", scenario.pursuer_start, scenario.pursuer_heading),
         ("evader", scenario.evader_start, scenario.evader_heading),

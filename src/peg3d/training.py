@@ -339,7 +339,10 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
     if out is not None:
         save_checkpoint(checkpoint, out / "checkpoint.json")
         write_rows_csv(
-            out / "episodes.csv", list(summaries[0].keys()), summaries, EPISODES_CSV_SCHEMA
+            out / "episodes.csv",
+            summaries[0].keys(),
+            [row.values() for row in summaries],
+            EPISODES_CSV_SCHEMA,
         )
         if final_log is not None:
             export_json(final_log, out / "episode_final.json")
@@ -427,7 +430,9 @@ def evaluate(
         with open(out / "metrics.json", "w") as fh:
             json.dump(metrics, fh, indent=1)
             fh.write("\n")
-        write_rows_csv(out / "runs.csv", list(rows[0].keys()), rows, RUNS_CSV_SCHEMA)
+        write_rows_csv(
+            out / "runs.csv", rows[0].keys(), [row.values() for row in rows], RUNS_CSV_SCHEMA
+        )
     return metrics, rows
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -25,6 +26,37 @@ from peg3d.training import (
 
 # Marks a checkpoint key that a test deletes instead of setting.
 DELETE = object()
+
+
+def episode_json_reference(log) -> str:
+    """The episode JSON layout rebuilt from ``dataclasses.asdict``: a line per key and per record."""
+    lines = []
+    for key, value in dataclasses.asdict(log).items():
+        text = json.dumps(value)
+        if key == "records" and value:
+            text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
+        lines.append(f"{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def rows_csv_reference(path, header, rows, schema):
+    """``write_rows_csv`` as it was: each value formatted to a string before csv.writer."""
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema={schema}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(value) for value in row])
 
 
 def zero_weight_setup(config):
@@ -169,14 +201,11 @@ class TestEpisodeLogExports:
         else:
             assert tds <= {None}
         assert (log.steps == 0) == (kind == "close")
-        assert log.to_dict() == dataclasses.asdict(log)
 
         # Reference: the exports as written with a deep copy through asdict.
         ref = tmp_path / "ref"
         ref.mkdir()
-        with open(ref / "episode.json", "w") as fh:
-            json.dump(dataclasses.asdict(log), fh, indent=1)
-            fh.write("\n")
+        (ref / "episode.json").write_text(episode_json_reference(log))
         summary = dataclasses.asdict(log)
         summary.pop("records")
         with open(ref / "ep_summary.json", "w") as fh:
@@ -193,6 +222,84 @@ class TestEpisodeLogExports:
         path = tmp_path / "episode.json"
         export_json(log, path)
         assert load_episode(path) == log
+        # "{", a line per top-level key, a line per step record, "],", "}".
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + len(dataclasses.fields(log)) + log.steps + 2
+
+    @pytest.mark.parametrize("kind", ["training", "close"])
+    def test_indented_log_still_loads(self, tmp_path, kind):
+        log = {"training": self._training_log, "close": self._close_log}[kind]()
+        path = tmp_path / "episode.json"
+        with open(path, "w") as fh:
+            json.dump(dataclasses.asdict(log), fh, indent=1)
+            fh.write("\n")
+        assert load_episode(path) == log
+
+    @pytest.mark.parametrize("records", [None, []], ids=["none", "empty"])
+    def test_round_trip_without_records(self, tmp_path, records):
+        log = self._small_log()
+        log.records = records
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        assert path.read_text() == episode_json_reference(log)
+        loaded = load_episode(path)
+        assert loaded.records == records and loaded == log
+
+    def test_non_finite_values_round_trip(self, tmp_path):
+        log = self._small_log()
+        rec = log.records[0]
+        rec.pursuer_reward, rec.evader_reward = math.nan, -math.inf
+        rec.pursuer_td, rec.distance, rec.time = math.inf, -0.0, 5e-324
+        log.final_distance = math.nan
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        text = path.read_text()
+        assert text == episode_json_reference(log)
+        assert '"pursuer_reward": NaN' in text and '"evader_reward": -Infinity' in text
+        loaded = load_episode(path)
+        back = loaded.records[0]
+        assert math.isnan(back.pursuer_reward) and math.isnan(loaded.final_distance)
+        assert (back.evader_reward, back.pursuer_td) == (-math.inf, math.inf)
+        assert math.copysign(1.0, back.distance) == -1.0 and back.time == 5e-324
+        assert loaded.records[1:] == log.records[1:]
+
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
+        log = self._small_log()
+        rec = log.records[0]
+        rec.time, rec.pursuer_reward, rec.evader_reward = -0.0, math.nan, math.inf
+        rec.pursuer_td, rec.evader_td = None, -math.inf
+        rec.pursuer_cone, rec.evader_cone = True, False
+        log.records[1].evader_td, log.records[1].pursuer_cone = 2.5e-17, False
+        export_csv(log, tmp_path, stem="ep")
+        trajectory = [(r.time, *r.pursuer_pos, *r.evader_pos, r.distance) for r in log.records]
+        series = [
+            (
+                r.time, r.pursuer_reward, r.evader_reward, r.pursuer_td, r.evader_td,
+                r.pursuer_entropy, r.evader_entropy, r.pursuer_cone, r.evader_cone,
+            )
+            for r in log.records
+        ]
+        # Summary-style rows: None, ints, strings and floats side by side.
+        summary = [(0, "captured", 3, None, -0.0, math.nan), (1, "timeout", 0, 1.5, math.inf, 7)]
+        write_rows_csv(tmp_path / "rows.csv", "a b c d e f".split(), summary, "peg3d.rows.v1")
+        for name, header, rows, schema in (
+            (
+                "ep_trajectory.csv",
+                "time pursuer_x pursuer_y pursuer_z evader_x evader_y evader_z distance",
+                trajectory,
+                "peg3d.trajectory.v1",
+            ),
+            (
+                "ep_series.csv",
+                "time pursuer_reward evader_reward pursuer_td evader_td "
+                "pursuer_entropy evader_entropy pursuer_cone evader_cone",
+                series,
+                "peg3d.series.v1",
+            ),
+            ("rows.csv", "a b c d e f", summary, "peg3d.rows.v1"),
+        ):
+            rows_csv_reference(tmp_path / "ref.csv", header.split(), rows, schema)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
     def test_csv_rows_match_steps(self, tmp_path):
         log = self._small_log()
@@ -436,7 +543,9 @@ class TestEvaluate:
                 row.pop("episode")
                 rows.append({"run": i, **row})
             rebuilt = tmp_path / f"rebuilt_{runs}.csv"
-            write_rows_csv(rebuilt, list(rows[0].keys()), rows, training.RUNS_CSV_SCHEMA)
+            write_rows_csv(
+                rebuilt, rows[0].keys(), [row.values() for row in rows], training.RUNS_CSV_SCHEMA
+            )
             assert rebuilt.read_bytes() == (tmp_path / str(runs) / "runs.csv").read_bytes()
 
     def test_run_log_written_as_each_run_ends(self, tmp_path, monkeypatch):
@@ -599,7 +708,7 @@ class TestCLI:
         log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
         path = tmp_path / "episode.json"
         if text is not None:
-            path.write_text(text(log.to_dict()))
+            path.write_text(text(dataclasses.asdict(log)))
         out_dir = tmp_path / "replay"
         with pytest.raises(SystemExit, match=f"^peg3d replay: {message}"):
             cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
@@ -754,6 +863,22 @@ class TestCLI:
                 "no obstacle of radius 1.0 clears the starts by obstacle_margin 100.0 "
                 "in 10000 draws",
             ),
+            # A negative margin would let a random obstacle cover a start.
+            (
+                "obstacle_count = 3\nobstacle_radius = 3\nobstacle_margin = -5\n"
+                "pursuer_start = 17 17 10\nevader_start = 5 5 0\n",
+                "obstacle_margin must be finite and >= 0, got -5.0$",
+            ),
+            (
+                "obstacle_count = 3\nobstacle_margin = nan\npursuer_start = 5 30 0\n"
+                "evader_start = 5 5 0\n",
+                "obstacle_margin must be finite and >= 0, got nan$",
+            ),
+            (
+                "obstacle_count = 3\nobstacle_margin = inf\npursuer_start = 5 30 0\n"
+                "evader_start = 5 5 0\n",
+                "obstacle_margin must be finite and >= 0, got inf$",
+            ),
         ],
     )
     def test_invalid_scenario_file_exits_before_training(self, tmp_path, starts, message):
@@ -806,6 +931,11 @@ class TestCLI:
             (("agents",), DELETE, "checkpoint has no 'agents'$"),
             (("agents", "evader", "critic"), DELETE, "checkpoint has no 'agents.evader.critic'$"),
             (("config", "max_time"), -5, "max_time must be finite and > 0, got -5$"),
+            (
+                ("scenario", "obstacle_margin"),
+                -5.0,
+                "obstacle_margin must be finite and >= 0, got -5.0$",
+            ),
             (("config", "sensing_range"), 0, "sensing_range must be finite and > 0, got 0$"),
             (("config", "capture_distance"), math.nan, "capture_distance must be finite and > 0"),
             (("config", "dt"), math.inf, "dt must be finite and > 0, got inf$"),
@@ -868,6 +998,24 @@ class TestCLI:
         missing = tmp_path / "missing.json"
         with pytest.raises(SystemExit, match="^peg3d evaluate: --save-logs needs --out$"):
             cli_main(["evaluate", "--checkpoint", str(missing), "--save-logs"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--scenario", "missing.ini", "--quiet"],
+            ["evaluate", "--checkpoint", "missing.json", "--save-logs"],
+            ["replay", "--log", "missing.json", "--export", "csv"],
+        ],
+        ids=["train", "evaluate", "replay"],
+    )
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_naming_a_file_exits_before_any_work(self, tmp_path, monkeypatch, argv, out):
+        # Every input is missing, so any work before the --out check would fail otherwise.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept")
+        with pytest.raises(SystemExit, match=f"^peg3d {argv[0]}: --out {out} is not a directory$"):
+            cli_main([*argv, "--out", out])
+        assert (tmp_path / "afile").read_text() == "kept"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
