@@ -6,7 +6,6 @@ from .env import (
     Arena,
     Obstacle,
     check_termination,
-    collision_check,
     heading_vector,
     nearest_obstacle,
     step_agent,
@@ -20,11 +19,8 @@ from .fuzzy import (
 from .geometry import (
     ApolloniusSphere,
     DegenerateInputError,
-    angle_between,
     apollonius_sphere,
     dominance,
-    in_evasion_halfspace,
-    in_pursuit_cone,
     pursuit_cone_halfangle,
     pursuit_offset_angle,
 )

@@ -17,7 +17,7 @@ from .scenarios import (
     check_scenario,
     load_config,
 )
-from .training import build_rulebase, evaluate, load_checkpoint, train
+from .training import evaluate, load_checkpoint, train
 
 __all__ = ["build_parser", "main"]
 
@@ -53,8 +53,6 @@ def _cmd_train(args):
         scenario, config = _resolve_scenario(args.scenario, args.config)
         # replace() builds a new config, so its validation runs on the overrides.
         config = dataclasses.replace(config, **overrides)
-        # Building the rule base checks the [learner] layout.
-        build_rulebase(config)
         check_scenario(scenario, config)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d train: {exc}") from None
@@ -119,13 +117,17 @@ def _cmd_evaluate(args):
 
 
 def _cmd_replay(args):
+    log_path = Path(args.log)
+    out_dir = Path(args.out) if args.out is not None else log_path.parent
+    # CSV exports add a suffix to the log's stem; only the JSON export can land on the log.
+    target = out_dir / f"{log_path.stem}.json"
+    if args.export == "json" and target.resolve() == log_path.resolve():
+        raise SystemExit(f"peg3d replay: the export {target} would overwrite --log; choose --out")
     try:
         log = load_episode(args.log)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d replay: {exc}") from None
-    out_dir = args.out if args.out is not None else Path(args.log).parent
-    stem = Path(args.log).stem
-    paths = export_episode(log, args.export, out_dir, stem=stem)
+    paths = export_episode(log, args.export, out_dir, stem=log_path.stem)
     for path in paths:
         print(path)
     return 0

@@ -13,7 +13,7 @@ innermost simulation loop and scalar math beats tiny-array overhead there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "TURN_LIMIT",
@@ -29,7 +29,6 @@ __all__ = [
     "cone_limited_command",
     "check_termination",
     "nearest_obstacle",
-    "collision_check",
 ]
 
 # Per-step steering limit on each command channel, radians.
@@ -78,37 +77,18 @@ class Obstacle:
 
 @dataclass
 class Arena:
-    """World configuration: box extents, obstacles, timing, and capture rule."""
+    """One episode's world: box extents, obstacles, timing, and capture rule.
 
-    extents: tuple[float, float, float] = (35.0, 35.0, 20.0)
-    obstacles: list[Obstacle] = field(default_factory=list)
-    capture_distance: float = 1.0
-    max_time: float = 100.0
-    dt: float = 0.1
-    sensing_range: float = 35.0
+    Built by ``scenarios.build_arena`` from a checked ``TrainConfig`` and
+    obstacle layout, so it holds no defaults or checks of its own.
+    """
 
-    def __post_init__(self):
-        for name in ("capture_distance", "max_time", "dt", "sensing_range"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if len(self.extents) != 3:
-            raise ValueError(f"extents must be 3 floats, got {self.extents!r}")
-        for axis, extent in zip("xyz", self.extents):
-            if not 0.0 < extent < math.inf:
-                raise ValueError(f"arena extent {axis} must be finite and > 0, got {extent!r}")
-        ex, ey, ez = self.extents
-        for obs in self.obstacles:
-            if not 0.0 < obs.radius < math.inf:
-                raise ValueError(f"obstacle radius must be finite and > 0, got {obs.radius!r}")
-            cx, cy, cz = obs.center
-            inside = (
-                obs.radius <= cx <= ex - obs.radius
-                and obs.radius <= cy <= ey - obs.radius
-                and obs.radius <= cz <= ez - obs.radius
-            )
-            if not inside:
-                raise ValueError(f"obstacle at {tuple(obs.center)} not fully inside arena")
+    extents: tuple[float, float, float]
+    obstacles: list[Obstacle]
+    capture_distance: float
+    max_time: float
+    dt: float
+    sensing_range: float
 
 
 def step_agent(
@@ -211,8 +191,3 @@ def nearest_obstacle(pos, arena: Arena) -> tuple[Obstacle | None, float]:
             best_dist = dist
     return best, best_dist
 
-
-def collision_check(pos, arena: Arena) -> bool:
-    """True when ``pos`` lies strictly inside any obstacle."""
-    _, dist = nearest_obstacle(pos, arena)
-    return dist < 0.0

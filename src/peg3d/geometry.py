@@ -22,11 +22,8 @@ __all__ = [
     "BOUNDARY_TOL",
     "ApolloniusSphere",
     "DegenerateInputError",
-    "angle_between",
     "apollonius_sphere",
     "dominance",
-    "in_evasion_halfspace",
-    "in_pursuit_cone",
     "pursuit_cone_halfangle",
     "pursuit_offset_angle",
     "EVADER_DOMINANT",
@@ -134,34 +131,3 @@ def pursuit_offset_angle(evader_offset: float, v_pursuer: float, v_evader: float
         raise ValueError(f"no matching pursuit angle: sine argument {arg} outside [-1, 1]")
     return math.asin(arg)
 
-
-def angle_between(u, v) -> float:
-    """Unsigned angle between two vectors, in [0, pi].
-
-    Uses a clamped arccos of the normalized dot product so rounding can not
-    produce NaN.  Raises ValueError on (near-)zero vectors.
-    """
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(uu))
-    nv = float(np.linalg.norm(vv))
-    if nu < _DEGENERATE_TOL or nv < _DEGENERATE_TOL:
-        raise ValueError("angle_between requires non-zero vectors")
-    cosine = float(np.dot(uu, vv)) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, cosine)))
-
-
-def in_pursuit_cone(heading, pursuer, evader, v_pursuer: float, v_evader: float) -> bool:
-    """True when ``heading`` stays within the optimal pursuit cone.
-
-    The cone opens from the pursuer toward the evader with half-angle
-    :func:`pursuit_cone_halfangle`.
-    """
-    line_of_sight = _as_point(evader, "evader") - _as_point(pursuer, "pursuer")
-    return angle_between(heading, line_of_sight) <= pursuit_cone_halfangle(v_pursuer, v_evader)
-
-
-def in_evasion_halfspace(heading, evader, pursuer) -> bool:
-    """True when the evader's heading points at least 90 degrees off the pursuer."""
-    toward_pursuer = _as_point(pursuer, "pursuer") - _as_point(evader, "evader")
-    return angle_between(heading, toward_pursuer) >= math.pi / 2.0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import TURN_LIMIT, AgentState, Arena, heading_vector, nearest_obstacle
+from .fuzzy import uniform_partition
 
 __all__ = [
     "CHANNELS",
@@ -55,6 +56,8 @@ class LearnerConfig:
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
+        for domain in (self.distance_domain, self.angle_domain):
+            uniform_partition(*domain, self.mfs_per_input)  # raises on a bad rule layout
 
 
 class FuzzyActorCritic:

@@ -66,10 +66,17 @@ class TrainConfig:
             raise ValueError("episodes must be >= 1")
         if self.max_plays < 1:
             raise ValueError("max_plays must be >= 1")
-        for name in ("pursuer_speed", "evader_speed"):
+        for name in (
+            "dt", "capture_distance", "max_time", "pursuer_speed", "evader_speed", "sensing_range"
+        ):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # false for NaN too
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if len(self.arena_extents) != 3:
+            raise ValueError(f"extents must be 3 floats, got {self.arena_extents!r}")
+        for axis, extent in zip("xyz", self.arena_extents):
+            if not 0.0 < extent < math.inf:
+                raise ValueError(f"arena extent {axis} must be finite and > 0, got {extent!r}")
         for name, modes in (("freeze", FREEZE_MODES), ("log_steps", LOG_STEPS_MODES)):
             if getattr(self, name) not in modes:
                 raise ValueError(f"{name} must be {'|'.join(modes)}, got {getattr(self, name)!r}")
@@ -78,7 +85,7 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Start positions plus an obstacle specification.
 
@@ -86,7 +93,8 @@ class Scenario:
     ``None``, each episode draws ``obstacle_count`` spheres uniformly inside
     the arena, rejecting any whose surface comes within ``obstacle_margin``
     of either start.  Headings default to the chase axis: the pursuer starts
-    facing the evader and the evader facing directly away.
+    facing the evader and the evader facing directly away.  Values that need
+    no config are checked here; :func:`check_scenario` checks the rest.
     """
 
     name: str = "custom"
@@ -98,6 +106,26 @@ class Scenario:
     obstacle_margin: float = 3.0
     pursuer_heading: tuple[float, float] | None = None  # (alpha, theta)
     evader_heading: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        for role in ("pursuer", "evader"):
+            start, heading = getattr(self, f"{role}_start"), getattr(self, f"{role}_heading")
+            if len(start) != 3:
+                raise ValueError(f"{role}_start must be 3 floats (x y z), got {start!r}")
+            if heading and len(heading) != 2:
+                raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
+            if heading and not all(map(math.isfinite, heading)):
+                raise ValueError(f"{role}_heading must be finite, got {heading!r}")
+        if self.obstacles is None and self.obstacle_count < 0:
+            raise ValueError(f"obstacle_count must be >= 0, got {self.obstacle_count}")
+        margin = self.obstacle_margin  # a negative one would let an obstacle cover a start
+        if self.obstacles is None and not 0.0 <= margin < math.inf:
+            raise ValueError(f"obstacle_margin must be finite and >= 0, got {margin!r}")
+        for row in self.obstacles or ():
+            if len(row) != 4:
+                raise ValueError(f"obstacle row needs 'x y z radius', got {row!r}")
+            if not 0.0 < row[3] < math.inf:
+                raise ValueError(f"obstacle radius must be finite and > 0, got {row[3]!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -123,7 +151,7 @@ def place_obstacles(
     count: int,
     radius: float,
     keepout_points,
-    margin: float = 3.0,
+    margin: float,
     max_attempts: int = 10_000,
 ) -> list[Obstacle]:
     """Sample obstacle centers uniformly inside the arena.
@@ -190,36 +218,25 @@ def build_arena(config: TrainConfig, obstacles) -> Arena:
 
 
 def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
-    """Reject a scenario that cannot run under ``config``, before any episode.
+    """Reject a scenario that does not fit ``config``, before any episode.
 
-    Builds the arena once (its checks cover the config and explicit obstacles),
-    checks each start (3 floats in the box, outside explicit obstacles), each
-    explicit heading (2 finite floats) and, for random obstacles, the count and
-    the margin (finite and >= 0: a negative one lets an obstacle cover a start).
-    Then it draws one trial random layout, so that a radius that does not fit
-    the box or a margin no draw meets fails here.
-    The trial has a generator of its own: the runs' streams are not touched.
+    Each dataclass checks its own values when it is built; this checks the
+    two together.  Explicit obstacles must lie fully inside the arena box, and
+    each start in the box and outside them.  For random obstacles it draws one
+    trial layout, so that a radius that does not fit the box or a margin no
+    draw meets fails here.  The trial has a generator of its own: the runs'
+    streams are not touched.
     """
+    box = config.arena_extents
     obstacles = realize_obstacles(scenario, config, None) if scenario.obstacles else []
-    box = build_arena(config, obstacles).extents
-    if scenario.obstacles is None and scenario.obstacle_count < 0:
-        raise ValueError(f"obstacle_count must be >= 0, got {scenario.obstacle_count}")
-    if scenario.obstacles is None and not 0.0 <= scenario.obstacle_margin < math.inf:
-        raise ValueError(
-            f"obstacle_margin must be finite and >= 0, got {scenario.obstacle_margin!r}"
-        )
-    for role, start, heading in (
-        ("pursuer", scenario.pursuer_start, scenario.pursuer_heading),
-        ("evader", scenario.evader_start, scenario.evader_heading),
-    ):
-        if len(start) != 3 or not all(0.0 <= c <= hi for c, hi in zip(start, box)):
+    for obs in obstacles:
+        if not all(obs.radius <= c <= hi - obs.radius for c, hi in zip(obs.center, box)):
+            raise ValueError(f"obstacle at {obs.center} not fully inside arena")
+    for role, start in (("pursuer", scenario.pursuer_start), ("evader", scenario.evader_start)):
+        if not all(0.0 <= c <= hi for c, hi in zip(start, box)):
             raise ValueError(f"{role}_start must be 3 floats in the arena {box!r}, got {start!r}")
         if any(obs.surface_distance(start) < 0.0 for obs in obstacles):
             raise ValueError(f"{role}_start {start!r} lies inside an obstacle")
-        if heading and len(heading) != 2:
-            raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
-        if heading and not all(map(math.isfinite, heading)):
-            raise ValueError(f"{role}_heading must be finite, got {heading!r}")
     if scenario.obstacles is None:
         realize_obstacles(scenario, config, np.random.default_rng(0))
 
@@ -265,13 +282,9 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_obstacle_rows(text: str) -> tuple[tuple[float, float, float, float], ...]:
-    rows = []
-    for chunk in filter(None, map(str.strip, text.split(";"))):
-        rows.append(_parse_floats(chunk))
-        if len(rows[-1]) != 4:
-            raise ValueError(f"obstacle row needs 'x y z radius', got {chunk!r}")
-    return tuple(rows)
+def _parse_obstacle_rows(text: str) -> tuple[tuple[float, ...], ...]:
+    chunks = filter(None, map(str.strip, text.split(";")))
+    return tuple(_parse_floats(chunk) for chunk in chunks)
 
 
 # The INI layout: section -> (the dataclass its keys set, the keys).  A key is
@@ -359,7 +372,7 @@ def _obstacle_rows(value) -> bool:
 
 
 # What a JSON value must be to fill a field, keyed by annotation text like
-# _CASTS.  Start, heading and extent counts are left to check_scenario and Arena.
+# _CASTS.  Start, heading and extent counts are left to the dataclasses.
 _JSON_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),

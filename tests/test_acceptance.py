@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from peg3d.env import Arena, AgentState, heading_vector, step_agent
+from peg3d.env import AgentState, heading_vector, step_agent
 from peg3d.fuzzy import uniform_partition
 from peg3d.geometry import (
     BOUNDARY,
@@ -24,7 +24,7 @@ from peg3d.geometry import (
 )
 from peg3d.learner import FuzzyActorCritic, LearnerConfig
 from peg3d.reward import RewardConfig
-from peg3d.scenarios import TrainConfig, builtin_scenarios
+from peg3d.scenarios import TrainConfig, build_arena, builtin_scenarios
 from peg3d.training import build_rulebase, train
 
 
@@ -254,7 +254,7 @@ def test_criterion_8_deterministic_exports(tmp_path):
 def test_criterion_9_kinematics():
     """Displacement magnitude equals speed*dt within 1e-12 over 10^4 random
     steps; direction vectors are unit length throughout."""
-    arena = Arena()
+    arena = build_arena(TrainConfig(), [])
     rng = np.random.default_rng(909)
     worst_step = 0.0
     worst_norm = 0.0

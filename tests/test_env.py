@@ -9,16 +9,15 @@ from peg3d.env import (
     TIMEOUT,
     TURN_LIMIT,
     AgentState,
-    Arena,
     Obstacle,
     check_termination,
-    collision_check,
     cone_limited_command,
     heading_vector,
     nearest_obstacle,
     step_agent,
     wrap_angle,
 )
+from peg3d.scenarios import TrainConfig, build_arena
 
 
 def agent(pos, alpha=0.0, theta=math.pi / 2.0, speed=1.0):
@@ -61,27 +60,27 @@ class TestHeadingVector:
 
 class TestStepAgent:
     def test_turn_clamped_to_the_limit(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((5.0, 5.0, 5.0), theta=1.5), 2.0, -2.0, 0.1, arena)
         assert (s.alpha, s.theta) == (TURN_LIMIT, 1.5 - TURN_LIMIT)
 
     def test_turn_within_limits_untouched(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((5.0, 5.0, 5.0), theta=1.5), 0.3, -0.3, 0.1, arena)
         assert (s.alpha, s.theta) == (0.3, 1.5 - 0.3)
 
     def test_unit_motion_along_x(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((0.0, 0.0, 0.0)), 0.0, 0.0, 1.0, arena)
         assert s.position == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
     def test_vertical_motion_at_zero_polar(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((0.0, 0.0, 0.0), alpha=2.5, theta=0.0), 0.0, 0.0, 1.0, arena)
         assert s.position == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     def test_turn_applied_before_advance(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((0.0, 0.0, 0.0), speed=1.1), math.pi / 4.0, 0.0, 0.1, arena)
         assert s.alpha == pytest.approx(math.pi / 4.0, abs=1e-12)
         expected = 0.11 * math.cos(math.pi / 4.0)
@@ -89,7 +88,7 @@ class TestStepAgent:
         assert s.position[0] == pytest.approx(0.07778, abs=1e-5)
 
     def test_displacement_magnitude_randomized(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         rng = np.random.default_rng(7)
         for _ in range(10_000):
             pos = tuple(rng.uniform(1.0, 19.0, size=3))
@@ -105,27 +104,27 @@ class TestStepAgent:
             assert abs(math.dist(moved.position, pos) - st.speed * dt) <= 1e-12
 
     def test_position_clipped_to_box(self):
-        arena = Arena(extents=(10.0, 10.0, 5.0))
+        arena = build_arena(TrainConfig(arena_extents=(10.0, 10.0, 5.0)), [])
         s = step_agent(agent((9.95, 5.0, 0.0)), 0.0, 0.0, 1.0, arena)
         assert s.position[0] == 10.0
         s = step_agent(agent((0.02, 5.0, 0.0), alpha=math.pi), 0.0, 0.0, 1.0, arena)
         assert s.position[0] == 0.0
 
     def test_theta_clamped_to_polar_range(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((5.0, 5.0, 5.0), theta=0.1), 0.0, -0.5, 1.0, arena)
         assert s.theta == 0.0
         s = step_agent(agent((5.0, 5.0, 5.0), theta=3.0), 0.0, 0.5, 1.0, arena)
         assert s.theta == math.pi
 
     def test_alpha_wraps(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         s = step_agent(agent((5.0, 5.0, 5.0), alpha=3.0), 0.5, 0.0, 0.1, arena)
         assert -math.pi < s.alpha <= math.pi
         assert s.alpha == pytest.approx(3.5 - 2.0 * math.pi, abs=1e-12)
 
     def test_straight_line_with_zero_commands(self):
-        arena = Arena(extents=(100.0, 100.0, 100.0))
+        arena = build_arena(TrainConfig(arena_extents=(100.0, 100.0, 100.0)), [])
         st = agent((10.0, 10.0, 10.0), alpha=0.7, theta=1.1, speed=1.0)
         first = None
         prev = st
@@ -142,32 +141,32 @@ class TestStepAgent:
 
 class TestTermination:
     def test_captured_within_distance(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((0.66, 0.0, 0.0))
         assert check_termination(p, e, arena, 40.0) == CAPTURED
 
     def test_capture_inclusive_at_threshold(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((1.0, 0.0, 0.0))
         assert check_termination(p, e, arena, 0.0) == CAPTURED
 
     def test_timeout_strictly_after_budget(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((5.0, 0.0, 0.0))
         assert check_termination(p, e, arena, 100.0) == RUNNING
         assert check_termination(p, e, arena, 100.1) == TIMEOUT
 
     def test_capture_takes_precedence_over_timeout(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((0.5, 0.0, 0.0))
         assert check_termination(p, e, arena, 200.0) == CAPTURED
 
     def test_timeout_monotone_in_elapsed(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((5.0, 0.0, 0.0))
         fired = False
@@ -180,22 +179,20 @@ class TestTermination:
 
 class TestObstacles:
     def test_surface_distance(self):
-        arena = Arena(obstacles=[Obstacle(center=(6.0, 5.0, 3.0), radius=1.0)])
+        arena = build_arena(TrainConfig(), [Obstacle(center=(6.0, 5.0, 3.0), radius=1.0)])
         obs, dist = nearest_obstacle((3.0, 5.0, 3.0), arena)
         assert obs is arena.obstacles[0]
         assert dist == pytest.approx(2.0, abs=1e-12)
 
     def test_negative_inside(self):
-        arena = Arena(obstacles=[Obstacle(center=(3.0, 3.0, 3.0), radius=1.0)])
+        arena = build_arena(TrainConfig(), [Obstacle(center=(3.0, 3.0, 3.0), radius=1.0)])
         _, dist = nearest_obstacle((3.0, 3.0, 3.5), arena)
         assert dist == pytest.approx(-0.5, abs=1e-12)
-        assert collision_check((3.0, 3.0, 3.5), arena)
-        assert not collision_check((3.0, 3.0, 5.0), arena)
 
     def test_argmin_prefers_first(self):
         first = Obstacle(center=(5.0, 3.0, 3.0), radius=1.0)
         second = Obstacle(center=(8.0, 3.0, 3.0), radius=1.0)
-        arena = Arena(obstacles=[first, second])
+        arena = build_arena(TrainConfig(), [first, second])
         obs, dist = nearest_obstacle((3.0, 3.0, 3.0), arena)
         assert obs is first
         assert dist == pytest.approx(1.0, abs=1e-12)
@@ -203,27 +200,15 @@ class TestObstacles:
     def test_tie_returns_first_listed(self):
         left = Obstacle(center=(3.0, 5.0, 3.0), radius=1.0)
         right = Obstacle(center=(7.0, 5.0, 3.0), radius=1.0)
-        arena = Arena(obstacles=[left, right])
+        arena = build_arena(TrainConfig(), [left, right])
         obs, _ = nearest_obstacle((5.0, 5.0, 3.0), arena)
         assert obs is left
 
     def test_empty_arena_sentinel(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         obs, dist = nearest_obstacle((1.0, 2.0, 3.0), arena)
         assert obs is None
         assert dist == 35.0
-
-    def test_arena_rejects_protruding_obstacle(self):
-        with pytest.raises(ValueError):
-            Arena(obstacles=[Obstacle(center=(0.5, 5.0, 5.0), radius=1.0)])
-        with pytest.raises(ValueError):
-            Arena(obstacles=[Obstacle(center=(5.0, 5.0, 19.5), radius=1.0)])
-
-    def test_arena_validation(self):
-        with pytest.raises(ValueError):
-            Arena(dt=0.0)
-        with pytest.raises(ValueError):
-            Arena(capture_distance=-1.0)
 
 
 class TestConeLimitedCommand:

@@ -9,11 +9,8 @@ from peg3d.geometry import (
     PURSUER_DOMINANT,
     ApolloniusSphere,
     DegenerateInputError,
-    angle_between,
     apollonius_sphere,
     dominance,
-    in_evasion_halfspace,
-    in_pursuit_cone,
     pursuit_cone_halfangle,
     pursuit_offset_angle,
 )
@@ -216,44 +213,3 @@ class TestCones:
         vals = [pursuit_offset_angle(t, 1.1, 1.0) for t in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == max(vals)
-
-    def test_membership_queries(self):
-        p, e = (0.0, 0.0, 0.0), (10.0, 0.0, 0.0)
-        assert in_pursuit_cone((1.0, 0.0, 0.0), p, e, 1.1, 1.0)
-        assert not in_pursuit_cone((-1.0, 0.0, 0.0), p, e, 1.1, 1.0)
-        # offset just inside / outside the half-angle
-        half = pursuit_cone_halfangle(1.1, 1.0)
-        inside = (math.cos(half - 1e-6), math.sin(half - 1e-6), 0.0)
-        outside = (math.cos(half + 1e-6), math.sin(half + 1e-6), 0.0)
-        assert in_pursuit_cone(inside, p, e, 1.1, 1.0)
-        assert not in_pursuit_cone(outside, p, e, 1.1, 1.0)
-        assert in_evasion_halfspace((-1.0, 0.0, 0.0), p, e)
-        assert in_evasion_halfspace((0.0, 1.0, 0.0), p, e)
-        assert not in_evasion_halfspace((1.0, 0.0, 0.0), p, e)
-
-
-class TestAngleBetween:
-    def test_basic_angles(self):
-        assert angle_between((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)) == 0.0
-        assert angle_between((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == pytest.approx(
-            math.pi / 2.0, abs=1e-12
-        )
-        assert angle_between((1.0, 1.0, 0.0), (1.0, 0.0, 0.0)) == pytest.approx(
-            math.pi / 4.0, abs=1e-12
-        )
-
-    def test_antiparallel(self):
-        assert angle_between((0.0, 0.0, 2.0), (0.0, 0.0, -3.0)) == pytest.approx(
-            math.pi, abs=1e-12
-        )
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angle_between((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
-    def test_rounding_never_produces_nan(self):
-        rng = np.random.default_rng(23)
-        for _ in range(500):
-            u = rng.normal(size=3) * 10.0 ** rng.integers(-6, 6)
-            result = angle_between(u, 3.0 * u)
-            assert 0.0 <= result <= math.pi

@@ -472,6 +472,13 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(bad)
 
+    def test_bad_config_value_rejected_on_load(self):
+        res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
+        bad = json.loads(json.dumps(res.checkpoint))
+        bad["config"]["dt"] = 0
+        with pytest.raises(ValueError, match="^dt must be finite and > 0, got 0$"):
+            load_checkpoint(bad)
+
 
 class TestEvaluate:
     def test_colocated_start_captures_instantly(self):
@@ -713,6 +720,20 @@ class TestCLI:
         with pytest.raises(SystemExit, match=f"^peg3d replay: {message}"):
             cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out", [None, "."])
+    def test_replay_refuses_to_overwrite_its_log(self, tmp_path, monkeypatch, out):
+        sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=3)
+        log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        before = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        argv = ["replay", "--log", str(path), "--export", "json"]
+        with pytest.raises(SystemExit, match="^peg3d replay: .* would overwrite --log"):
+            cli_main(argv if out is None else [*argv, "--out", out])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["episode.json"]
 
     def test_train_with_config_and_scenario_file(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from peg3d.env import TURN_LIMIT, Arena, AgentState, Obstacle
+from peg3d.env import TURN_LIMIT, AgentState, Obstacle
 from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
-from peg3d.scenarios import TrainConfig
+from peg3d.scenarios import TrainConfig, build_arena
 from peg3d.training import build_rulebase
 
 
@@ -227,7 +227,7 @@ class TestStateDict:
 
 class TestExtractInputs:
     def test_aligned(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(0.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(5.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
         d, ang, d_obs, ang_obs = extract_inputs(me, other, arena)
@@ -237,28 +237,28 @@ class TestExtractInputs:
         assert ang_obs == 0.0
 
     def test_perpendicular(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(0.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(0.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
         _, ang, _, _ = extract_inputs(me, other, arena)
         assert ang == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_pythagorean_distance(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(0.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(3.0, 4.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
         d, _, _, _ = extract_inputs(me, other, arena)
         assert d == 5.0
 
     def test_coincident_positions_angle_zero(self):
-        arena = Arena()
+        arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(2.0, 2.0, 2.0), alpha=0.3, theta=1.0, speed=1.1)
         other = AgentState(position=(2.0, 2.0, 2.0), alpha=0.0, theta=1.0, speed=1.0)
         _, ang, _, _ = extract_inputs(me, other, arena)
         assert ang == 0.0
 
     def test_obstacle_features(self):
-        arena = Arena(obstacles=[Obstacle(center=(3.0, 5.0, 2.0), radius=1.0)])
+        arena = build_arena(TrainConfig(), [Obstacle(center=(3.0, 5.0, 2.0), radius=1.0)])
         me = AgentState(position=(3.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(10.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
         _, _, d_obs, ang_obs = extract_inputs(me, other, arena)
@@ -266,7 +266,7 @@ class TestExtractInputs:
         assert ang_obs == pytest.approx(math.pi / 2.0, abs=1e-12)  # obstacle straight up
 
     def test_precomputed_nearest_passthrough(self):
-        arena = Arena(obstacles=[Obstacle(center=(3.0, 5.0, 2.0), radius=1.0)])
+        arena = build_arena(TrainConfig(), [Obstacle(center=(3.0, 5.0, 2.0), radius=1.0)])
         me = AgentState(position=(3.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(10.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
         from peg3d.env import nearest_obstacle

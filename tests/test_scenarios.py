@@ -166,6 +166,12 @@ class TestTrainConfigDefaults:
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {speed!r}$"):
             TrainConfig(**{name: speed})
 
+    def test_arena_validation(self):
+        with pytest.raises(ValueError, match="^dt must be finite and > 0, got 0.0$"):
+            TrainConfig(dt=0.0)
+        with pytest.raises(ValueError, match="^capture_distance must be finite and > 0"):
+            TrainConfig(capture_distance=-1.0)
+
     def test_round_trip_fills_missing_keys_with_defaults(self):
         assert train_config_from_dict({"seed": 4}) == TrainConfig(seed=4)
         sc = scenario_from_dict({"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6]})
@@ -218,6 +224,65 @@ class TestTrainConfigDefaults:
             scenario_from_dict(data)
 
 
+SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0, 0.0)}
+
+
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        *(
+            (TrainConfig, {name: value}, f"{name} must be finite and > 0, got {value!r}")
+            for name in ("dt", "max_time", "capture_distance", "sensing_range")
+            for value in (0.0, -1.0, math.nan, math.inf)
+        ),
+        (
+            TrainConfig,
+            {"arena_extents": (35.0, 35.0)},
+            "extents must be 3 floats, got (35.0, 35.0)",
+        ),
+        (
+            TrainConfig,
+            {"arena_extents": (35.0, 0.0, 20.0)},
+            "arena extent y must be finite and > 0, got 0.0",
+        ),
+        (LearnerConfig, {"mfs_per_input": 1}, "need at least 2 membership functions"),
+        (
+            LearnerConfig,
+            {"distance_domain": (5.0, 1.0)},
+            "partition domain must be finite with lo < hi, got (5.0, 1.0)",
+        ),
+        (
+            Scenario,
+            {**SCENARIO_STARTS, "pursuer_start": (1.0, 2.0)},
+            "pursuer_start must be 3 floats (x y z), got (1.0, 2.0)",
+        ),
+        (
+            Scenario,
+            {**SCENARIO_STARTS, "pursuer_heading": (1.0, 2.0, 3.0)},
+            "pursuer_heading must be 2 floats (alpha theta), got (1.0, 2.0, 3.0)",
+        ),
+        (
+            Scenario,
+            {**SCENARIO_STARTS, "obstacle_count": -1},
+            "obstacle_count must be >= 0, got -1",
+        ),
+        (
+            Scenario,
+            {**SCENARIO_STARTS, "obstacle_margin": -1.0},
+            "obstacle_margin must be finite and >= 0, got -1.0",
+        ),
+        (
+            Scenario,
+            {**SCENARIO_STARTS, "obstacles": ((10.0, 10.0, 5.0, 0.0),)},
+            "obstacle radius must be finite and > 0, got 0.0",
+        ),
+    ],
+)
+def test_config_dataclass_rejects_bad_value_when_built(cls, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**values)
+
+
 class TestCheckScenario:
     def test_builtin_scenarios_pass(self):
         for sc in builtin_scenarios().values():
@@ -232,8 +297,10 @@ class TestCheckScenario:
         [(50.0, 50.0, 50.0), (5.0, 5.0, -0.1), (5.0, 35.5, 0.0), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)],
     )
     def test_start_outside_the_box_or_not_three_floats_rejected(self, start):
-        sc = Scenario(pursuer_start=(5.0, 30.0, 0.0), evader_start=start)
-        with pytest.raises(ValueError, match="evader_start must be 3 floats in the arena"):
+        # A start of the wrong length fails when the scenario is built; one outside the box
+        # fails here.
+        with pytest.raises(ValueError, match="^evader_start must be 3 floats"):
+            sc = Scenario(pursuer_start=(5.0, 30.0, 0.0), evader_start=start)
             check_scenario(sc, TrainConfig())
 
     def test_start_checked_against_the_configured_box(self):
@@ -241,6 +308,14 @@ class TestCheckScenario:
         check_scenario(sc, TrainConfig(arena_extents=(40.0, 40.0, 40.0)))
         with pytest.raises(ValueError, match="pursuer_start"):
             check_scenario(sc, TrainConfig())
+
+    def test_arena_rejects_protruding_obstacle(self):
+        for row in ((0.5, 5.0, 5.0, 1.0), (5.0, 5.0, 19.5, 1.0)):
+            sc = Scenario(**SCENARIO_STARTS, obstacles=(row,))
+            message = f"obstacle at {row[:3]} not fully inside arena"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_scenario(sc, TrainConfig())
+        check_scenario(dataclasses.replace(sc, obstacles=((5.0, 5.0, 19.0, 1.0),)), TrainConfig())
 
     def test_start_inside_explicit_obstacle_rejected(self):
         sc = Scenario(
@@ -280,9 +355,9 @@ class TestCheckScenario:
 
     @pytest.mark.parametrize("heading", [(1.0,), (1.0, 2.0, 3.0)])
     def test_heading_must_be_two_floats(self, heading):
-        sc = dataclasses.replace(builtin_scenarios()[1], evader_heading=heading)
+        sc = builtin_scenarios()[1]
         with pytest.raises(ValueError, match=r"evader_heading must be 2 floats \(alpha theta\)"):
-            check_scenario(sc, TrainConfig())
+            dataclasses.replace(sc, evader_heading=heading)
         check_scenario(dataclasses.replace(sc, evader_heading=(1.0, 2.0)), TrainConfig())
         check_scenario(dataclasses.replace(sc, evader_heading=()), TrainConfig())
 
@@ -331,13 +406,13 @@ class TestObstaclePlacement:
                 assert math.dist(obs.center, s) - obs.radius >= 3.0
 
     def test_deterministic_given_stream(self):
-        a = place_obstacles(np.random.default_rng(7), (35.0, 35.0, 20.0), 3, 1.0, [(5, 5, 0)])
-        b = place_obstacles(np.random.default_rng(7), (35.0, 35.0, 20.0), 3, 1.0, [(5, 5, 0)])
+        a = place_obstacles(np.random.default_rng(7), (35.0, 35.0, 20.0), 3, 1.0, [(5, 5, 0)], 3.0)
+        b = place_obstacles(np.random.default_rng(7), (35.0, 35.0, 20.0), 3, 1.0, [(5, 5, 0)], 3.0)
         assert [o.center for o in a] == [o.center for o in b]
 
     def test_impossible_radius_rejected(self):
         with pytest.raises(ValueError):
-            place_obstacles(np.random.default_rng(1), (35.0, 35.0, 20.0), 1, 11.0, [])
+            place_obstacles(np.random.default_rng(1), (35.0, 35.0, 20.0), 1, 11.0, [], 3.0)
 
     def test_unplaceable_layout_raises(self):
         # margin larger than the arena diagonal: every draw is rejected
