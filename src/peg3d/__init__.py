@@ -25,7 +25,7 @@ from .geometry import (
     pursuit_offset_angle,
 )
 from .learner import FuzzyActorCritic, LearnerConfig, extract_inputs
-from .logs import EpisodeLog, StepRecord, export_csv, export_episode, export_json, load_episode
+from .logs import EpisodeLog, StepRecord, export_csv, export_json, load_episode
 from .reward import (
     RewardConfig,
     attraction_reward,

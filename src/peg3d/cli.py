@@ -8,7 +8,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .logs import export_episode, load_episode
+# perfbench/ times replay by rebinding ``cli.load_episode`` and the ``logs``
+# module's exporters, so replay calls the exporters through ``logs``.
+from . import logs
+from .logs import load_episode
 from .scenarios import (
     FREEZE_MODES,
     LOG_STEPS_MODES,
@@ -127,7 +130,11 @@ def _cmd_replay(args):
         log = load_episode(args.log)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d replay: {exc}") from None
-    paths = export_episode(log, args.export, out_dir, stem=log_path.stem)
+    if args.export == "json":
+        logs.export_json(log, target)
+        paths = [target]
+    else:
+        paths = logs.export_csv(log, out_dir, stem=log_path.stem)
     for path in paths:
         print(path)
     return 0

@@ -77,7 +77,7 @@ class Obstacle:
 
 @dataclass
 class Arena:
-    """One episode's world: box extents, obstacles, timing, and capture rule.
+    """One episode's world: box extents, obstacles, play budget, and capture rule.
 
     Built by ``scenarios.build_arena`` from a checked ``TrainConfig`` and
     obstacle layout, so it holds no defaults or checks of its own.
@@ -86,7 +86,7 @@ class Arena:
     extents: tuple[float, float, float]
     obstacles: list[Obstacle]
     capture_distance: float
-    max_time: float
+    max_plays: int
     dt: float
     sensing_range: float
 
@@ -161,17 +161,15 @@ def cone_limited_command(
     return da, dth
 
 
-def check_termination(
-    pursuer: AgentState, evader: AgentState, arena: Arena, elapsed: float
-) -> str:
-    """Episode outcome at the current instant.
+def check_termination(pursuer: AgentState, evader: AgentState, arena: Arena, steps: int) -> str:
+    """Episode outcome after ``steps`` plays.
 
     Capture (separation at or below the capture distance) takes precedence
-    over a simultaneous timeout (elapsed strictly above the time budget).
+    over a simultaneous timeout (``steps`` has reached the play budget).
     """
     if math.dist(pursuer.position, evader.position) <= arena.capture_distance:
         return CAPTURED
-    if elapsed > arena.max_time:
+    if steps >= arena.max_plays:
         return TIMEOUT
     return RUNNING
 

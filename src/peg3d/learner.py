@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import TURN_LIMIT, AgentState, Arena, heading_vector, nearest_obstacle
+from .env import TURN_LIMIT, AgentState, heading_vector
 from .fuzzy import uniform_partition
 
 __all__ = [
+    "ANGLE_DOMAIN",
     "CHANNELS",
+    "DISTANCE_DOMAIN",
     "FuzzyActorCritic",
     "LearnerConfig",
     "extract_inputs",
@@ -43,8 +45,6 @@ class LearnerConfig:
     gamma: float = 0.95
     sigma: float = 0.1
     mfs_per_input: int = 5
-    distance_domain: tuple[float, float] = (0.0, 35.0)
-    angle_domain: tuple[float, float] = (-math.pi, math.pi)
 
     def __post_init__(self):
         for name in ("alpha_actor", "alpha_critic", "sigma"):
@@ -56,8 +56,7 @@ class LearnerConfig:
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
-        for domain in (self.distance_domain, self.angle_domain):
-            uniform_partition(*domain, self.mfs_per_input)  # raises on a bad rule layout
+        uniform_partition(*DISTANCE_DOMAIN, self.mfs_per_input)  # raises on a bad rule count
 
 
 class FuzzyActorCritic:
@@ -142,11 +141,14 @@ def _heading_offset(heading, dx: float, dy: float, dz: float, norm: float) -> fl
     return math.acos(max(-1.0, min(1.0, cosine)))
 
 
+# The rule grid's input domains, one per kind of feature extract_inputs returns:
+# distances in metres (the arena's long side) and heading offsets in radians.
+DISTANCE_DOMAIN = (0.0, 35.0)
+ANGLE_DOMAIN = (-math.pi, math.pi)
+
+
 def extract_inputs(
-    agent: AgentState,
-    opponent: AgentState,
-    arena: Arena,
-    nearest: tuple | None = None,
+    agent: AgentState, opponent: AgentState, nearest: tuple
 ) -> tuple[float, float, float, float]:
     """Four chase features seen from ``agent``'s side.
 
@@ -154,9 +156,9 @@ def extract_inputs(
     nearest-obstacle surface distance, heading offset from the obstacle line)``.
     The same formula serves pursuer and evader: each measures angles from its
     own heading to the line toward its opponent.  Coincident points yield
-    angle 0 by convention; with no obstacles the sensing-range sentinel is
-    paired with angle 0.  Callers that already looked up the agent's nearest
-    obstacle can pass it as ``nearest`` to skip the repeat query.
+    angle 0 by convention.  ``nearest`` is the agent's
+    ``env.nearest_obstacle(agent.position, arena)``; with no obstacles its
+    sensing-range sentinel is paired with angle 0.
     """
     ox, oy, oz = agent.position
     tx, ty, tz = opponent.position
@@ -167,9 +169,7 @@ def extract_inputs(
         angle_opponent = 0.0
     else:
         angle_opponent = _heading_offset(heading, dx, dy, dz, d_opponent)
-    obstacle, d_obstacle = nearest if nearest is not None else nearest_obstacle(
-        agent.position, arena
-    )
+    obstacle, d_obstacle = nearest
     if obstacle is None:
         angle_obstacle = 0.0
     else:

@@ -29,7 +29,6 @@ __all__ = [
     "export_json",
     "load_episode",
     "export_csv",
-    "export_episode",
 ]
 
 EPISODE_SCHEMA = "peg3d.episode.v1"
@@ -270,15 +269,3 @@ def export_csv(log: EpisodeLog, out_dir, stem: str = "episode") -> list[Path]:
         json.dump(summary_data, fh, indent=1)
         fh.write("\n")
     return [trajectory, series, summary]
-
-
-def export_episode(log: EpisodeLog, fmt: str, out_dir, stem: str = "episode") -> list[Path]:
-    """Dispatch on export format; returns the written paths."""
-    out_dir = Path(out_dir)
-    if fmt == "json":
-        path = out_dir / f"{stem}.json"
-        export_json(log, path)
-        return [path]
-    if fmt == "csv":
-        return export_csv(log, out_dir, stem=stem)
-    raise ValueError(f"unknown export format {fmt!r} (use csv or json)")

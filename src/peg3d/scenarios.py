@@ -50,7 +50,6 @@ class TrainConfig:
     dt: float = 0.1
     seed: int = 0
     capture_distance: float = 1.0
-    max_time: float = 100.0
     pursuer_speed: float = 1.1
     evader_speed: float = 1.0
     arena_extents: tuple[float, float, float] = (35.0, 35.0, 20.0)
@@ -62,13 +61,13 @@ class TrainConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        if self.max_plays < 1:
-            raise ValueError("max_plays must be >= 1")
-        for name in (
-            "dt", "capture_distance", "max_time", "pursuer_speed", "evader_speed", "sensing_range"
-        ):
+        for name in ("episodes", "max_plays"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("dt", "capture_distance", "pursuer_speed", "evader_speed", "sensing_range"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # false for NaN too
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -211,7 +210,7 @@ def build_arena(config: TrainConfig, obstacles) -> Arena:
         extents=config.arena_extents,
         obstacles=list(obstacles),
         capture_distance=config.capture_distance,
-        max_time=config.max_time,
+        max_plays=config.max_plays,
         dt=config.dt,
         sensing_range=config.sensing_range,
     )
@@ -293,10 +292,7 @@ def _parse_obstacle_rows(text: str) -> tuple[tuple[float, ...], ...]:
 INI_SECTIONS = {
     "config": (None, ("schema",)),
     "train": (TrainConfig, ("episodes", "max_plays", "seed", "freeze", "log_steps")),
-    "arena": (
-        TrainConfig,
-        ("extents", "dt", "capture_distance", "max_time", "sensing_range"),
-    ),
+    "arena": (TrainConfig, ("extents", "dt", "capture_distance", "sensing_range")),
     "agents": (TrainConfig, ("pursuer_speed", "evader_speed", "cone_constraint")),
     "learner": (LearnerConfig, ("alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input")),
     "reward": (RewardConfig, tuple(f.name for f in fields(RewardConfig))),
@@ -378,7 +374,6 @@ _JSON_CHECKS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": lambda v: _numbers((v,)),
     "str": lambda v: isinstance(v, str),
-    "tuple[float, float]": lambda v: _numbers(v, 2),  # the learner's input domains
     "tuple[float, float, float]": _numbers,
     "tuple[float, float] | None": lambda v: v is None or _numbers(v),
     "tuple[tuple[float, float, float, float], ...] | None": _obstacle_rows,

@@ -25,7 +25,6 @@ from ._version import __version__
 from .env import (
     CAPTURED,
     RUNNING,
-    TIMEOUT,
     check_termination,
     cone_limited_command,
     nearest_obstacle,
@@ -33,7 +32,7 @@ from .env import (
 )
 from .fuzzy import RuleBase, firing_entropy, uniform_partition
 from .geometry import pursuit_cone_halfangle
-from .learner import FuzzyActorCritic, extract_inputs
+from .learner import ANGLE_DOMAIN, DISTANCE_DOMAIN, FuzzyActorCritic, extract_inputs
 from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_rows_csv
 from .reward import EVADER, PURSUER, total_reward
 from .scenarios import (
@@ -63,7 +62,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_SCHEMA = "peg3d.checkpoint.v2"
+CHECKPOINT_SCHEMA = "peg3d.checkpoint.v3"
 MANIFEST_SCHEMA = "peg3d.manifest.v1"
 METRICS_SCHEMA = "peg3d.metrics.v1"
 EPISODES_CSV_SCHEMA = "peg3d.episodes.v1"
@@ -78,9 +77,9 @@ class CheckpointLayoutError(ValueError):
 
 def build_rulebase(config: TrainConfig) -> RuleBase:
     """Rule grid over the four chase features: [distance, angle, distance, angle]."""
-    learner = config.learner
-    distance = uniform_partition(*learner.distance_domain, learner.mfs_per_input)
-    angle = uniform_partition(*learner.angle_domain, learner.mfs_per_input)
+    n_mfs = config.learner.mfs_per_input
+    distance = uniform_partition(*DISTANCE_DOMAIN, n_mfs)
+    angle = uniform_partition(*ANGLE_DOMAIN, n_mfs)
     return RuleBase([distance, angle, distance, angle])
 
 
@@ -104,12 +103,11 @@ def run_episode(
     Each iteration: both agents act on the current state, both move, the
     shared transition is scored, and (when training) both critics and actors
     update from it before the next iteration.  An episode ends on capture,
-    on the arena time budget, or when the play budget ``config.max_plays``
-    runs out (logged as a timeout).
+    or as a timeout after ``config.max_plays`` plays.
     """
     arena = build_arena(config, obstacles)
     starts = initial_states(scenario, config)
-    reward_cfg, max_plays = config.reward, config.max_plays
+    reward_cfg = config.reward
     cone_constraint = config.cone_constraint
     v_p, v_e = starts[0].speed, starts[1].speed
     halfangle = pursuit_cone_halfangle(v_p, v_e) if 0.0 < v_e < v_p else None
@@ -130,7 +128,7 @@ def run_episode(
     near, feats, phi = [None, None], [None, None], [None, None]
     for i in (0, 1):
         near[i] = nearest_obstacle(states[i].position, arena)
-        feats[i] = extract_inputs(states[i], states[1 - i], arena, nearest=near[i])
+        feats[i] = extract_inputs(states[i], states[1 - i], near[i])
         phi[i] = rulebase.fire(feats[i])
     u, x, r, td, ent, cone = ([None, None] for _ in range(6))  # this step's, for its record
 
@@ -142,9 +140,9 @@ def run_episode(
     steps = 0
     elapsed = 0.0
     d_now = feats[0][0]
-    outcome = check_termination(states[0], states[1], arena, elapsed)
+    outcome = check_termination(states[0], states[1], arena, steps)
 
-    while outcome == RUNNING and steps < max_plays:
+    while outcome == RUNNING:
         if cone_constraint:
             (px, py, pz), (qx, qy, qz) = states[0].position, states[1].position
             los = (qx - px, qy - py, qz - pz)  # P -> E; also the evader's away direction
@@ -163,16 +161,14 @@ def run_episode(
             states[i] = step_agent(state, *x[i], arena.dt, arena)
         steps += 1
         elapsed = steps * arena.dt
-        outcome = check_termination(states[0], states[1], arena, elapsed)
-        if outcome == RUNNING and steps >= max_plays:
-            outcome = TIMEOUT
+        outcome = check_termination(states[0], states[1], arena, steps)
         terminal = outcome != RUNNING
         captured = outcome == CAPTURED
 
         for i in (0, 1):
             state = states[i]
             near[i] = nearest = nearest_obstacle(state.position, arena)
-            feats[i] = extract_inputs(state, states[1 - i], arena, nearest=nearest)
+            feats[i] = extract_inputs(state, states[1 - i], nearest)
         d_prev, d_next = d_now, feats[0][0]
 
         for i, role in enumerate(_ROLES):

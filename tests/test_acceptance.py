@@ -226,7 +226,7 @@ def test_criterion_7_end_to_end_training(trained_protocol):
         for seed in seeds:
             for row in results[(number, seed)]["rows"]:
                 assert row["outcome"] in ("captured", "timeout")
-                assert row["elapsed"] <= config.max_time + 1e-9
+                assert row["elapsed"] <= config.max_plays * config.dt + 1e-9
                 if row["outcome"] == "captured":
                     assert row["final_distance"] <= config.capture_distance + 1e-12
 

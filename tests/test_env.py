@@ -144,37 +144,38 @@ class TestTermination:
         arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((0.66, 0.0, 0.0))
-        assert check_termination(p, e, arena, 40.0) == CAPTURED
+        assert check_termination(p, e, arena, 400) == CAPTURED
 
     def test_capture_inclusive_at_threshold(self):
         arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((1.0, 0.0, 0.0))
-        assert check_termination(p, e, arena, 0.0) == CAPTURED
+        assert check_termination(p, e, arena, 0) == CAPTURED
 
-    def test_timeout_strictly_after_budget(self):
+    def test_timeout_once_the_play_budget_is_spent(self):
         arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((5.0, 0.0, 0.0))
-        assert check_termination(p, e, arena, 100.0) == RUNNING
-        assert check_termination(p, e, arena, 100.1) == TIMEOUT
+        assert check_termination(p, e, arena, 999) == RUNNING
+        assert check_termination(p, e, arena, 1000) == TIMEOUT
 
     def test_capture_takes_precedence_over_timeout(self):
         arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((0.5, 0.0, 0.0))
-        assert check_termination(p, e, arena, 200.0) == CAPTURED
+        assert check_termination(p, e, arena, 2000) == CAPTURED
 
-    def test_timeout_monotone_in_elapsed(self):
+    def test_timeout_monotone_in_steps(self):
         arena = build_arena(TrainConfig(), [])
         p = agent((0.0, 0.0, 0.0))
         e = agent((5.0, 0.0, 0.0))
         fired = False
-        for elapsed in np.linspace(0.0, 300.0, 601):
-            out = check_termination(p, e, arena, float(elapsed))
+        for steps in range(0, 3001, 5):
+            out = check_termination(p, e, arena, steps)
             if fired:
                 assert out == TIMEOUT
             fired = out == TIMEOUT
+        assert fired
 
 
 class TestObstacles:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from peg3d.env import TURN_LIMIT, AgentState, Obstacle
+from peg3d.env import TURN_LIMIT, AgentState, Obstacle, nearest_obstacle
 from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
 from peg3d.scenarios import TrainConfig, build_arena
 from peg3d.training import build_rulebase
@@ -230,7 +230,7 @@ class TestExtractInputs:
         arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(0.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(5.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
-        d, ang, d_obs, ang_obs = extract_inputs(me, other, arena)
+        d, ang, d_obs, ang_obs = extract_inputs(me, other, nearest_obstacle(me.position, arena))
         assert d == 5.0
         assert ang == 0.0
         assert d_obs == 35.0
@@ -240,36 +240,27 @@ class TestExtractInputs:
         arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(0.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(0.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
-        _, ang, _, _ = extract_inputs(me, other, arena)
+        _, ang, _, _ = extract_inputs(me, other, nearest_obstacle(me.position, arena))
         assert ang == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_pythagorean_distance(self):
         arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(0.0, 0.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(3.0, 4.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
-        d, _, _, _ = extract_inputs(me, other, arena)
+        d, _, _, _ = extract_inputs(me, other, nearest_obstacle(me.position, arena))
         assert d == 5.0
 
     def test_coincident_positions_angle_zero(self):
         arena = build_arena(TrainConfig(), [])
         me = AgentState(position=(2.0, 2.0, 2.0), alpha=0.3, theta=1.0, speed=1.1)
         other = AgentState(position=(2.0, 2.0, 2.0), alpha=0.0, theta=1.0, speed=1.0)
-        _, ang, _, _ = extract_inputs(me, other, arena)
+        _, ang, _, _ = extract_inputs(me, other, nearest_obstacle(me.position, arena))
         assert ang == 0.0
 
     def test_obstacle_features(self):
         arena = build_arena(TrainConfig(), [Obstacle(center=(3.0, 5.0, 2.0), radius=1.0)])
         me = AgentState(position=(3.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
         other = AgentState(position=(10.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
-        _, _, d_obs, ang_obs = extract_inputs(me, other, arena)
+        _, _, d_obs, ang_obs = extract_inputs(me, other, nearest_obstacle(me.position, arena))
         assert d_obs == pytest.approx(1.0, abs=1e-12)
         assert ang_obs == pytest.approx(math.pi / 2.0, abs=1e-12)  # obstacle straight up
-
-    def test_precomputed_nearest_passthrough(self):
-        arena = build_arena(TrainConfig(), [Obstacle(center=(3.0, 5.0, 2.0), radius=1.0)])
-        me = AgentState(position=(3.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.1)
-        other = AgentState(position=(10.0, 5.0, 0.0), alpha=0.0, theta=math.pi / 2.0, speed=1.0)
-        from peg3d.env import nearest_obstacle
-
-        near = nearest_obstacle(me.position, arena)
-        assert extract_inputs(me, other, arena, nearest=near) == extract_inputs(me, other, arena)

@@ -34,7 +34,7 @@ STARTS = {"pursuer_start": [5, 30, 0], "evader_start": [5, 5, 0]}
 ACCEPTED_KEYS = {
     "config": {"schema"},
     "train": {"episodes", "max_plays", "seed", "freeze", "log_steps"},
-    "arena": {"extents", "dt", "capture_distance", "max_time", "sensing_range"},
+    "arena": {"extents", "dt", "capture_distance", "sensing_range"},
     "agents": {"pursuer_speed", "evader_speed", "cone_constraint"},
     "learner": {"alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input"},
     "reward": {
@@ -73,7 +73,6 @@ VALID_VALUES = {
     ("arena", "extents"): st.tuples(_positive, _positive, _positive),
     ("arena", "dt"): _positive,
     ("arena", "capture_distance"): _positive,
-    ("arena", "max_time"): _positive,
     ("arena", "sensing_range"): _positive,
     ("agents", "pursuer_speed"): _positive,
     ("agents", "evader_speed"): _positive,
@@ -135,7 +134,7 @@ class TestTrainConfigDefaults:
         assert cfg.episodes == 200
         assert cfg.dt == 0.1
         assert cfg.capture_distance == 1.0
-        assert cfg.max_time == 100.0
+        assert cfg.max_plays == 1000
         assert (cfg.pursuer_speed, cfg.evader_speed) == (1.1, 1.0)
         assert cfg.arena_extents == (35.0, 35.0, 20.0)
         lc = cfg.learner
@@ -196,11 +195,6 @@ class TestTrainConfigDefaults:
             ({"dt": "0.1"}, "TrainConfig key 'dt' must be float, got '0.1'"),
             ({"arena_extents": [35, "35", 20]}, "TrainConfig key 'arena_extents' must be "),
             ({"learner": 5}, "LearnerConfig must be a JSON object, got 5"),
-            ({"learner": {"angle_domain": None}}, "LearnerConfig key 'angle_domain' must be "),
-            (
-                {"learner": {"distance_domain": [0, 35, 1]}},
-                "LearnerConfig key 'distance_domain' must be tuple[float, float], got (0, 35, 1)",
-            ),
             ({"reward": {"success_coeff": None}}, "RewardConfig key 'success_coeff' must be float"),
             ([], "TrainConfig must be a JSON object, got ()"),
         ],
@@ -232,8 +226,13 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
     [
         *(
             (TrainConfig, {name: value}, f"{name} must be finite and > 0, got {value!r}")
-            for name in ("dt", "max_time", "capture_distance", "sensing_range")
+            for name in ("dt", "capture_distance", "sensing_range")
             for value in (0.0, -1.0, math.nan, math.inf)
+        ),
+        *(
+            (TrainConfig, {name: value}, f"{name} must be an int, got {value!r}")
+            for name in ("episodes", "max_plays")
+            for value in (1.5, 5.5, True, "3")
         ),
         (
             TrainConfig,
@@ -246,11 +245,6 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
             "arena extent y must be finite and > 0, got 0.0",
         ),
         (LearnerConfig, {"mfs_per_input": 1}, "need at least 2 membership functions"),
-        (
-            LearnerConfig,
-            {"distance_domain": (5.0, 1.0)},
-            "partition domain must be finite with lo < hi, got (5.0, 1.0)",
-        ),
         (
             Scenario,
             {**SCENARIO_STARTS, "pursuer_start": (1.0, 2.0)},
