@@ -83,7 +83,9 @@ def _cmd_train(args):
 
 def _cmd_evaluate(args):
     if args.runs < 1:
-        raise SystemExit("peg3d evaluate: runs must be >= 1")
+        raise SystemExit(f"peg3d evaluate: runs must be >= 1, got {args.runs}")
+    if args.seed is not None and args.seed < 0:
+        raise SystemExit(f"peg3d evaluate: seed must be >= 0, got {args.seed}")
     if args.save_logs and args.out is None:
         raise SystemExit("peg3d evaluate: --save-logs needs --out")
     try:

@@ -100,16 +100,16 @@ class RuleBase:
         self.shape = tuple(len(p.peaks) for p in self.partitions)
         self.n_rules = int(np.prod(self.shape))
         strides = [int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape))]
-        # Per input: the clamp range, the peaks, the last cell's index and
-        # the row-major stride.  Below the first peak (or above the last) the
-        # shoulder holds the degrees of that peak, so clamping the domain
-        # ends into the peak range keeps every degree exact.
+        # Per input: the clamp range, the peaks, the number of cells between
+        # them and the row-major stride.  Below the first peak (or above the
+        # last) the shoulder holds the degrees of that peak, so clamping the
+        # domain ends into the peak range keeps every degree exact.
         self._cells = tuple(
             (
                 min(max(p.lo, p.peaks[0]), p.peaks[-1]),
                 min(max(p.hi, p.peaks[0]), p.peaks[-1]),
                 p.peaks,
-                len(p.peaks) - 2,
+                len(p.peaks) - 1,
                 stride,
             )
             for p, stride in zip(self.partitions, strides)
@@ -142,21 +142,26 @@ class RuleBase:
             raise ValueError(f"expected {len(self.partitions)} inputs, got {len(x)}")
         products = [1.0]
         base = 0
-        for (x_lo, x_hi, peaks, last, stride), xi in zip(self._cells, x):
-            xc = min(max(xi, x_lo), x_hi)
-            k = min(bisect_right(peaks, xc) - 1, last)
+        for (x_lo, x_hi, peaks, n_cells, stride), xi in zip(self._cells, x):
+            # Same result as min(max(...)) (NaN too), at less cost.
+            xc = x_lo if xi < x_lo else x_hi if xi > x_hi else xi
+            k = bisect_right(peaks, xc, 0, n_cells) - 1  # the last peak closes the last cell
             left, right = peaks[k], peaks[k + 1]
             width = right - left
             low, high = (right - xc) / width, (xc - left) / width
-            products = [p * d for p in products for d in (low, high)]
+            grown = []
+            for p in products:  # row-major, as ((d0 * d1) * d2) * d3
+                grown += (p * low, p * high)
+            products = grown
             base += k * stride
         raw = np.zeros(self.n_rules)
         raw[base + self._offsets] = products
-        return raw / raw.sum()
+        raw /= raw.sum()  # the dense pairwise sum decides the last bit, as in the reference
+        return raw
 
 
 def firing_entropy(phi) -> float:
     """Shannon entropy (nats) of a firing vector; a rule-activation spread diagnostic."""
     phi = np.asarray(phi, dtype=float)
     active = phi[phi > 0.0]
-    return float(-(active * np.log(active)).sum())
+    return -float(np.add.reduce(active * np.log(active)))

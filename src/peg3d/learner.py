@@ -56,6 +56,8 @@ class LearnerConfig:
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
+        if not isinstance(self.mfs_per_input, int) or isinstance(self.mfs_per_input, bool):
+            raise ValueError(f"mfs_per_input must be an int, got {self.mfs_per_input!r}")
         uniform_partition(*DISTANCE_DOMAIN, self.mfs_per_input)  # raises on a bad rule count
 
 
@@ -77,19 +79,24 @@ class FuzzyActorCritic:
     def act(self, phi: np.ndarray, rng: np.random.Generator | None = None):
         """Commanded and executed actions for the current firing vector.
 
-        Returns ``(u, u_exec)``: the raw per-channel actor outputs and the
-        executed actions, which add exploration noise (when ``rng`` is given)
-        and are clamped to the action limit.  The executed action is what
-        both the environment and the actor update must see.
+        Returns ``(u, u_exec)``: ``u`` is the ndarray of raw per-channel actor
+        outputs, and ``u_exec`` the executed action as a tuple of plain
+        floats, one per channel, which adds exploration noise (when ``rng``
+        is given) and is clamped to the action limit.  The executed action is
+        what both the environment and the actor update must see.
         """
         u = self.actor @ phi
+        dalpha, dtheta = u.tolist()
         if rng is not None:
-            u_exec = u + rng.normal(0.0, self.config.sigma, size=u.shape)
-            np.maximum(u_exec, -self.action_limit, out=u_exec)
-        else:
-            u_exec = np.maximum(u, -self.action_limit)
-        np.minimum(u_exec, self.action_limit, out=u_exec)
-        return u, u_exec
+            noise_alpha, noise_theta = rng.normal(0.0, self.config.sigma, 2).tolist()
+            dalpha += noise_alpha
+            dtheta += noise_theta
+        # Clamped with comparisons on plain floats, so a NaN comes through as NaN.
+        high = self.action_limit
+        low = -high
+        dalpha = low if dalpha < low else high if dalpha > high else dalpha
+        dtheta = low if dtheta < low else high if dtheta > high else dtheta
+        return u, (dalpha, dtheta)
 
     def value(self, phi: np.ndarray) -> float:
         """Critic state-value estimate for a firing vector."""
@@ -99,8 +106,9 @@ class FuzzyActorCritic:
         self, phi_t: np.ndarray, phi_next: np.ndarray | None, reward: float, terminal: bool
     ) -> float:
         """Temporal-difference error; terminal successor states count as value 0."""
-        v_next = 0.0 if terminal else self.value(phi_next)
-        return reward + self.config.gamma * v_next - self.value(phi_t)
+        critic = self.critic
+        v_next = 0.0 if terminal else float(critic @ phi_next)
+        return reward + self.config.gamma * v_next - float(critic @ phi_t)
 
     def update_critic(self, phi: np.ndarray, delta: float):
         """Move the critic along the firing features by the TD error."""
@@ -112,12 +120,14 @@ class FuzzyActorCritic:
         Per channel the weight step is
         ``alpha_actor * delta * (u_exec - u) / sigma * phi``; a zero
         perturbation or zero TD error leaves the actor untouched.
-        ``u_exec`` may be any per-channel sequence, such as the plain floats
-        the environment executed.
+        ``u_exec`` is the executed action as a pair of plain floats, such as
+        the tuple :meth:`act` returns after the environment's cone limit.
         """
         config = self.config
-        scale = (config.alpha_actor * delta / config.sigma) * (u_exec - u)
-        self.actor += scale[:, None] * phi[None, :]
+        c = config.alpha_actor * delta / config.sigma
+        (exec_alpha, exec_theta), (u_alpha, u_theta) = u_exec, u.tolist()
+        scales = (c * (exec_alpha - u_alpha), c * (exec_theta - u_theta))
+        self.actor += np.multiply.outer(scales, phi)
 
     def state_dict(self) -> dict:
         """Actor and critic weights as plain JSON-ready lists."""

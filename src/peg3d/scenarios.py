@@ -41,6 +41,14 @@ FREEZE_MODES = ("none", "pursuer", "evader")
 LOG_STEPS_MODES = ("none", "final", "all")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """``ValueError`` unless ``value`` is an int (not a bool) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs besides the scenario."""
@@ -61,12 +69,8 @@ class TrainConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
-        for name in ("episodes", "max_plays"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("episodes", 1), ("max_plays", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), least)
         for name in ("dt", "capture_distance", "pursuer_speed", "evader_speed", "sensing_range"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # false for NaN too
@@ -115,8 +119,8 @@ class Scenario:
                 raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
             if heading and not all(map(math.isfinite, heading)):
                 raise ValueError(f"{role}_heading must be finite, got {heading!r}")
-        if self.obstacles is None and self.obstacle_count < 0:
-            raise ValueError(f"obstacle_count must be >= 0, got {self.obstacle_count}")
+        if self.obstacles is None:
+            _check_int("obstacle_count", self.obstacle_count, 0)
         margin = self.obstacle_margin  # a negative one would let an obstacle cover a start
         if self.obstacles is None and not 0.0 <= margin < math.inf:
             raise ValueError(f"obstacle_margin must be finite and >= 0, got {margin!r}")

@@ -38,6 +38,7 @@ from .reward import EVADER, PURSUER, total_reward
 from .scenarios import (
     Scenario,
     TrainConfig,
+    _check_int,
     build_arena,
     check_scenario,
     initial_states,
@@ -147,14 +148,13 @@ def run_episode(
             (px, py, pz), (qx, qy, qz) = states[0].position, states[1].position
             los = (qx - px, qy - py, qz - pz)  # P -> E; also the evader's away direction
         for i in (0, 1):  # the pursuer draws its noise first
-            u[i], executed = agents[i].act(phi[i], noise[i])
-            # The executed actions continue as plain floats: scalar math on them
+            # The executed action is a pair of plain floats: scalar math on them
             # is cheaper than on numpy scalars, and the states stay plain floats.
-            dalpha, dtheta = executed.tolist()
+            u[i], x[i] = agents[i].act(phi[i], noise[i])
             limit = limits[i]
             if limit is not None:
-                dalpha, dtheta = cone_limited_command(states[i], dalpha, dtheta, los, limit)
-            x[i] = (dalpha, dtheta)
+                dalpha, dtheta = x[i]
+                x[i] = cone_limited_command(states[i], dalpha, dtheta, los, limit)
 
         for i in (0, 1):
             prev[i] = state = states[i]
@@ -367,11 +367,11 @@ def evaluate(
     ``record_steps`` each run's log goes to ``runs/run_NNN.json`` as soon as
     that run ends, so only one run's records are held at a time.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    check_scenario(scenario, config)
+    _check_int("runs", runs, 1)
     if seed is None:
         seed = config.seed + 1
+    _check_int("seed", seed, 0)
+    check_scenario(scenario, config)
     children = np.random.SeedSequence(seed).spawn(runs)
 
     out = Path(out_dir) if out_dir is not None else None

@@ -209,7 +209,26 @@ class TestClosedFormFiring:
         assert np.array_equal(rb.fire(x), dense_firing(rb, x))
 
 
+def reference_entropy(phi):
+    """``firing_entropy`` as a negated ndarray sum; negation is exact, so the bits agree."""
+    active = phi[phi > 0.0]
+    return float(-(active * np.log(active)).sum())
+
+
 class TestEntropy:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        rb = FIRING_LAYOUTS[data.draw(st.sampled_from(sorted(FIRING_LAYOUTS)))]
+        x = tuple(
+            data.draw(st.one_of(st.floats(p.lo - 5.0, p.hi + 5.0), st.sampled_from(p.peaks)))
+            for p in rb.partitions
+        )
+        phi = rb.fire(x)
+        entropy = firing_entropy(phi)
+        assert type(entropy) is float
+        assert np.float64(entropy).tobytes() == np.float64(reference_entropy(phi)).tobytes()
+
     def test_one_hot_entropy_zero(self):
         phi = np.zeros(16)
         phi[3] = 1.0

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ import pytest
 from peg3d import logs, training
 from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT
+from peg3d.fuzzy import RuleBase
+from peg3d.learner import FuzzyActorCritic
 from peg3d.logs import export_csv, export_json, load_episode, summary_row, write_rows_csv
 from peg3d.scenarios import Scenario, TrainConfig, builtin_scenarios
 from peg3d.training import (
@@ -165,6 +168,42 @@ class TestRunEpisode:
                 expected = bool if field.name.endswith("_cone") else float
                 values = value if isinstance(value, list) else [value]
                 assert {type(v) for v in values} == {expected}, field.name
+
+
+    def test_benchmark_seam(self, monkeypatch):
+        """The boundaries perfbench/tracing.py wraps keep their types and per-step calls."""
+        sc = builtin_scenarios()[1]
+        cfg = TrainConfig(max_plays=30)
+        rb, learners = zero_weight_setup(cfg)
+        first = rb.fire((10.0, 0.5, 20.0, -1.0))
+        kept = first.copy()
+        second = rb.fire((3.0, -2.0, 7.0, 2.5))
+        assert isinstance(first, np.ndarray) and first.shape == (rb.n_rules,)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        u, _ = learners["pursuer"].act(first, np.random.default_rng(1))
+        assert isinstance(u, np.ndarray) and u.shape == (2,)
+
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            calls[name] = 0
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(RuleBase, "fire")
+        for name in ("act", "td_error", "update_critic", "update_actor"):
+            count(FuzzyActorCritic, name)
+        count(training, "firing_entropy")
+        log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(7))
+        assert log.steps == 30
+        # Two roles, each once per step; both learn, and the last step fires no successor.
+        assert calls == dict.fromkeys(calls, 2 * log.steps)
 
 
 class TestEpisodeLogExports:
@@ -518,6 +557,26 @@ class TestEvaluate:
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert len(lines) == 22  # schema comment + header + 20 rows
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"runs": 0}, "runs must be >= 1, got 0"),
+            ({"runs": 2.0}, "runs must be an int, got 2.0"),
+        ],
+    )
+    def test_bad_seed_or_runs_rejected_before_any_run(self, monkeypatch, kwargs, message):
+        cfg = TrainConfig(max_plays=5)
+        rb = build_rulebase(cfg)
+        learners = build_learners(cfg, rb.n_rules)
+        played = []
+        monkeypatch.setattr(training, "run_episode", lambda *args, **kw: played.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(learners, rb, builtin_scenarios()[1], cfg, **{"runs": 2, **kwargs})
+        assert played == []
+
     def test_deterministic_runs_csv(self, tmp_path):
         sc = builtin_scenarios()[1]
         cfg = TrainConfig(max_plays=25)
@@ -800,11 +859,18 @@ class TestCLI:
             cli_main(["train", "--scenario", "1", flag, "0", "--out", str(out_dir), "--quiet"])
         assert not out_dir.exists()
 
+    def test_negative_seed_exits_before_training(self, tmp_path):
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match="^peg3d train: seed must be >= 0, got -1$"):
+            cli_main(["train", "--scenario", "1", "--seed", "-1", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "ini, message",
         [
             ("[train]\nepisods = 3\n", r"unknown key 'episods' in section \[train\]"),
             ("[train]\nepisodes = 0\n", "episodes must be >= 1"),
+            ("[train]\nseed = -3\n", "seed must be >= 0, got -3$"),
             ("[learner]\nalpha_actor = 0.1\n", "actor rate must be below critic rate"),
             ("[learner]\nmfs_per_input = 1\n", "need at least 2 membership functions"),
             ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be finite and > 0, got -1.0$"),
@@ -1034,6 +1100,11 @@ class TestCLI:
         missing = tmp_path / "missing.json"
         with pytest.raises(SystemExit, match="peg3d evaluate: runs must be >= 1"):
             cli_main(["evaluate", "--checkpoint", str(missing), "--runs", runs])
+
+    def test_evaluate_negative_seed_exits_before_loading(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="^peg3d evaluate: seed must be >= 0, got -1$"):
+            cli_main(["evaluate", "--checkpoint", str(missing), "--seed", "-1"])
 
     def test_evaluate_save_logs_without_out_exits_before_loading(self, tmp_path):
         missing = tmp_path / "missing.json"

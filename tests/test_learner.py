@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peg3d.env import TURN_LIMIT, AgentState, Obstacle, nearest_obstacle
 from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
@@ -264,3 +266,134 @@ class TestExtractInputs:
         _, _, d_obs, ang_obs = extract_inputs(me, other, nearest_obstacle(me.position, arena))
         assert d_obs == pytest.approx(1.0, abs=1e-12)
         assert ang_obs == pytest.approx(math.pi / 2.0, abs=1e-12)  # obstacle straight up
+
+
+# The numpy forms of the learner's per-step methods, kept here as references
+# for the plain-float code in src/: numpy add and np.maximum/np.minimum in
+# act, the broadcast outer product in update_actor, value() twice in td_error.
+def reference_act(learner, phi, rng):
+    u = learner.actor @ phi
+    if rng is not None:
+        u_exec = u + rng.normal(0.0, learner.config.sigma, size=u.shape)
+        np.maximum(u_exec, -learner.action_limit, out=u_exec)
+    else:
+        u_exec = np.maximum(u, -learner.action_limit)
+    np.minimum(u_exec, learner.action_limit, out=u_exec)
+    return u, u_exec
+
+
+def reference_update_actor(learner, phi, u, u_exec, delta):
+    config = learner.config
+    scale = (config.alpha_actor * delta / config.sigma) * (u_exec - u)
+    learner.actor += scale[:, None] * phi[None, :]
+
+
+def reference_td_error(learner, phi_t, phi_next, reward, terminal):
+    v_next = 0.0 if terminal else learner.value(phi_next)
+    return reward + learner.config.gamma * v_next - learner.value(phi_t)
+
+
+def bits(values) -> bytes:
+    """The exact float64 bytes, so -0.0 and NaN payloads count too."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+RULES = build_rulebase(TrainConfig())
+LIMIT = FuzzyActorCritic.action_limit
+PEAKS = [p.peaks for p in RULES.partitions]
+
+
+def _input(peaks):
+    """An input anywhere around its domain, or exactly on a peak (a one-hot firing there)."""
+    return st.one_of(st.floats(peaks[0] - 5.0, peaks[-1] + 5.0), st.sampled_from(peaks))
+
+
+FIRINGS = st.one_of(
+    st.tuples(*map(_input, PEAKS)).map(RULES.fire),
+    # Dense firings: every weight takes part in the dot products.
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).dirichlet(np.ones(RULES.n_rules))
+    ),
+)
+
+
+@st.composite
+def learners(draw):
+    """A learner with random weights; large scales saturate either side, one weight may be NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = LearnerConfig(sigma=draw(st.sampled_from([0.01, 0.1, 1.0, 3.0])))
+    learner = FuzzyActorCritic(RULES.n_rules, config)
+    actor_scale = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    learner.actor[:] = actor_scale * rng.normal(size=learner.actor.shape)
+    learner.critic[:] = draw(st.sampled_from([0.0, 1.0, 100.0])) * rng.normal(size=RULES.n_rules)
+    pinned = draw(st.sampled_from([None, LIMIT, -LIMIT, 2.0, -2.0, math.nan]))
+    if pinned is not None:  # one channel's whole row: its u is about the pin, or NaN
+        learner.actor[draw(st.integers(0, 1)), :] = pinned
+    return learner
+
+
+class TestMatchesNumpyReference:
+    """``act``, ``update_actor`` and ``td_error`` are bit for bit their numpy forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(learner=learners(), phi=FIRINGS, seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_act(self, learner, phi, seed):
+        rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
+        u, u_exec = learner.act(phi, rngs[0])
+        ref_u, ref_exec = reference_act(learner, phi, rngs[1])
+        assert isinstance(u, np.ndarray) and bits(u) == bits(ref_u)
+        assert type(u_exec) is tuple and [type(v) for v in u_exec] == [float, float]
+        assert bits(u_exec) == bits(ref_exec)
+        if seed is not None:  # both drew the same stretch of the stream
+            assert rngs[0].random() == rngs[1].random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        learner=learners(),
+        phi=FIRINGS,
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        delta=st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0])),
+        limited=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))),
+    )
+    def test_update_actor(self, learner, phi, seed, delta, limited):
+        # The actor step sees the executed action, or the cone limiter's replacement.
+        rng = None if seed is None else np.random.default_rng(seed)
+        u, u_exec = learner.act(phi, rng)
+        if limited is not None:
+            u_exec = limited
+        before = learner.actor.copy()
+        learner.update_actor(phi, u, u_exec, delta)
+        reference = FuzzyActorCritic(RULES.n_rules, learner.config)
+        reference.actor = before
+        reference_update_actor(reference, phi, u, u_exec, delta)
+        assert bits(learner.actor) == bits(reference.actor)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        learner=learners(),
+        phi_t=FIRINGS,
+        phi_next=FIRINGS,
+        reward=st.floats(-1e3, 1e3),
+        terminal=st.booleans(),
+    )
+    def test_td_error(self, learner, phi_t, phi_next, reward, terminal):
+        delta = learner.td_error(phi_t, None if terminal else phi_next, reward, terminal)
+        ref = reference_td_error(learner, phi_t, None if terminal else phi_next, reward, terminal)
+        assert type(delta) is float and bits(delta) == bits(ref)
+
+    @pytest.mark.parametrize("weight", [LIMIT, -LIMIT, 2.0, -2.0, math.nan, 0.0])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_one_hot_edges(self, weight, seed):
+        # Exactly on the limit, beyond it on both sides, and NaN, through a one-hot firing.
+        learner = FuzzyActorCritic(RULES.n_rules, LearnerConfig())
+        phi = RULES.fire((0.0, 0.0, 35.0, math.pi))
+        assert np.count_nonzero(phi) == 1
+        learner.actor[:, np.flatnonzero(phi)] = [[weight], [-weight]]
+        rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
+        u, u_exec = learner.act(phi, rngs[0])
+        ref_u, ref_exec = reference_act(learner, phi, rngs[1])
+        assert bits(u) == bits(ref_u) and bits(u_exec) == bits(ref_exec)
+        if seed is None and not math.isnan(weight):
+            assert u_exec == (max(-LIMIT, min(LIMIT, weight)), max(-LIMIT, min(LIMIT, -weight)))
+        if math.isnan(weight):
+            assert all(map(math.isnan, u_exec))

@@ -231,9 +231,11 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
         ),
         *(
             (TrainConfig, {name: value}, f"{name} must be an int, got {value!r}")
-            for name in ("episodes", "max_plays")
+            for name in ("episodes", "max_plays", "seed")
             for value in (1.5, 5.5, True, "3")
         ),
+        (TrainConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+        (TrainConfig, {"episodes": 0}, "episodes must be >= 1, got 0"),
         (
             TrainConfig,
             {"arena_extents": (35.0, 35.0)},
@@ -245,6 +247,8 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
             "arena extent y must be finite and > 0, got 0.0",
         ),
         (LearnerConfig, {"mfs_per_input": 1}, "need at least 2 membership functions"),
+        (LearnerConfig, {"mfs_per_input": 2.5}, "mfs_per_input must be an int, got 2.5"),
+        (LearnerConfig, {"mfs_per_input": True}, "mfs_per_input must be an int, got True"),
         (
             Scenario,
             {**SCENARIO_STARTS, "pursuer_start": (1.0, 2.0)},
@@ -259,6 +263,13 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
             Scenario,
             {**SCENARIO_STARTS, "obstacle_count": -1},
             "obstacle_count must be >= 0, got -1",
+        ),
+        *(
+            (Scenario, {**SCENARIO_STARTS, "obstacle_count": value}, message)
+            for value, message in (
+                (1.5, "obstacle_count must be an int, got 1.5"),
+                (True, "obstacle_count must be an int, got True"),
+            )
         ),
         (
             Scenario,
