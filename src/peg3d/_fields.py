@@ -1,0 +1,100 @@
+"""What each config field may hold, and building dataclasses from loaded dicts.
+
+The config dataclasses call :func:`check_fields` first in ``__post_init__``,
+so a value of the wrong type fails with the same message whether it came from
+the Python API, an INI file or a checkpoint.  Each class then checks the
+ranges only it knows.  This module imports nothing from the package, so every
+config module can use it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import MISSING, fields
+
+
+def _number(value) -> bool:
+    """A real number: ints pass as floats, bools and strings do not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, *counts: int) -> bool:
+    """A tuple of real numbers, as many as one of ``counts``."""
+    return isinstance(value, tuple) and len(value) in counts and all(map(_number, value))
+
+
+# Keyed by annotation text (the config modules postpone annotation evaluation):
+# (test, what the message says the value must be).  A field whose annotation
+# is not here holds a nested config, declared with its class as default_factory.
+_KINDS = {
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
+    "float": (_number, "a float"),
+    "str": (lambda v: isinstance(v, str), "a str"),
+    "tuple[float, float, float]": (lambda v: _numbers(v, 3), "3 floats (x y z)"),
+    "tuple[float, float] | None": (  # () means None, as an empty INI value gives
+        lambda v: v is None or _numbers(v, 0, 2),
+        "2 floats (alpha theta)",
+    ),
+    "tuple[tuple[float, float, float, float], ...] | None": (
+        lambda v: v is None or isinstance(v, tuple) and all(_numbers(row, 4) for row in v),
+        "rows of 4 floats (x y z radius)",
+    ),
+}
+
+
+def check_fields(obj) -> None:
+    """``ValueError`` naming the first field of dataclass ``obj`` that holds a wrong type."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _KINDS:
+            test, kind = _KINDS[f.type]
+            ok = test(value)
+        else:
+            ok, kind = isinstance(value, f.default_factory), f"a {f.type}"
+        if not ok:
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+
+
+def check_int(name: str, value, least: int) -> None:
+    """``ValueError`` unless ``value`` is an int (not a bool) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_positive(obj, names) -> None:
+    """``ValueError`` unless each named attribute of ``obj`` is finite and > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 < value < math.inf:  # false for NaN too
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def build(cls, data):
+    """``cls(**data)``; a ``ValueError`` names the unknown and missing keys.
+
+    The keys are only inspected once the call fails, so well-formed data costs
+    nothing extra.  A ``TypeError`` that no key explains is raised again.
+    """
+    try:
+        return cls(**data)
+    except TypeError:
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}") from None
+        names = {f.name for f in fields(cls)}
+        required = [
+            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        ]
+        problems = [
+            f"{kind} {cls.__name__} key {', '.join(map(repr, keys))}"
+            for kind, keys in (
+                ("unknown", sorted(data.keys() - names)),
+                ("missing", [name for name in required if name not in data]),
+            )
+            if keys
+        ]
+        if not problems:
+            raise
+        raise ValueError("; ".join(problems)) from None

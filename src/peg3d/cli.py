@@ -11,6 +11,7 @@ from pathlib import Path
 # perfbench/ times replay by rebinding ``cli.load_episode`` and the ``logs``
 # module's exporters, so replay calls the exporters through ``logs``.
 from . import logs
+from ._fields import check_int
 from .logs import load_episode
 from .scenarios import (
     FREEZE_MODES,
@@ -45,14 +46,13 @@ def _resolve_scenario(arg: str, config_path):
 
 
 def _cmd_train(args):
-    if args.report_every < 1:
-        raise SystemExit("peg3d train: report_every must be >= 1")
     overrides = {
         name: getattr(args, name)
         for name in ("seed", "episodes", "max_plays", "freeze", "log_steps")
         if getattr(args, name) is not None
     }
     try:
+        check_int("report_every", args.report_every, 1)
         scenario, config = _resolve_scenario(args.scenario, args.config)
         # replace() builds a new config, so its validation runs on the overrides.
         config = dataclasses.replace(config, **overrides)
@@ -82,13 +82,12 @@ def _cmd_train(args):
 
 
 def _cmd_evaluate(args):
-    if args.runs < 1:
-        raise SystemExit(f"peg3d evaluate: runs must be >= 1, got {args.runs}")
-    if args.seed is not None and args.seed < 0:
-        raise SystemExit(f"peg3d evaluate: seed must be >= 0, got {args.seed}")
-    if args.save_logs and args.out is None:
-        raise SystemExit("peg3d evaluate: --save-logs needs --out")
     try:
+        check_int("runs", args.runs, 1)
+        if args.seed is not None:
+            check_int("seed", args.seed, 0)
+        if args.save_logs and args.out is None:
+            raise ValueError("--save-logs needs --out")
         learners, rulebase, scenario, config = load_checkpoint(args.checkpoint)
         if args.scenario is not None:
             scenario, _ = _resolve_scenario(args.scenario, None)

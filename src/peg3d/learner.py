@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_fields, check_positive
 from .env import TURN_LIMIT, AgentState, heading_vector
 from .fuzzy import uniform_partition
 
@@ -47,17 +48,13 @@ class LearnerConfig:
     mfs_per_input: int = 5
 
     def __post_init__(self):
-        for name in ("alpha_actor", "alpha_critic", "sigma"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        check_fields(self)
+        check_positive(self, ("alpha_actor", "alpha_critic", "sigma"))
         if not self.alpha_actor < self.alpha_critic:
             actor, critic = self.alpha_actor, self.alpha_critic
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
-        if not isinstance(self.mfs_per_input, int) or isinstance(self.mfs_per_input, bool):
-            raise ValueError(f"mfs_per_input must be an int, got {self.mfs_per_input!r}")
         uniform_partition(*DISTANCE_DOMAIN, self.mfs_per_input)  # raises on a bad rule count
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+from ._fields import build
 
 __all__ = [
     "EPISODE_SCHEMA",
@@ -26,6 +28,7 @@ __all__ = [
     "EpisodeLog",
     "summary_row",
     "write_rows_csv",
+    "write_json",
     "export_json",
     "load_episode",
     "export_csv",
@@ -96,34 +99,10 @@ class EpisodeLog:
         """Inverse of ``dataclasses.asdict``; ``ValueError`` names unknown and missing keys."""
         data = dict(data)
         records = data.pop("records", None)
-        log = _build(cls, data)
+        log = build(cls, data)
         if records is not None:
-            log.records = [_build(StepRecord, row) for row in records]
+            log.records = [build(StepRecord, row) for row in records]
         return log
-
-
-def _build(cls, data):
-    """``cls(**data)``; a ``ValueError`` names the unknown and missing keys.
-
-    The keys are only inspected once the call fails, so a well-formed log
-    costs nothing extra per record.
-    """
-    try:
-        return cls(**data)
-    except TypeError:
-        if not isinstance(data, dict):
-            raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}") from None
-        names = {f.name for f in fields(cls)}
-        required = [f.name for f in fields(cls) if f.default is MISSING]
-        problems = [
-            f"{kind} {cls.__name__} key {', '.join(map(repr, keys))}"
-            for kind, keys in (
-                ("unknown", sorted(data.keys() - names)),
-                ("missing", [name for name in required if name not in data]),
-            )
-            if keys
-        ]
-        raise ValueError("; ".join(problems)) from None
 
 
 # EpisodeLog's per-role fields in column order; each is a pursuer_ and an evader_ column.
@@ -167,6 +146,15 @@ def write_rows_csv(path, header, rows, schema: str):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(data, path):
+    """``data`` as JSON indented by one space, with a final newline; makes the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
 
 
 def export_json(log: EpisodeLog, path):
@@ -264,8 +252,5 @@ def export_csv(log: EpisodeLog, out_dir, stem: str = "episode") -> list[Path]:
     summary = out_dir / f"{stem}_summary.json"
     write_rows_csv(trajectory, _TRAJECTORY_FIELDS, _trajectory_rows(log), TRAJECTORY_SCHEMA)
     write_rows_csv(series, _SERIES_FIELDS, _series_rows(log), SERIES_SCHEMA)
-    summary_data = {f.name: getattr(log, f.name) for f in fields(log) if f.name != "records"}
-    with open(summary, "w") as fh:
-        json.dump(summary_data, fh, indent=1)
-        fh.write("\n")
+    write_json({f.name: getattr(log, f.name) for f in fields(log) if f.name != "records"}, summary)
     return [trajectory, series, summary]

@@ -10,7 +10,9 @@ evader; the obstacle term keeps the same form for both roles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from ._fields import check_fields, check_positive
 
 __all__ = [
     "PURSUER",
@@ -38,16 +40,8 @@ class RewardConfig:
     attraction_weight: float = 10.0
 
     def __post_init__(self):
-        for name in (
-            "repulsion_coeff",
-            "attraction_coeff",
-            "success_coeff",
-            "repulsion_weight",
-            "attraction_weight",
-        ):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        check_fields(self)
+        check_positive(self, [f.name for f in fields(self)])
 
 
 def _check_role(role: str):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ._fields import build, check_fields, check_int, check_positive
 from .env import Arena, AgentState, Obstacle
 from .learner import LearnerConfig
 from .reward import RewardConfig
@@ -41,14 +42,6 @@ FREEZE_MODES = ("none", "pursuer", "evader")
 LOG_STEPS_MODES = ("none", "final", "all")
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """``ValueError`` unless ``value`` is an int (not a bool) of at least ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs besides the scenario."""
@@ -69,14 +62,11 @@ class TrainConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
+        check_fields(self)
         for name, least in (("episodes", 1), ("max_plays", 1), ("seed", 0)):
-            _check_int(name, getattr(self, name), least)
-        for name in ("dt", "capture_distance", "pursuer_speed", "evader_speed", "sensing_range"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if len(self.arena_extents) != 3:
-            raise ValueError(f"extents must be 3 floats, got {self.arena_extents!r}")
+            check_int(name, getattr(self, name), least)
+        positive = ("dt", "capture_distance", "pursuer_speed", "evader_speed", "sensing_range")
+        check_positive(self, positive)
         for axis, extent in zip("xyz", self.arena_extents):
             if not 0.0 < extent < math.inf:
                 raise ValueError(f"arena extent {axis} must be finite and > 0, got {extent!r}")
@@ -111,22 +101,17 @@ class Scenario:
     evader_heading: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for role in ("pursuer", "evader"):
-            start, heading = getattr(self, f"{role}_start"), getattr(self, f"{role}_heading")
-            if len(start) != 3:
-                raise ValueError(f"{role}_start must be 3 floats (x y z), got {start!r}")
-            if heading and len(heading) != 2:
-                raise ValueError(f"{role}_heading must be 2 floats (alpha theta), got {heading!r}")
-            if heading and not all(map(math.isfinite, heading)):
-                raise ValueError(f"{role}_heading must be finite, got {heading!r}")
+        check_fields(self)
+        for name in ("pursuer_heading", "evader_heading"):
+            heading = getattr(self, name)
+            if heading is not None and not all(map(math.isfinite, heading)):
+                raise ValueError(f"{name} must be finite, got {heading!r}")
         if self.obstacles is None:
-            _check_int("obstacle_count", self.obstacle_count, 0)
+            check_int("obstacle_count", self.obstacle_count, 0)
         margin = self.obstacle_margin  # a negative one would let an obstacle cover a start
         if self.obstacles is None and not 0.0 <= margin < math.inf:
             raise ValueError(f"obstacle_margin must be finite and >= 0, got {margin!r}")
         for row in self.obstacles or ():
-            if len(row) != 4:
-                raise ValueError(f"obstacle row needs 'x y z radius', got {row!r}")
             if not 0.0 < row[3] < math.inf:
                 raise ValueError(f"obstacle radius must be finite and > 0, got {row[3]!r}")
 
@@ -345,9 +330,7 @@ def load_config(path) -> tuple[TrainConfig, Scenario | None]:
     config = TrainConfig(**values[TrainConfig], learner=learner, reward=reward)
     if not parser.has_section("scenario"):
         return config, None
-    if not {"pursuer_start", "evader_start"} <= values[Scenario].keys():
-        raise ValueError("[scenario] needs pursuer_start and evader_start")
-    return config, Scenario(**values[Scenario])
+    return config, build(Scenario, values[Scenario])
 
 
 def _tuples(value):
@@ -357,67 +340,15 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _numbers(value, count: int | None = None) -> bool:
-    """True for a tuple of real numbers, of ``count`` of them when given."""
-    return (
-        isinstance(value, tuple)
-        and (count is None or len(value) == count)
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
-
-
-def _obstacle_rows(value) -> bool:
-    """None, or rows of 4 numbers (x y z radius), as in INI files."""
-    return value is None or (isinstance(value, tuple) and all(_numbers(row, 4) for row in value))
-
-
-# What a JSON value must be to fill a field, keyed by annotation text like
-# _CASTS.  Start, heading and extent counts are left to the dataclasses.
-_JSON_CHECKS = {
-    "bool": lambda v: isinstance(v, bool),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: _numbers((v,)),
-    "str": lambda v: isinstance(v, str),
-    "tuple[float, float, float]": _numbers,
-    "tuple[float, float] | None": lambda v: v is None or _numbers(v),
-    "tuple[tuple[float, float, float, float], ...] | None": _obstacle_rows,
-}
-_NESTED = {"LearnerConfig": LearnerConfig, "RewardConfig": RewardConfig}
-
-
-def _from_dict(cls, data):
-    """``cls(**data)``, naming an unknown or missing key or a value of the wrong type.
-
-    Fields holding a nested config dataclass are built from their own dicts.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(data.keys() - types.keys())
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key {', '.join(map(repr, unknown))}")
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ValueError(f"missing {cls.__name__} key {', '.join(map(repr, missing))}")
-    values = {}
-    for name, value in data.items():
-        if types[name] in _NESTED:
-            value = _from_dict(_NESTED[types[name]], value)
-        elif not _JSON_CHECKS[types[name]](value):
-            raise ValueError(f"{cls.__name__} key {name!r} must be {types[name]}, got {value!r}")
-        values[name] = value
-    return cls(**values)
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     """Inverse of :meth:`Scenario.to_dict`; missing optional keys take the defaults."""
-    return _from_dict(Scenario, _tuples(data))
+    return build(Scenario, _tuples(data))
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
     """Inverse of :meth:`TrainConfig.to_dict`; missing keys take the defaults."""
-    return _from_dict(TrainConfig, _tuples(data))
+    data = _tuples(data)
+    for name, cls in (("learner", LearnerConfig), ("reward", RewardConfig)):
+        if isinstance(data, dict) and name in data:
+            data[name] = build(cls, data[name])
+    return build(TrainConfig, data)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import check_int
 from ._version import __version__
 
 # perfbench/ times and counts the layers by rebinding the module-level names
@@ -33,12 +34,11 @@ from .env import (
 from .fuzzy import RuleBase, firing_entropy, uniform_partition
 from .geometry import pursuit_cone_halfangle
 from .learner import ANGLE_DOMAIN, DISTANCE_DOMAIN, FuzzyActorCritic, extract_inputs
-from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_rows_csv
+from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_json, write_rows_csv
 from .reward import EVADER, PURSUER, total_reward
 from .scenarios import (
     Scenario,
     TrainConfig,
-    _check_int,
     build_arena,
     check_scenario,
     initial_states,
@@ -342,9 +342,7 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
         )
         if final_log is not None:
             export_json(final_log, out / "episode_final.json")
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
+        write_json(manifest, out / "manifest.json")
     return TrainResult(manifest, learners, rulebase, summaries, final_log, checkpoint)
 
 
@@ -367,10 +365,10 @@ def evaluate(
     ``record_steps`` each run's log goes to ``runs/run_NNN.json`` as soon as
     that run ends, so only one run's records are held at a time.
     """
-    _check_int("runs", runs, 1)
+    check_int("runs", runs, 1)
     if seed is None:
         seed = config.seed + 1
-    _check_int("seed", seed, 0)
+    check_int("seed", seed, 0)
     check_scenario(scenario, config)
     children = np.random.SeedSequence(seed).spawn(runs)
 
@@ -422,10 +420,7 @@ def evaluate(
         "evader_cone_fraction_mean": float(np.mean(_column("evader_cone_fraction"))),
     }
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.json", "w") as fh:
-            json.dump(metrics, fh, indent=1)
-            fh.write("\n")
+        write_json(metrics, out / "metrics.json")
         write_rows_csv(
             out / "runs.csv", rows[0].keys(), [row.values() for row in rows], RUNS_CSV_SCHEMA
         )
@@ -446,11 +441,7 @@ def make_checkpoint(
 
 
 def save_checkpoint(checkpoint: dict, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(checkpoint, fh, indent=1)
-        fh.write("\n")
+    write_json(checkpoint, path)
 
 
 def load_checkpoint(path_or_dict):

@@ -887,7 +887,10 @@ class TestCLI:
             ("[arena]\nextents = 35 nan 20\n", "arena extent y must be finite and > 0, got nan"),
             ("[arena]\nextents = 35 -1 20\n", "arena extent y must be finite and > 0, got -1.0"),
             ("[arena]\nextents = 35 35 inf\n", "arena extent z must be finite and > 0, got inf"),
-            ("[arena]\nextents = 35 20\n", r"extents must be 3 floats, got \(35.0, 20.0\)"),
+            (
+                "[arena]\nextents = 35 20\n",
+                r"arena_extents must be 3 floats \(x y z\), got \(35.0, 20.0\)",
+            ),
             ("[learner]\nsigma = nan\n", "sigma must be finite and > 0, got nan$"),
             ("[learner]\nsigma = inf\n", "sigma must be finite and > 0, got inf$"),
             ("[learner]\nalpha_critic = inf\n", "alpha_critic must be finite and > 0, got inf$"),
@@ -1034,11 +1037,11 @@ class TestCLI:
             (("scenario", "bogus"), 1, "unknown Scenario key 'bogus'"),
             (("config", "learner", "alpha_actor"), 0.9, "actor rate must be below critic rate"),
             (("scenario", "pursuer_start"), DELETE, "missing Scenario key 'pursuer_start'$"),
-            (("config", "episodes"), "5", "TrainConfig key 'episodes' must be int, got '5'$"),
+            (("config", "episodes"), "5", "episodes must be an int, got '5'$"),
             (
                 ("scenario", "pursuer_start"),
                 5,
-                r"Scenario key 'pursuer_start' must be tuple\[float, float, float\], got 5$",
+                r"pursuer_start must be 3 floats \(x y z\), got 5$",
             ),
             (("agents",), DELETE, "checkpoint has no 'agents'$"),
             (("agents", "evader", "critic"), DELETE, "checkpoint has no 'agents.evader.critic'$"),

@@ -27,6 +27,7 @@ from peg3d.scenarios import (
     scenario_from_dict,
     train_config_from_dict,
 )
+from peg3d.training import build_learners, build_rulebase, load_checkpoint, make_checkpoint
 
 STARTS = {"pursuer_start": [5, 30, 0], "evader_start": [5, 5, 0]}
 
@@ -189,13 +190,13 @@ class TestTrainConfigDefaults:
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({"cone_constraint": "on"}, "TrainConfig key 'cone_constraint' must be bool, got 'on'"),
-            ({"seed": 1.5}, "TrainConfig key 'seed' must be int, got 1.5"),
-            ({"seed": True}, "TrainConfig key 'seed' must be int, got True"),
-            ({"dt": "0.1"}, "TrainConfig key 'dt' must be float, got '0.1'"),
-            ({"arena_extents": [35, "35", 20]}, "TrainConfig key 'arena_extents' must be "),
+            ({"cone_constraint": "on"}, "cone_constraint must be a bool, got 'on'"),
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"dt": "0.1"}, "dt must be a float, got '0.1'"),
+            ({"arena_extents": [35, "35", 20]}, "arena_extents must be 3 floats (x y z), got "),
             ({"learner": 5}, "LearnerConfig must be a JSON object, got 5"),
-            ({"reward": {"success_coeff": None}}, "RewardConfig key 'success_coeff' must be float"),
+            ({"reward": {"success_coeff": None}}, "success_coeff must be a float"),
             ([], "TrainConfig must be a JSON object, got ()"),
         ],
     )
@@ -208,9 +209,9 @@ class TestTrainConfigDefaults:
         [
             ({"pursuer_start": [1, 2, 3]}, "missing Scenario key 'evader_start'"),
             ({}, "missing Scenario key 'pursuer_start', 'evader_start'"),
-            ({**STARTS, "obstacles": [[1, 2, 3]]}, "Scenario key 'obstacles' must be "),
-            ({**STARTS, "pursuer_heading": "up"}, "Scenario key 'pursuer_heading' must be "),
-            ({**STARTS, "obstacle_count": 2.0}, "Scenario key 'obstacle_count' must be int"),
+            ({**STARTS, "obstacles": [[1, 2, 3]]}, "obstacles must be rows of 4 floats "),
+            ({**STARTS, "pursuer_heading": "up"}, "pursuer_heading must be 2 floats "),
+            ({**STARTS, "obstacle_count": 2.0}, "obstacle_count must be an int"),
         ],
     )
     def test_scenario_missing_or_mistyped_keys_named(self, data, message):
@@ -239,7 +240,7 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
         (
             TrainConfig,
             {"arena_extents": (35.0, 35.0)},
-            "extents must be 3 floats, got (35.0, 35.0)",
+            "arena_extents must be 3 floats (x y z), got (35.0, 35.0)",
         ),
         (
             TrainConfig,
@@ -281,11 +282,118 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
             {**SCENARIO_STARTS, "obstacles": ((10.0, 10.0, 5.0, 0.0),)},
             "obstacle radius must be finite and > 0, got 0.0",
         ),
+        # One value of the wrong type per kind of field: a bool is no float, a
+        # string no number or bool, and a nested config must be its dataclass.
+        (TrainConfig, {"dt": True}, "dt must be a float, got True"),
+        (TrainConfig, {"pursuer_speed": True}, "pursuer_speed must be a float, got True"),
+        (TrainConfig, {"dt": "0.1"}, "dt must be a float, got '0.1'"),
+        (TrainConfig, {"cone_constraint": "no"}, "cone_constraint must be a bool, got 'no'"),
+        (
+            TrainConfig,
+            {"learner": {"sigma": 0.1}},
+            "learner must be a LearnerConfig, got {'sigma': 0.1}",
+        ),
+        (TrainConfig, {"reward": None}, "reward must be a RewardConfig, got None"),
+        (LearnerConfig, {"sigma": True}, "sigma must be a float, got True"),
+        (LearnerConfig, {"gamma": "0.9"}, "gamma must be a float, got '0.9'"),
+        (RewardConfig, {"success_coeff": "1"}, "success_coeff must be a float, got '1'"),
+        (Scenario, {**SCENARIO_STARTS, "name": 3}, "name must be a str, got 3"),
     ],
 )
 def test_config_dataclass_rejects_bad_value_when_built(cls, values, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**values)
+
+
+@pytest.fixture(scope="module")
+def checkpoint():
+    config = TrainConfig()
+    learners = build_learners(config, build_rulebase(config).n_rules)
+    return make_checkpoint(learners, builtin_scenarios()[1], config)
+
+
+# Where each dataclass sits in a checkpoint.
+CHECKPOINT_KEYS = {
+    TrainConfig: ("config",),
+    LearnerConfig: ("config", "learner"),
+    RewardConfig: ("config", "reward"),
+    Scenario: ("scenario",),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, in_ini, message",
+    [
+        (TrainConfig, "dt", 0.0, True, "dt must be finite and > 0, got 0.0"),
+        (TrainConfig, "seed", -1, True, "seed must be >= 0, got -1"),
+        (TrainConfig, "freeze", "both", True, "freeze must be none|pursuer|evader, got 'both'"),
+        (
+            TrainConfig,
+            "arena_extents",
+            (35.0, 20.0),
+            True,
+            "arena_extents must be 3 floats (x y z), got (35.0, 20.0)",
+        ),
+        (
+            TrainConfig,
+            "arena_extents",
+            (35.0, -1.0, 20.0),
+            True,
+            "arena extent y must be finite and > 0, got -1.0",
+        ),
+        (TrainConfig, "episodes", 2.5, False, "episodes must be an int, got 2.5"),
+        (TrainConfig, "cone_constraint", "no", False, "cone_constraint must be a bool, got 'no'"),
+        (LearnerConfig, "sigma", math.inf, True, "sigma must be finite and > 0, got inf"),
+        (LearnerConfig, "gamma", 1.0, True, "discount must lie in [0, 1), got 1.0"),
+        (LearnerConfig, "gamma", "0.9", False, "gamma must be a float, got '0.9'"),
+        (
+            RewardConfig,
+            "success_coeff",
+            -1.0,
+            True,
+            "success_coeff must be finite and > 0, got -1.0",
+        ),
+        (RewardConfig, "success_coeff", None, False, "success_coeff must be a float, got None"),
+        (
+            Scenario,
+            "pursuer_start",
+            (1.0, 2.0),
+            True,
+            "pursuer_start must be 3 floats (x y z), got (1.0, 2.0)",
+        ),
+        (
+            Scenario,
+            "evader_heading",
+            (0.0, math.inf),
+            True,
+            "evader_heading must be finite, got (0.0, inf)",
+        ),
+        (Scenario, "obstacle_count", -1, True, "obstacle_count must be >= 0, got -1"),
+        (Scenario, "name", 3, False, "name must be a str, got 3"),
+    ],
+)
+def test_bad_value_fails_with_the_same_message_on_every_path(
+    tmp_path, checkpoint, cls, name, value, in_ini, message
+):
+    """The API, an INI file (where INI text can spell the value) and a checkpoint agree."""
+    values = {**SCENARIO_STARTS, name: value} if cls is Scenario else {name: value}
+    stored = json.loads(json.dumps(checkpoint))
+    target = stored
+    for key in CHECKPOINT_KEYS[cls]:
+        target = target[key]
+    target[name] = json.loads(json.dumps(value))
+    paths = {"api": lambda: cls(**values), "checkpoint": lambda: load_checkpoint(stored)}
+    if in_ini:
+        key = "extents" if name == "arena_extents" else name
+        section = next(s for s, (c, keys) in INI_SECTIONS.items() if c is cls and key in keys)
+        lines = {k: _ini_text(v) for k, v in values.items() if k != name}
+        lines[key] = _ini_text(value)
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        paths["ini"] = lambda: load_config(ini)
+    for path, call in paths.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestCheckScenario:
