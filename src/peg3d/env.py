@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "TURN_LIMIT",
@@ -53,9 +54,12 @@ def heading_vector(alpha: float, theta: float) -> tuple[float, float, float]:
     return (sin_theta * math.cos(alpha), sin_theta * math.sin(alpha), math.cos(theta))
 
 
-@dataclass(frozen=True, slots=True)
-class AgentState:
-    """Position, persistent heading angles, and constant speed of one agent."""
+class AgentState(NamedTuple):
+    """Position, persistent heading angles, and constant speed of one agent.
+
+    Immutable.  A named tuple, since it is cheaper to build than a frozen
+    dataclass and the step loop builds one per agent per step.
+    """
 
     position: tuple[float, float, float]
     alpha: float
@@ -100,8 +104,13 @@ def step_agent(
     persistent heading (azimuth wraps, polar clamps to [0, pi]); the agent
     then moves ``speed * dt`` along the heading and is clipped to the arena box.
     """
-    alpha = wrap_angle(state.alpha + max(-TURN_LIMIT, min(TURN_LIMIT, dalpha)))
-    theta = state.theta + max(-TURN_LIMIT, min(TURN_LIMIT, dtheta))
+    # Each clamp is max(-TURN_LIMIT, min(TURN_LIMIT, turn)) written as the two
+    # comparisons those builtins make, so NaN, infinities and -0.0 come out the same.
+    limit = TURN_LIMIT
+    turn = dalpha if dalpha < limit else limit
+    alpha = wrap_angle(state.alpha + (turn if turn > -limit else -limit))
+    turn = dtheta if dtheta < limit else limit
+    theta = state.theta + (turn if turn > -limit else -limit)
     if theta < 0.0:
         theta = 0.0
     elif theta > math.pi:
@@ -118,7 +127,7 @@ def step_agent(
         ey if y > ey else (0.0 if y < 0.0 else y),
         ez if z > ez else (0.0 if z < 0.0 else z),
     )
-    return AgentState(position=position, alpha=alpha, theta=theta, speed=state.speed)
+    return AgentState(position, alpha, theta, state.speed)
 
 
 def cone_limited_command(
@@ -137,28 +146,33 @@ def cone_limited_command(
     into its motion envelope within a few steps.  Inputs and outputs are
     per-step heading increments.
     """
+    limit = TURN_LIMIT  # clamps as in step_agent: max(-limit, min(limit, turn))
+    da = dalpha if dalpha < limit else limit
+    da = da if da > -limit else -limit
+    dth = dtheta if dtheta < limit else limit
+    dth = dth if dth > -limit else -limit
     tx, ty, tz = target
     t_norm = math.sqrt(tx * tx + ty * ty + tz * tz)
     if t_norm < 1e-12:
-        return (
-            max(-TURN_LIMIT, min(TURN_LIMIT, dalpha)),
-            max(-TURN_LIMIT, min(TURN_LIMIT, dtheta)),
-        )
-    da = max(-TURN_LIMIT, min(TURN_LIMIT, dalpha))
-    dth = max(-TURN_LIMIT, min(TURN_LIMIT, dtheta))
+        return da, dth
     alpha = wrap_angle(state.alpha + da)
     theta = state.theta + dth
     theta = 0.0 if theta < 0.0 else (math.pi if theta > math.pi else theta)
-    hx, hy, hz = heading_vector(alpha, theta)
-    cosine = (hx * tx + hy * ty + hz * tz) / t_norm
-    if math.acos(max(-1.0, min(1.0, cosine))) <= max_offset:
+    sin_theta = math.sin(theta)  # the heading_vector of (alpha, theta)
+    cosine = (
+        sin_theta * math.cos(alpha) * tx + sin_theta * math.sin(alpha) * ty + math.cos(theta) * tz
+    ) / t_norm
+    cosine = cosine if cosine < 1.0 else 1.0
+    if math.acos(cosine if cosine > -1.0 else -1.0) <= max_offset:
         return da, dth
     horizontal = math.hypot(tx, ty)
     alpha_star = math.atan2(ty, tx) if horizontal > 1e-12 else state.alpha
     theta_star = math.atan2(horizontal, tz)
-    da = max(-TURN_LIMIT, min(TURN_LIMIT, wrap_angle(alpha_star - state.alpha)))
-    dth = max(-TURN_LIMIT, min(TURN_LIMIT, theta_star - state.theta))
-    return da, dth
+    da = wrap_angle(alpha_star - state.alpha)
+    da = da if da < limit else limit
+    dth = theta_star - state.theta
+    dth = dth if dth < limit else limit
+    return (da if da > -limit else -limit), (dth if dth > -limit else -limit)
 
 
 def check_termination(pursuer: AgentState, evader: AgentState, arena: Arena, steps: int) -> str:

@@ -54,25 +54,6 @@ class InputPartition:
         if not (all(map(math.isfinite, peaks)) and all(a < b for a, b in zip(peaks, peaks[1:]))):
             raise ValueError(f"peaks must be finite and strictly increasing, got {peaks!r}")
 
-    def memberships(self, x: float) -> np.ndarray:
-        """Membership degree of the clamped input in every function, one by one.
-
-        This is the dense reference that :meth:`RuleBase.fire` reproduces.
-        """
-        xc = min(max(x, self.lo), self.hi)
-        peaks, last = self.peaks, len(self.peaks) - 1
-        degrees = []
-        for k, peak in enumerate(peaks):
-            if xc < peak and k > 0:
-                left = peaks[k - 1]
-                degrees.append(0.0 if xc <= left else (xc - left) / (peak - left))
-            elif xc > peak and k < last:
-                right = peaks[k + 1]
-                degrees.append(0.0 if xc >= right else (right - xc) / (right - peak))
-            else:  # at the peak, or on a shoulder
-                degrees.append(1.0)
-        return np.array(degrees)
-
 
 def uniform_partition(lo: float, hi: float, n_mfs: int) -> InputPartition:
     """``n_mfs`` evenly spaced peaks from ``lo`` to ``hi``.
@@ -135,8 +116,8 @@ class RuleBase:
         peak gap) in those two functions and 0 in every other, since the
         feet sit at the neighboring peaks.  The ``2 ** len(x)`` corner
         products are scattered into a dense zero vector, so the result is
-        bit for bit the normalized dense outer product of
-        :meth:`InputPartition.memberships`.
+        bit for bit the normalized dense outer product of every input's
+        membership degrees (``tests/test_fuzzy.py`` keeps that reference).
         """
         if len(x) != len(self.partitions):
             raise ValueError(f"expected {len(self.partitions)} inputs, got {len(x)}")
@@ -156,7 +137,7 @@ class RuleBase:
             base += k * stride
         raw = np.zeros(self.n_rules)
         raw[base + self._offsets] = products
-        raw /= raw.sum()  # the dense pairwise sum decides the last bit, as in the reference
+        raw /= np.add.reduce(raw)  # the dense pairwise sum fixes the last bit, as in the reference
         return raw
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_fields, check_positive
-from .env import TURN_LIMIT, AgentState, heading_vector
+from .env import TURN_LIMIT, AgentState
 from .fuzzy import uniform_partition
 
 __all__ = [
@@ -72,6 +72,9 @@ class FuzzyActorCritic:
         self.config = config
         self.actor = np.zeros((len(CHANNELS), n_rules))
         self.critic = np.zeros(n_rules)
+        # update_actor's per-channel scales as a column, and its outer-product step.
+        self._scales = np.empty((len(CHANNELS), 1))
+        self._step = np.empty((len(CHANNELS), n_rules))
 
     def act(self, phi: np.ndarray, rng: np.random.Generator | None = None):
         """Commanded and executed actions for the current firing vector.
@@ -82,7 +85,7 @@ class FuzzyActorCritic:
         is given) and is clamped to the action limit.  The executed action is
         what both the environment and the actor update must see.
         """
-        u = self.actor @ phi
+        u = self.actor.dot(phi)  # the BLAS call and bits of ``@``, at less overhead
         dalpha, dtheta = u.tolist()
         if rng is not None:
             noise_alpha, noise_theta = rng.normal(0.0, self.config.sigma, 2).tolist()
@@ -95,17 +98,13 @@ class FuzzyActorCritic:
         dtheta = low if dtheta < low else high if dtheta > high else dtheta
         return u, (dalpha, dtheta)
 
-    def value(self, phi: np.ndarray) -> float:
-        """Critic state-value estimate for a firing vector."""
-        return float(self.critic @ phi)
-
     def td_error(
         self, phi_t: np.ndarray, phi_next: np.ndarray | None, reward: float, terminal: bool
     ) -> float:
         """Temporal-difference error; terminal successor states count as value 0."""
         critic = self.critic
-        v_next = 0.0 if terminal else float(critic @ phi_next)
-        return reward + self.config.gamma * v_next - float(critic @ phi_t)
+        v_next = 0.0 if terminal else float(critic.dot(phi_next))
+        return reward + self.config.gamma * v_next - float(critic.dot(phi_t))
 
     def update_critic(self, phi: np.ndarray, delta: float):
         """Move the critic along the firing features by the TD error."""
@@ -123,8 +122,10 @@ class FuzzyActorCritic:
         config = self.config
         c = config.alpha_actor * delta / config.sigma
         (exec_alpha, exec_theta), (u_alpha, u_theta) = u_exec, u.tolist()
-        scales = (c * (exec_alpha - u_alpha), c * (exec_theta - u_theta))
-        self.actor += np.multiply.outer(scales, phi)
+        scales, step = self._scales, self._step
+        scales[0, 0], scales[1, 0] = c * (exec_alpha - u_alpha), c * (exec_theta - u_theta)
+        np.multiply(scales, phi, out=step)  # the outer product, without a new array
+        self.actor += step
 
     def state_dict(self) -> dict:
         """Actor and critic weights as plain JSON-ready lists."""
@@ -140,12 +141,6 @@ class FuzzyActorCritic:
                 f"the layout {self.actor.shape}/{self.critic.shape}"
             )
         self.actor, self.critic = actor, critic
-
-
-def _heading_offset(heading, dx: float, dy: float, dz: float, norm: float) -> float:
-    """Angle between a unit heading and the vector (dx, dy, dz) of length ``norm``."""
-    cosine = (heading[0] * dx + heading[1] * dy + heading[2] * dz) / norm
-    return math.acos(max(-1.0, min(1.0, cosine)))
 
 
 # The rule grid's input domains, one per kind of feature extract_inputs returns:
@@ -171,11 +166,17 @@ def extract_inputs(
     tx, ty, tz = opponent.position
     dx, dy, dz = tx - ox, ty - oy, tz - oz
     d_opponent = math.sqrt(dx * dx + dy * dy + dz * dz)
-    heading = heading_vector(agent.alpha, agent.theta)
+    # The agent's heading_vector, and each offset as acos of the cosine clamped
+    # to max(-1.0, min(1.0, cosine)), written as the comparisons those make.
+    alpha, theta = agent.alpha, agent.theta
+    sin_theta = math.sin(theta)
+    hx, hy, hz = sin_theta * math.cos(alpha), sin_theta * math.sin(alpha), math.cos(theta)
     if d_opponent < _COINCIDENT_TOL:
         angle_opponent = 0.0
     else:
-        angle_opponent = _heading_offset(heading, dx, dy, dz, d_opponent)
+        cosine = (hx * dx + hy * dy + hz * dz) / d_opponent
+        cosine = cosine if cosine < 1.0 else 1.0
+        angle_opponent = math.acos(cosine if cosine > -1.0 else -1.0)
     obstacle, d_obstacle = nearest
     if obstacle is None:
         angle_obstacle = 0.0
@@ -186,5 +187,7 @@ def extract_inputs(
         if center_dist < _COINCIDENT_TOL:
             angle_obstacle = 0.0
         else:
-            angle_obstacle = _heading_offset(heading, vx, vy, vz, center_dist)
+            cosine = (hx * vx + hy * vy + hz * vz) / center_dist
+            cosine = cosine if cosine < 1.0 else 1.0
+            angle_obstacle = math.acos(cosine if cosine > -1.0 else -1.0)
     return (d_opponent, angle_opponent, d_obstacle, angle_obstacle)

@@ -87,9 +87,18 @@ def total_reward(
     role: str,
     cfg: RewardConfig,
 ) -> float:
-    """Weighted balance of repulsion and attraction plus the capture bonus."""
-    return (
-        cfg.repulsion_weight * repulsion_reward(d_obstacle_prev, d_obstacle_next, cfg)
-        + cfg.attraction_weight * attraction_reward(d_opponent_prev, d_opponent_next, role, cfg)
-        + success_reward(captured, role, cfg)
-    )
+    """Weighted balance of repulsion and attraction plus the capture bonus.
+
+    The three public terms in one body, each with its own operations in its
+    own order, so the sum is bit for bit their weighted sum.
+    """
+    repulsion = 1.0 - math.exp(-cfg.repulsion_coeff * (d_obstacle_next - d_obstacle_prev))
+    attraction = math.exp(-cfg.attraction_coeff * (d_opponent_next - d_opponent_prev)) - 1.0
+    if role == PURSUER:
+        success = cfg.success_coeff if captured else 0.0
+    elif role == EVADER:
+        attraction = -attraction
+        success = -cfg.success_coeff if captured else 0.0
+    else:
+        _check_role(role)  # raises
+    return cfg.repulsion_weight * repulsion + cfg.attraction_weight * attraction + success

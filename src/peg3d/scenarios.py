@@ -324,7 +324,10 @@ def load_config(path) -> tuple[TrainConfig, Scenario | None]:
             if key not in keys:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
             name = "arena_extents" if key == "extents" else key
-            values[cls][name] = _CASTS[types[name]](text)
+            try:
+                values[cls][name] = _CASTS[types[name]](text)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (key {key!r} in section [{section}] of {path})") from None
 
     learner, reward = LearnerConfig(**values[LearnerConfig]), RewardConfig(**values[RewardConfig])
     config = TrainConfig(**values[TrainConfig], learner=learner, reward=reward)

@@ -23,6 +23,9 @@ from ._version import __version__
 # perfbench/ times and counts the layers by rebinding the module-level names
 # imported here and the RuleBase and FuzzyActorCritic methods, so the episode
 # loop calls them through this module and the instances, never via local aliases.
+# Only helpers that are not rebound there (heading_vector, surface_distance and
+# the like) may be inlined: an inlined rebound name would drop out of the trace,
+# and its per-step call count with it.
 from .env import (
     CAPTURED,
     RUNNING,

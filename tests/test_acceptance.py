@@ -26,6 +26,8 @@ from peg3d.learner import FuzzyActorCritic, LearnerConfig
 from peg3d.reward import RewardConfig
 from peg3d.scenarios import TrainConfig, build_arena, builtin_scenarios
 from peg3d.training import build_rulebase, train
+from test_fuzzy import memberships
+from test_learner import critic_value
 
 
 def test_criterion_1_geometry_oracle():
@@ -146,7 +148,7 @@ def test_criterion_4_partition_of_unity():
     for lo, hi in ((0.0, 35.0), (-math.pi, math.pi)):
         part = uniform_partition(lo, hi, 5)
         for x in rng.uniform(lo, hi, size=10_000):
-            worst_mf = max(worst_mf, abs(part.memberships(x).sum() - 1.0))
+            worst_mf = max(worst_mf, abs(memberships(part, x).sum() - 1.0))
     assert worst_mf <= 1e-12
 
     rb = build_rulebase(TrainConfig())
@@ -195,7 +197,7 @@ def test_criterion_6_critic_convergence():
         reward = float(rng.uniform(0.1, 0.5))  # mean 0.3
         delta = learner.td_error(phi, phi, reward, False)
         learner.update_critic(phi, delta)
-    value = learner.value(phi)
+    value = critic_value(learner, phi)
     assert value == pytest.approx(0.3, abs=0.05)
     print(f"criterion 6 PASS: critic value {value:.4f} vs mean reward 0.3")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peg3d.env import (
     CAPTURED,
@@ -22,6 +24,24 @@ from peg3d.scenarios import TrainConfig, build_arena
 
 def agent(pos, alpha=0.0, theta=math.pi / 2.0, speed=1.0):
     return AgentState(position=pos, alpha=alpha, theta=theta, speed=speed)
+
+
+class TestAgentState:
+    def test_fields_cannot_be_assigned(self):
+        state = agent((1.0, 2.0, 3.0))
+        for name, value in (("position", (0.0, 0.0, 0.0)), ("alpha", 1.0), ("speed", 2.0)):
+            with pytest.raises(AttributeError):
+                setattr(state, name, value)
+        assert state == agent((1.0, 2.0, 3.0))
+
+    def test_fields_by_name(self):
+        state = AgentState((1.0, 2.0, 3.0), 0.5, 1.5, 1.1)
+        assert (state.position, state.alpha, state.theta, state.speed) == (
+            (1.0, 2.0, 3.0),
+            0.5,
+            1.5,
+            1.1,
+        )
 
 
 class TestWrapAngle:
@@ -240,3 +260,141 @@ class TestConeLimitedCommand:
         da, dth = cone_limited_command(st, 0.0, 0.0, (0.0, 0.0, 5.0), 0.1)
         assert dth == -TURN_LIMIT  # polar angle decreases toward straight up
         assert da == 0.0
+
+
+# The max/min forms of the clamps in step_agent and cone_limited_command, kept
+# here as references for the comparison chains in src/.
+def reference_step_agent(state, dalpha, dtheta, dt, arena):
+    alpha = wrap_angle(state.alpha + max(-TURN_LIMIT, min(TURN_LIMIT, dalpha)))
+    theta = state.theta + max(-TURN_LIMIT, min(TURN_LIMIT, dtheta))
+    if theta < 0.0:
+        theta = 0.0
+    elif theta > math.pi:
+        theta = math.pi
+    step = state.speed * dt
+    sin_theta = math.sin(theta)
+    x, y, z = state.position
+    x += step * sin_theta * math.cos(alpha)
+    y += step * sin_theta * math.sin(alpha)
+    z += step * math.cos(theta)
+    ex, ey, ez = arena.extents
+    position = (
+        ex if x > ex else (0.0 if x < 0.0 else x),
+        ey if y > ey else (0.0 if y < 0.0 else y),
+        ez if z > ez else (0.0 if z < 0.0 else z),
+    )
+    return AgentState(position=position, alpha=alpha, theta=theta, speed=state.speed)
+
+
+def reference_cone_limited_command(state, dalpha, dtheta, target, max_offset):
+    tx, ty, tz = target
+    t_norm = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if t_norm < 1e-12:
+        return (
+            max(-TURN_LIMIT, min(TURN_LIMIT, dalpha)),
+            max(-TURN_LIMIT, min(TURN_LIMIT, dtheta)),
+        )
+    da = max(-TURN_LIMIT, min(TURN_LIMIT, dalpha))
+    dth = max(-TURN_LIMIT, min(TURN_LIMIT, dtheta))
+    alpha = wrap_angle(state.alpha + da)
+    theta = state.theta + dth
+    theta = 0.0 if theta < 0.0 else (math.pi if theta > math.pi else theta)
+    hx, hy, hz = heading_vector(alpha, theta)
+    cosine = (hx * tx + hy * ty + hz * tz) / t_norm
+    if math.acos(max(-1.0, min(1.0, cosine))) <= max_offset:
+        return da, dth
+    horizontal = math.hypot(tx, ty)
+    alpha_star = math.atan2(ty, tx) if horizontal > 1e-12 else state.alpha
+    theta_star = math.atan2(horizontal, tz)
+    da = max(-TURN_LIMIT, min(TURN_LIMIT, wrap_angle(alpha_star - state.alpha)))
+    dth = max(-TURN_LIMIT, min(TURN_LIMIT, theta_star - state.theta))
+    return da, dth
+
+
+def bits(values) -> bytes:
+    """The exact float64 bytes, so -0.0 and NaN payloads count too."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def state_bits(state) -> bytes:
+    return bits([*state.position, state.alpha, state.theta, state.speed])
+
+
+LIMIT_EDGES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, TURN_LIMIT, -TURN_LIMIT,
+    math.nextafter(TURN_LIMIT, 0.0), math.nextafter(TURN_LIMIT, math.inf),
+    math.nextafter(-TURN_LIMIT, 0.0), math.nextafter(-TURN_LIMIT, -math.inf),
+]  # fmt: skip
+TURNS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(LIMIT_EDGES))
+ANGLE_EDGES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2.0]
+ALPHAS = st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(ANGLE_EDGES))
+THETAS = st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, -0.0, math.pi, math.pi / 2.0]))
+
+
+@st.composite
+def states(draw):
+    position = tuple(draw(st.floats(-1.0, 40.0)) for _ in range(3))
+    speed = draw(st.sampled_from([0.0, 1.0, 1.1, 3.0]))
+    return AgentState(position, draw(ALPHAS), draw(THETAS), speed)
+
+
+@st.composite
+def targets(draw):
+    """A target direction: anywhere, zero or near zero, along an axis, or NaN and infinite."""
+    kind = draw(st.sampled_from(["any", "zero", "tiny", "axis", "special"]))
+    if kind == "special":  # an infinite norm or a NaN makes the cosine NaN
+        parts = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0])
+        return tuple(draw(parts) for _ in range(3))
+    if kind == "zero":
+        return draw(st.sampled_from([(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)]))
+    if kind == "tiny":
+        return tuple(draw(st.floats(-1e-12, 1e-12)) for _ in range(3))
+    if kind == "axis":
+        scale = draw(st.floats(-30.0, 30.0))
+        return draw(st.sampled_from([(scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)]))
+    return tuple(draw(st.floats(-40.0, 40.0)) for _ in range(3))
+
+
+class TestMatchesMaxMinReference:
+    """``step_agent`` and ``cone_limited_command`` are bit for bit their max/min forms."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        state=states(),
+        dalpha=TURNS,
+        dtheta=TURNS,
+        dt=st.sampled_from([0.01, 0.1, 1.0]),
+        extents=st.sampled_from([(35.0, 35.0, 20.0), (10.0, 10.0, 5.0)]),
+    )
+    def test_step_agent(self, state, dalpha, dtheta, dt, extents):
+        arena = build_arena(TrainConfig(arena_extents=extents), [])
+        moved = step_agent(state, dalpha, dtheta, dt, arena)
+        ref = reference_step_agent(state, dalpha, dtheta, dt, arena)
+        assert type(moved) is AgentState and type(moved.position) is tuple
+        assert state_bits(moved) == state_bits(ref)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        state=states(),
+        dalpha=TURNS,
+        dtheta=TURNS,
+        target=targets(),
+        max_offset=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2.0])),
+    )
+    def test_cone_limited_command(self, state, dalpha, dtheta, target, max_offset):
+        got = cone_limited_command(state, dalpha, dtheta, target, max_offset)
+        ref = reference_cone_limited_command(state, dalpha, dtheta, target, max_offset)
+        assert type(got) is tuple and bits(got) == bits(ref)
+
+    @pytest.mark.parametrize("turn", LIMIT_EDGES)
+    def test_clamp_edges(self, turn):
+        # NaN clamps to +TURN_LIMIT in both forms: min(TURN_LIMIT, nan) is TURN_LIMIT.
+        arena = build_arena(TrainConfig(), [])
+        state = agent((5.0, 5.0, 5.0), alpha=0.5, theta=1.5)
+        for dalpha, dtheta in ((turn, 0.0), (0.0, turn), (turn, turn)):
+            ref = reference_step_agent(state, dalpha, dtheta, 0.1, arena)
+            assert state_bits(step_agent(state, dalpha, dtheta, 0.1, arena)) == state_bits(ref)
+            for target in ((10.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-3.0, 4.0, 0.0)):
+                got = cone_limited_command(state, dalpha, dtheta, target, 0.2)
+                ref = reference_cone_limited_command(state, dalpha, dtheta, target, 0.2)
+                assert bits(got) == bits(ref)

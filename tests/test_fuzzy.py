@@ -16,20 +16,40 @@ def default_rulebase():
     return build_rulebase(TrainConfig())
 
 
+def memberships(part: InputPartition, x: float) -> np.ndarray:
+    """Membership degree of the clamped input in every function of ``part``, one by one.
+
+    This is the dense reference that ``RuleBase.fire`` reproduces.
+    """
+    xc = min(max(x, part.lo), part.hi)
+    peaks, last = part.peaks, len(part.peaks) - 1
+    degrees = []
+    for k, peak in enumerate(peaks):
+        if xc < peak and k > 0:
+            left = peaks[k - 1]
+            degrees.append(0.0 if xc <= left else (xc - left) / (peak - left))
+        elif xc > peak and k < last:
+            right = peaks[k + 1]
+            degrees.append(0.0 if xc >= right else (right - xc) / (right - peak))
+        else:  # at the peak, or on a shoulder
+            degrees.append(1.0)
+    return np.array(degrees)
+
+
 class TestInputPartition:
     def test_interior_triangle(self):
         part = InputPartition(0.0, 3.0, (0.0, 1.0, 3.0))
-        assert part.memberships(1.0).tolist() == [0.0, 1.0, 0.0]
-        assert part.memberships(0.5).tolist() == [0.5, 0.5, 0.0]
-        assert part.memberships(2.0).tolist() == [0.0, 0.5, 0.5]
-        assert part.memberships(3.0).tolist() == [0.0, 0.0, 1.0]
+        assert memberships(part, 1.0).tolist() == [0.0, 1.0, 0.0]
+        assert memberships(part, 0.5).tolist() == [0.5, 0.5, 0.0]
+        assert memberships(part, 2.0).tolist() == [0.0, 0.5, 0.5]
+        assert memberships(part, 3.0).tolist() == [0.0, 0.0, 1.0]
 
     def test_shoulders_hold_one_beyond_peak(self):
         part = InputPartition(-5.0, 15.0, (0.0, 2.0, 8.0, 10.0))
-        assert part.memberships(-5.0).tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert part.memberships(1.0).tolist() == [0.5, 0.5, 0.0, 0.0]
-        assert part.memberships(9.0).tolist() == [0.0, 0.0, 0.5, 0.5]
-        assert part.memberships(15.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert memberships(part, -5.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert memberships(part, 1.0).tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert memberships(part, 9.0).tolist() == [0.0, 0.0, 0.5, 0.5]
+        assert memberships(part, 15.0).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     @pytest.mark.parametrize(
         "lo, hi, peaks, message",
@@ -64,7 +84,7 @@ class TestPartitions:
 
     def test_interior_peak_activates_single_mf(self):
         part = uniform_partition(0.0, 35.0, 5)
-        m = part.memberships(8.75)
+        m = memberships(part, 8.75)
         assert m[1] == 1.0
         assert np.count_nonzero(m) == 1
 
@@ -73,12 +93,12 @@ class TestPartitions:
         for lo, hi in ((0.0, 35.0), (-math.pi, math.pi)):
             part = uniform_partition(lo, hi, 5)
             for x in rng.uniform(lo, hi, size=2000):
-                assert abs(part.memberships(x).sum() - 1.0) <= 1e-12
+                assert abs(memberships(part, x).sum() - 1.0) <= 1e-12
 
     def test_out_of_domain_clamped(self):
         part = uniform_partition(0.0, 35.0, 5)
-        assert np.array_equal(part.memberships(60.0), part.memberships(35.0))
-        assert np.array_equal(part.memberships(-3.0), part.memberships(0.0))
+        assert np.array_equal(memberships(part, 60.0), memberships(part, 35.0))
+        assert np.array_equal(memberships(part, -3.0), memberships(part, 0.0))
 
     def test_uniform_partition_needs_two_peaks(self):
         with pytest.raises(ValueError, match="need at least 2 membership functions"):
@@ -148,7 +168,7 @@ class TestRuleBase:
 
 def dense_firing(rb, x):
     """Reference firing: the dense outer product of every membership, normalized."""
-    degrees = [p.memberships(xi) for p, xi in zip(rb.partitions, x)]
+    degrees = [memberships(p, xi) for p, xi in zip(rb.partitions, x)]
     raw = reduce(np.multiply.outer, degrees).ravel()
     return raw / raw.sum()
 

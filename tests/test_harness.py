@@ -11,11 +11,12 @@ import pytest
 
 from peg3d import logs, training
 from peg3d.cli import main as cli_main
-from peg3d.env import CAPTURED, TIMEOUT
+from peg3d.env import CAPTURED, TIMEOUT, Obstacle, nearest_obstacle
 from peg3d.fuzzy import RuleBase
-from peg3d.learner import FuzzyActorCritic
+from peg3d.learner import FuzzyActorCritic, extract_inputs
 from peg3d.logs import export_csv, export_json, load_episode, summary_row, write_rows_csv
-from peg3d.scenarios import Scenario, TrainConfig, builtin_scenarios
+from peg3d.reward import total_reward
+from peg3d.scenarios import Scenario, TrainConfig, build_arena, builtin_scenarios, initial_states
 from peg3d.training import (
     CheckpointLayoutError,
     build_learners,
@@ -169,6 +170,38 @@ class TestRunEpisode:
                 values = value if isinstance(value, list) else [value]
                 assert {type(v) for v in values} == {expected}, field.name
 
+    def test_clearance_change_is_measured_against_the_nearest_obstacle_after_the_move(self):
+        # Each reward equals the one computed from scratch, with both clearances
+        # taken to the obstacle nearest after the move, also when that changes.
+        sc = builtin_scenarios()[1]  # a straight chase down x = 5, past the obstacles
+        cfg = TrainConfig(max_plays=400)
+        obstacles = [
+            Obstacle((8.0, 25.0, 0.0), 1.0),
+            Obstacle((8.0, 15.0, 0.0), 1.0),
+            Obstacle((2.0, 8.0, 0.0), 1.0),
+        ]
+        log = run_episode(sc, cfg, obstacles, *zero_weight_setup(cfg), None, record_steps=True)
+        arena = build_arena(cfg, obstacles)
+        starts = initial_states(sc, cfg)
+        before = [state.position for state in starts]
+        nearest = [nearest_obstacle(position, arena)[0] for position in before]
+        d_prev = extract_inputs(starts[0], starts[1], (None, 0.0))[0]
+        changes = 0
+        for t, record in enumerate(log.records):
+            captured = log.outcome == CAPTURED and t == log.steps - 1
+            for i, role in enumerate(("pursuer", "evader")):
+                position = tuple(getattr(record, f"{role}_pos"))
+                obs, clear = nearest_obstacle(position, arena)
+                changes += obs is not nearest[i]
+                expected = total_reward(
+                    obs.surface_distance(before[i]), clear, d_prev, record.distance,
+                    captured, role, cfg.reward,
+                )  # fmt: skip
+                assert getattr(record, f"{role}_reward") == expected, (t, role)
+                before[i], nearest[i] = position, obs
+            d_prev = record.distance
+        assert log.outcome == CAPTURED
+        assert changes >= 2  # the pursuer's nearest obstacle changed twice
 
     def test_benchmark_seam(self, monkeypatch):
         """The boundaries perfbench/tracing.py wraps keep their types and per-step calls."""
@@ -876,6 +909,17 @@ class TestCLI:
             ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be finite and > 0, got -1.0$"),
             ("[agents]\nevader_speed = inf\n", "evader_speed must be finite and > 0, got inf$"),
             ("[agents]\ncone_constraint = maybe\n", "expected a boolean"),
+            # A value that does not cast to its field's type names its key and section.
+            (
+                "[train]\nseed = 1.5\n",
+                r"invalid literal for int\(\) with base 10: '1.5' "
+                r"\(key 'seed' in section \[train\] of .*run\.ini\)$",
+            ),
+            (
+                "[arena]\nextents = 35 x 20\n",
+                r"could not convert string to float: 'x' "
+                r"\(key 'extents' in section \[arena\] of .*run\.ini\)$",
+            ),
             ("[arena]\ndt = 0\n", "dt must be finite and > 0, got 0.0$"),
             ("[arena]\nmax_time = 100\n", r"unknown key 'max_time' in section \[arena\]"),
             ("[arena]\nsensing_range = 0\n", "sensing_range must be finite and > 0, got 0.0$"),

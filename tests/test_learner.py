@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peg3d.env import TURN_LIMIT, AgentState, Obstacle, nearest_obstacle
+from peg3d.env import TURN_LIMIT, AgentState, Obstacle, heading_vector, nearest_obstacle
 from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
 from peg3d.scenarios import TrainConfig, build_arena
 from peg3d.training import build_rulebase
+
+
+def critic_value(learner: FuzzyActorCritic, phi: np.ndarray) -> float:
+    """Critic state-value estimate for a firing vector, the ``@`` form of ``td_error``'s terms."""
+    return float(learner.critic @ phi)
 
 
 def one_hot(n, k):
@@ -143,9 +148,9 @@ class TestUpdates:
         learner.critic[:] = rng.normal(size=16)
         phi = rng.random(16)
         phi /= phi.sum()
-        before = learner.value(phi)
+        before = critic_value(learner, phi)
         learner.update_critic(phi, 2.5)
-        assert learner.value(phi) > before
+        assert critic_value(learner, phi) > before
 
     def test_gradient_matches_finite_differences(self):
         # actor/critic sensitivities equal the firing strengths
@@ -165,9 +170,9 @@ class TestUpdates:
             for l in rng.integers(0, rb.n_rules, size=8):
                 saved = learner.critic[l]
                 learner.critic[l] = saved + eps
-                hi = learner.value(phi)
+                hi = critic_value(learner, phi)
                 learner.critic[l] = saved - eps
-                lo = learner.value(phi)
+                lo = critic_value(learner, phi)
                 learner.critic[l] = saved
                 assert (hi - lo) / (2.0 * eps) == pytest.approx(phi[l], abs=1e-6)
 
@@ -183,7 +188,7 @@ class TestConvergence:
             r = rng.uniform(0.1, 0.5)  # mean 0.3
             delta = learner.td_error(phi, phi, r, False)
             learner.update_critic(phi, delta)
-        assert learner.value(phi) == pytest.approx(0.3, abs=0.05)
+        assert critic_value(learner, phi) == pytest.approx(0.3, abs=0.05)
 
     def test_weight_trajectory_determinism(self):
         rb = build_rulebase(TrainConfig())
@@ -268,9 +273,97 @@ class TestExtractInputs:
         assert ang_obs == pytest.approx(math.pi / 2.0, abs=1e-12)  # obstacle straight up
 
 
+# The heading_vector and max/min forms of extract_inputs, kept here as the
+# reference for the inlined code in src/.
+def reference_heading_offset(heading, dx, dy, dz, norm):
+    cosine = (heading[0] * dx + heading[1] * dy + heading[2] * dz) / norm
+    return math.acos(max(-1.0, min(1.0, cosine)))
+
+
+def reference_extract_inputs(agent, opponent, nearest):
+    ox, oy, oz = agent.position
+    tx, ty, tz = opponent.position
+    dx, dy, dz = tx - ox, ty - oy, tz - oz
+    d_opponent = math.sqrt(dx * dx + dy * dy + dz * dz)
+    heading = heading_vector(agent.alpha, agent.theta)
+    if d_opponent < 1e-12:
+        angle_opponent = 0.0
+    else:
+        angle_opponent = reference_heading_offset(heading, dx, dy, dz, d_opponent)
+    obstacle, d_obstacle = nearest
+    if obstacle is None:
+        angle_obstacle = 0.0
+    else:
+        bx, by, bz = obstacle.center
+        vx, vy, vz = bx - ox, by - oy, bz - oz
+        center_dist = math.sqrt(vx * vx + vy * vy + vz * vz)
+        if center_dist < 1e-12:
+            angle_obstacle = 0.0
+        else:
+            angle_obstacle = reference_heading_offset(heading, vx, vy, vz, center_dist)
+    return (d_opponent, angle_opponent, d_obstacle, angle_obstacle)
+
+
+COORDS = st.one_of(
+    st.floats(-5.0, 40.0), st.sampled_from([0.0, -0.0, 35.0, math.nan, math.inf, -math.inf])
+)
+ANGLES = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, TURN_LIMIT, -TURN_LIMIT]),
+)
+
+
+@st.composite
+def chase_states(draw):
+    """(agent, opponent, nearest): opponent and obstacle anywhere, coincident, or on the heading."""
+    position = tuple(draw(COORDS) for _ in range(3))
+    me = AgentState(position, draw(ANGLES), draw(st.one_of(st.floats(0.0, math.pi), ANGLES)), 1.1)
+
+    def point():
+        kind = draw(st.sampled_from(["any", "same", "ahead", "behind", "near"]))
+        if kind == "any":
+            return tuple(draw(COORDS) for _ in range(3))
+        if kind == "same":
+            return position
+        if kind == "near":  # within the coincidence tolerance, or just outside it
+            return tuple(c + draw(st.sampled_from([0.0, 3e-13, 1e-12, -2e-12])) for c in position)
+        # On the line of the heading, where the cosine can round past +-1.
+        scale = draw(st.floats(0.1, 30.0)) * (1.0 if kind == "ahead" else -1.0)
+        heading = heading_vector(me.alpha, me.theta)
+        return tuple(c + scale * h for c, h in zip(position, heading))
+
+    other = AgentState(point(), 0.0, math.pi / 2.0, 1.0)
+    if draw(st.booleans()):
+        nearest = (None, 35.0)
+    else:
+        nearest = (Obstacle(point(), 1.0), draw(st.one_of(st.floats(-1.0, 35.0), COORDS)))
+    return me, other, nearest
+
+
+class TestExtractInputsMatchesReference:
+    """``extract_inputs`` is bit for bit its heading_vector and max/min form."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=chase_states())
+    def test_bits(self, case):
+        got = extract_inputs(*case)
+        assert type(got) is tuple and len(got) == 4
+        assert bits(got) == bits(reference_extract_inputs(*case))
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, TURN_LIMIT, -TURN_LIMIT, math.pi, math.nan])
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 7.5, -7.5, math.inf])
+    def test_on_the_heading_line(self, alpha, scale):
+        me = AgentState((5.0, 6.0, 7.0), alpha, 1.0, 1.1)
+        heading = heading_vector(alpha, 1.0)
+        at = tuple(c + scale * h for c, h in zip(me.position, heading))
+        case = (me, AgentState(at, 0.0, 0.0, 1.0), (Obstacle(at, 1.0), 2.0))
+        assert bits(extract_inputs(*case)) == bits(reference_extract_inputs(*case))
+
+
 # The numpy forms of the learner's per-step methods, kept here as references
-# for the plain-float code in src/: numpy add and np.maximum/np.minimum in
-# act, the broadcast outer product in update_actor, value() twice in td_error.
+# for the plain-float code in src/: the ``@`` product, numpy add and
+# np.maximum/np.minimum in act, the broadcast outer product in update_actor,
+# critic_value (another ``@``) twice in td_error.
 def reference_act(learner, phi, rng):
     u = learner.actor @ phi
     if rng is not None:
@@ -289,8 +382,8 @@ def reference_update_actor(learner, phi, u, u_exec, delta):
 
 
 def reference_td_error(learner, phi_t, phi_next, reward, terminal):
-    v_next = 0.0 if terminal else learner.value(phi_next)
-    return reward + learner.config.gamma * v_next - learner.value(phi_t)
+    v_next = 0.0 if terminal else critic_value(learner, phi_next)
+    return reward + learner.config.gamma * v_next - critic_value(learner, phi_t)
 
 
 def bits(values) -> bytes:
@@ -397,3 +490,27 @@ class TestMatchesNumpyReference:
             assert u_exec == (max(-LIMIT, min(LIMIT, weight)), max(-LIMIT, min(LIMIT, -weight)))
         if math.isnan(weight):
             assert all(map(math.isnan, u_exec))
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0, 0.0, LIMIT, -LIMIT])
+    @pytest.mark.parametrize("weight", [0.0, -0.0, 1.0, -2.0])
+    def test_products_with_special_values(self, special, weight):
+        # The .dot products in src/ against ``@`` when the firing or a weight is
+        # NaN, infinite or a signed zero.  0 * inf is NaN in both, and both warn
+        # of an invalid value, so the warnings are silenced here.
+        learner = FuzzyActorCritic(RULES.n_rules, LearnerConfig())
+        phi = RULES.fire((10.0, 0.3, 20.0, -1.0))
+        learner.actor[:] = weight
+        learner.critic[:] = weight
+        for where in ("phi", "weights"):
+            if where == "phi":
+                phi = phi.copy()
+                phi[np.flatnonzero(phi)[:3]] = special
+            else:
+                learner.actor[1, 7] = learner.critic[7] = special
+            with np.errstate(invalid="ignore"):
+                u, u_exec = learner.act(phi, None)
+                ref_u, ref_exec = reference_act(learner, phi, None)
+                deltas = [learner.td_error(phi, phi, 0.5, t) for t in (False, True)]
+                refs = [reference_td_error(learner, phi, phi, 0.5, t) for t in (False, True)]
+            assert bits(u) == bits(ref_u) and bits(u_exec) == bits(ref_exec)
+            assert bits(deltas) == bits(refs)

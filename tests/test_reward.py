@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peg3d.reward import (
     EVADER,
@@ -137,3 +139,59 @@ class TestTotal:
     def test_repulsion_not_inverted_for_evader(self):
         r_e = total_reward(2.0, 2.1, 5.0, 5.0, False, EVADER, CFG)
         assert r_e == pytest.approx(5.0 * (1.0 - math.exp(-1.0)), abs=1e-12)
+
+
+def reference_total_reward(d_obs_prev, d_obs_next, d_opp_prev, d_opp_next, captured, role, cfg):
+    """The weighted sum of the three public terms, the reference for ``total_reward``."""
+    return (
+        cfg.repulsion_weight * repulsion_reward(d_obs_prev, d_obs_next, cfg)
+        + cfg.attraction_weight * attraction_reward(d_opp_prev, d_opp_next, role, cfg)
+        + success_reward(captured, role, cfg)
+    )
+
+
+def bits(value) -> bytes:
+    """The exact float64 bytes, so -0.0 and NaN payloads count too."""
+    return np.float64(value).tobytes()
+
+
+# Finite distances keep every exponent below exp's overflow at these coefficients.
+DISTANCES = st.one_of(
+    st.floats(-5.0, 40.0),
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+)
+CONFIGS = st.sampled_from(
+    [
+        CFG,
+        RewardConfig(repulsion_coeff=3.0, attraction_coeff=15.0, success_coeff=7.5),
+        RewardConfig(repulsion_weight=0.25, attraction_weight=1e-3),
+    ]
+)
+
+
+class TestTotalMatchesTerms:
+    """``total_reward`` is bit for bit the weighted sum of the three public terms."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        distances=st.tuples(DISTANCES, DISTANCES, DISTANCES, DISTANCES),
+        captured=st.booleans(),
+        role=st.sampled_from([PURSUER, EVADER]),
+        cfg=CONFIGS,
+    )
+    def test_bits(self, distances, captured, role, cfg):
+        got = total_reward(*distances, captured, role, cfg)
+        assert type(got) is float
+        assert bits(got) == bits(reference_total_reward(*distances, captured, role, cfg))
+
+    @pytest.mark.parametrize("role", [PURSUER, EVADER])
+    @pytest.mark.parametrize("captured", [False, True])
+    def test_signed_zero_sums(self, role, captured):
+        # A step with no change sums to +0.0 without capture, as the reference does.
+        for d in (0.0, -0.0, 3.0):
+            got = total_reward(d, d, d, d, captured, role, CFG)
+            assert bits(got) == bits(reference_total_reward(d, d, d, d, captured, role, CFG))
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(ValueError, match="role must be one of"):
+            total_reward(1.0, 1.0, 1.0, 1.0, True, "referee", CFG)
