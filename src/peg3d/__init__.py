@@ -26,13 +26,7 @@ from .geometry import (
 )
 from .learner import FuzzyActorCritic, LearnerConfig, extract_inputs
 from .logs import EpisodeLog, StepRecord, export_csv, export_json, load_episode
-from .reward import (
-    RewardConfig,
-    attraction_reward,
-    repulsion_reward,
-    success_reward,
-    total_reward,
-)
+from .reward import RewardConfig, total_reward
 from .scenarios import (
     Scenario,
     TrainConfig,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -194,8 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call.  Parsing leaves a parser as it was,
+# and building one takes about a millisecond, which a process that calls main
+# once per replayed log would otherwise pay each time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out = getattr(args, "out", None)
     if out is not None:
         # A file at --out or above it would only fail when the outputs are

@@ -132,7 +132,11 @@ class FuzzyActorCritic:
         return {"actor": self.actor.tolist(), "critic": self.critic.tolist()}
 
     def load_state_dict(self, data: dict):
-        """Take the weights of a :meth:`state_dict`; ``ValueError`` if their shapes differ."""
+        """Take the weights of a :meth:`state_dict`.
+
+        ``ValueError`` if their shapes differ from this learner's, or if a
+        weight is NaN or infinite; that message names the part and the index.
+        """
         actor = np.asarray(data["actor"], dtype=float)
         critic = np.asarray(data["critic"], dtype=float)
         if actor.shape != self.actor.shape or critic.shape != self.critic.shape:
@@ -140,6 +144,12 @@ class FuzzyActorCritic:
                 f"weight shapes {actor.shape}/{critic.shape} do not match "
                 f"the layout {self.actor.shape}/{self.critic.shape}"
             )
+        for part, weights in (("actor", actor), ("critic", critic)):
+            bad = np.argwhere(~np.isfinite(weights))
+            if bad.size:
+                index = bad[0].tolist()
+                value = float(weights[tuple(index)])
+                raise ValueError(f"{part}{index} must be finite, got {value!r}")
         self.actor, self.critic = actor, critic
 
 

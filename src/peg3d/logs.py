@@ -96,13 +96,33 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeLog":
-        """Inverse of ``dataclasses.asdict``; ``ValueError`` names unknown and missing keys."""
+        """Inverse of ``dataclasses.asdict``; ``ValueError`` names unknown and missing keys.
+
+        A step record adopts its row dict as its attributes when the row holds
+        exactly the record's fields in field order, as an exported log does.
+        """
         data = dict(data)
         records = data.pop("records", None)
         log = build(cls, data)
         if records is not None:
-            log.records = [build(StepRecord, row) for row in records]
+            log.records = [_step_record(row) for row in records]
         return log
+
+
+_STEP_FIELDS = [f.name for f in fields(StepRecord)]
+
+
+def _step_record(row):
+    """``StepRecord(**row)``, without the call when ``row`` already is its attribute dict.
+
+    Any other row (reordered keys, a wrong key, not a dict) goes through
+    ``build``, which orders the attributes or words the error.
+    """
+    if type(row) is dict and list(row) == _STEP_FIELDS:
+        record = object.__new__(StepRecord)
+        record.__dict__ = row
+        return record
+    return build(StepRecord, row)
 
 
 # EpisodeLog's per-role fields in column order; each is a pursuer_ and an evader_ column.
@@ -157,12 +177,18 @@ def write_json(data, path):
         fh.write("\n")
 
 
+# Step records per json.dumps call in export_json: few enough that a chunk's
+# text stays small, enough to spread the per-call cost of the encoder.
+_JSON_CHUNK = 32
+
+
 def export_json(log: EpisodeLog, path):
     """Write ``log`` with each top-level key on one line and each step record on one line.
 
     Every value goes through ``json.dumps`` without ``indent``, which runs the C
-    encoder, and the records are written one at a time, so the whole text is
-    never held in memory.  Keys, key order and float tokens are those of
+    encoder.  The records are encoded and written ``_JSON_CHUNK`` (32) at a
+    time, so at most one chunk's text is held in memory, never the whole file.
+    Keys, key order and float tokens are those of
     ``json.dump(dataclasses.asdict(log), indent=1)``; only the whitespace differs.
     """
     path = Path(path)
@@ -176,10 +202,14 @@ def export_json(log: EpisodeLog, path):
             if f.name != "records" or not value:
                 fh.write(json.dumps(value))
                 continue
-            lines = map(json.dumps, map(vars, value))
-            fh.write("[\n" + next(lines))
-            for line in lines:
-                fh.write(",\n" + line)
+            # A step record holds numbers, None, bools and lists of numbers:
+            # no nested object and no string, so "}, {" occurs in a chunk's
+            # text only between two records, where the line breaks go.
+            lead = "[\n"
+            for start in range(0, len(value), _JSON_CHUNK):
+                text = json.dumps(list(map(vars, value[start : start + _JSON_CHUNK])))
+                fh.write(lead + text[1:-1].replace("}, {", "},\n{"))
+                lead = ",\n"
             fh.write("\n]")
         fh.write("\n}\n")
 

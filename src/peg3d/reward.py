@@ -18,9 +18,6 @@ __all__ = [
     "PURSUER",
     "EVADER",
     "RewardConfig",
-    "repulsion_reward",
-    "attraction_reward",
-    "success_reward",
     "total_reward",
 ]
 
@@ -44,40 +41,6 @@ class RewardConfig:
         check_positive(self, [f.name for f in fields(self)])
 
 
-def _check_role(role: str):
-    if role not in _ROLES:
-        raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
-
-
-def repulsion_reward(d_prev: float, d_next: float, cfg: RewardConfig) -> float:
-    """Reward for the change in signed surface distance to the nearest obstacle.
-
-    Zero when the distance is unchanged, approaching 1 as the agent retreats,
-    exponentially negative as it advances on the obstacle.  Same form for
-    both roles.
-    """
-    return 1.0 - math.exp(-cfg.repulsion_coeff * (d_next - d_prev))
-
-
-def attraction_reward(d_prev: float, d_next: float, role: str, cfg: RewardConfig) -> float:
-    """Reward for the change in pursuer-evader separation.
-
-    Positive for the pursuer when the gap shrinks; the evader gets the
-    negated value.
-    """
-    _check_role(role)
-    r = math.exp(-cfg.attraction_coeff * (d_next - d_prev)) - 1.0
-    return r if role == PURSUER else -r
-
-
-def success_reward(captured: bool, role: str, cfg: RewardConfig) -> float:
-    """Terminal capture bonus: positive for the pursuer, negated for the evader."""
-    _check_role(role)
-    if not captured:
-        return 0.0
-    return cfg.success_coeff if role == PURSUER else -cfg.success_coeff
-
-
 def total_reward(
     d_obstacle_prev: float,
     d_obstacle_next: float,
@@ -89,8 +52,13 @@ def total_reward(
 ) -> float:
     """Weighted balance of repulsion and attraction plus the capture bonus.
 
-    The three public terms in one body, each with its own operations in its
-    own order, so the sum is bit for bit their weighted sum.
+    Repulsion ``1 - exp(-repulsion_coeff * Δd_obstacle)`` rewards moving away
+    from the nearest obstacle, the same for both roles.  Attraction
+    ``exp(-attraction_coeff * Δd_opponent) - 1`` rewards the pursuer for
+    closing the gap, and the capture bonus ``success_coeff`` is paid on the
+    capture step; the evader gets both negated.  ``tests/test_reward.py``
+    keeps each term as a function of its own, the reference this sum must
+    match bit for bit.
     """
     repulsion = 1.0 - math.exp(-cfg.repulsion_coeff * (d_obstacle_next - d_obstacle_prev))
     attraction = math.exp(-cfg.attraction_coeff * (d_opponent_next - d_opponent_prev)) - 1.0
@@ -100,5 +68,5 @@ def total_reward(
         attraction = -attraction
         success = -cfg.success_coeff if captured else 0.0
     else:
-        _check_role(role)  # raises
+        raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
     return cfg.repulsion_weight * repulsion + cfg.attraction_weight * attraction + success

@@ -76,7 +76,7 @@ _ROLES = (PURSUER, EVADER)
 
 
 class CheckpointLayoutError(ValueError):
-    """Checkpoint weights do not match the rule-base layout its config defines."""
+    """Checkpoint weights do not fit the rule-base layout its config defines, or are not finite."""
 
 
 def build_rulebase(config: TrainConfig) -> RuleBase:
@@ -207,31 +207,16 @@ def run_episode(
 
         if records is not None:
             p, e = states
+            # Positional, in StepRecord's field order: one call binds no keywords.
             records.append(
                 StepRecord(
-                    time=elapsed,
-                    pursuer_pos=list(p.position),
-                    pursuer_alpha=p.alpha,
-                    pursuer_theta=p.theta,
-                    evader_pos=list(e.position),
-                    evader_alpha=e.alpha,
-                    evader_theta=e.theta,
-                    pursuer_u=u[0].tolist(),
-                    pursuer_u_exec=list(x[0]),
-                    evader_u=u[1].tolist(),
-                    evader_u_exec=list(x[1]),
-                    pursuer_reward=r[0],
-                    evader_reward=r[1],
-                    pursuer_td=td[0],
-                    evader_td=td[1],
-                    pursuer_entropy=ent[0],
-                    evader_entropy=ent[1],
-                    pursuer_cone=cone[0],
-                    evader_cone=cone[1],
-                    distance=d_next,
-                    pursuer_clearance=near[0][1],
-                    evader_clearance=near[1][1],
-                )
+                    elapsed,
+                    list(p.position), p.alpha, p.theta,
+                    list(e.position), e.alpha, e.theta,
+                    u[0].tolist(), list(x[0]), u[1].tolist(), list(x[1]),
+                    r[0], r[1], td[0], td[1], ent[0], ent[1], cone[0], cone[1],
+                    d_next, near[0][1], near[1][1],
+                )  # fmt: skip
             )
 
         d_now = d_next
@@ -452,7 +437,8 @@ def load_checkpoint(path_or_dict):
 
     The rule base and learners come from the stored config, then take the
     stored weights.  Raises :class:`CheckpointLayoutError` when the weights
-    do not match the rule-base layout that config defines.
+    do not match the rule-base layout that config defines, or one is NaN or
+    infinite; its message names the role and the part.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict

@@ -14,7 +14,16 @@ from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT, Obstacle, nearest_obstacle
 from peg3d.fuzzy import RuleBase
 from peg3d.learner import FuzzyActorCritic, extract_inputs
-from peg3d.logs import export_csv, export_json, load_episode, summary_row, write_rows_csv
+from peg3d._fields import build
+from peg3d.logs import (
+    EpisodeLog,
+    StepRecord,
+    export_csv,
+    export_json,
+    load_episode,
+    summary_row,
+    write_rows_csv,
+)
 from peg3d.reward import total_reward
 from peg3d.scenarios import Scenario, TrainConfig, build_arena, builtin_scenarios, initial_states
 from peg3d.training import (
@@ -41,6 +50,21 @@ def episode_json_reference(log) -> str:
             text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
         lines.append(f"{json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def episode_from_dict_reference(data) -> EpisodeLog:
+    """``EpisodeLog.from_dict`` built one ``StepRecord(**row)`` call per record."""
+    data = dict(data)
+    records = data.pop("records", None)
+    log = build(EpisodeLog, data)
+    if records is not None:
+        log.records = [build(StepRecord, row) for row in records]
+    return log
+
+
+# Record counts around export_json's chunk boundaries.
+CHUNK = logs._JSON_CHUNK
+RECORD_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 
 
 def rows_csv_reference(path, header, rows, schema):
@@ -335,6 +359,94 @@ class TestEpisodeLogExports:
         assert math.copysign(1.0, back.distance) == -1.0 and back.time == 5e-324
         assert loaded.records[1:] == log.records[1:]
 
+    @pytest.mark.parametrize("count", RECORD_COUNTS)
+    def test_json_bytes_match_per_record_writer(self, tmp_path, count):
+        template = self._training_log().records
+        specials = (math.nan, math.inf, -math.inf, None, -0.0)
+        log = self._training_log()
+        log.records = []
+        for i in range(count):
+            rec = dataclasses.replace(template[i % len(template)], time=i * 0.1)
+            rec.pursuer_td, rec.evader_td = specials[i % 5], specials[(i + 1) % 5]
+            rec.distance = (math.nan, math.inf, -math.inf, -0.0, 5e-324)[i % 5]
+            rec.pursuer_pos = [-0.0, math.inf, float(i)]
+            rec.evader_cone = i % 2 == 0
+            log.records.append(rec)
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        assert path.read_text() == episode_json_reference(log)
+        lines = path.read_text().splitlines()
+        # "{", a line per top-level key, "}"; records add a line each and "],".
+        assert len(lines) == 2 + len(dataclasses.fields(log)) + count + (1 if count else 0)
+        # What loads back writes the same bytes again.
+        export_json(load_episode(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_loaded_record_is_the_record_of_its_row(self, tmp_path):
+        log = self._training_log()
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        data = json.loads(path.read_text())
+        # Keys out of field order too: the record still has StepRecord's field order.
+        data["records"][1] = dict(reversed(data["records"][1].items()))
+        loaded = EpisodeLog.from_dict(json.loads(json.dumps(data)))
+        assert loaded == episode_from_dict_reference(data) == log
+        for rec, row in zip(loaded.records, data["records"]):
+            expected = StepRecord(**row)
+            assert type(rec) is StepRecord and rec == expected
+            assert list(vars(rec).items()) == list(vars(expected).items())
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            (lambda recs: recs[1].update(bogus=1), ValueError, "unknown StepRecord key 'bogus'"),
+            (lambda recs: recs[2].pop("distance"), ValueError, "missing StepRecord key 'distance'"),
+            (
+                lambda recs: recs.insert(1, 7),
+                ValueError,
+                "StepRecord must be a JSON object, got 7",
+            ),
+            (
+                lambda recs: recs.insert(0, list(recs[0])),
+                ValueError,
+                r"StepRecord must be a JSON object, got \['time', 'pursuer_pos', ",
+            ),
+        ],
+        ids=["unknown key", "missing key", "not an object", "list of the field names"],
+    )
+    def test_bad_record_row_message(self, tmp_path, corrupt, error, message):
+        log = self._training_log()
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        data = json.loads(path.read_text())
+        corrupt(data["records"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(error, match=f"^{message}") as got:
+            load_episode(path)
+        with pytest.raises(error) as reference:
+            episode_from_dict_reference(data)
+        assert str(got.value) == str(reference.value)
+
+    @pytest.mark.parametrize(
+        "records, error, message",
+        [
+            ({"time": 0.0}, ValueError, "StepRecord must be a JSON object, got 'time'"),
+            ("ab", ValueError, "StepRecord must be a JSON object, got 'a'"),
+            (5, TypeError, "'int' object is not iterable"),
+        ],
+        ids=["object", "string", "number"],
+    )
+    def test_records_not_a_list_message(self, tmp_path, records, error, message):
+        data = dataclasses.asdict(self._small_log())
+        data["records"] = records
+        path = tmp_path / "episode.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(error, match=f"^{message}$") as got:
+            load_episode(path)
+        with pytest.raises(error) as reference:
+            episode_from_dict_reference(data)
+        assert str(got.value) == str(reference.value)
+
     def test_csv_bytes_match_per_value_formatting(self, tmp_path):
         log = self._small_log()
         rec = log.records[0]
@@ -550,6 +662,29 @@ class TestCheckpoints:
         expected = r"'peg3d.checkpoint.v2' \(expected peg3d.checkpoint.v3\)"
         with pytest.raises(ValueError, match=f"^unsupported checkpoint schema {expected}$"):
             load_checkpoint(v2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "role, part, index",
+        [("pursuer", "actor", (1, 17)), ("evader", "critic", (3,))],
+    )
+    def test_non_finite_weight_rejected(self, tmp_path, role, part, index, value):
+        res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
+        bad = json.loads(json.dumps(res.checkpoint))
+        *rows, last = index
+        target = bad["agents"][role][part]
+        for row in rows:
+            target = target[row]
+        target[last] = value
+        where = ", ".join(map(str, index))
+        expected = rf"^{role}: {part}\[{where}\] must be finite, got {re.escape(repr(value))}$"
+        with pytest.raises(CheckpointLayoutError, match=expected):
+            load_checkpoint(bad)
+        # From a file too, where the value is a bare NaN or Infinity token.
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(bad, path)
+        with pytest.raises(CheckpointLayoutError, match=expected):
+            load_checkpoint(path)
 
     def test_bad_config_value_rejected_on_load(self):
         res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
@@ -1138,6 +1273,37 @@ class TestCLI:
         path.write_text(json.dumps(checkpoint))
         out_dir = tmp_path / "eval"
         with pytest.raises(SystemExit, match=f"^peg3d evaluate: {message}"):
+            cli_main(["evaluate", "--checkpoint", str(path), "--runs", "1", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("part", ["actor", "critic"])
+    def test_evaluate_rejects_non_finite_weights_before_any_run(self, tmp_path, monkeypatch, part):
+        run_dir = tmp_path / "run"
+        cli_main(
+            [
+                "train", "--scenario", "1", "--episodes", "1", "--max-plays", "5",
+                "--out", str(run_dir), "--quiet",
+            ]
+        )
+        path = run_dir / "checkpoint.json"
+        checkpoint = json.loads(path.read_text())
+        weights = checkpoint["agents"]["evader"][part]
+        if part == "actor":
+            weights[1] = [math.nan] * len(weights[1])
+        else:
+            weights[-1] = math.inf
+        path.write_text(json.dumps(checkpoint))
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("a run was played")
+
+        monkeypatch.setattr(training, "run_episode", no_episode)
+        expected = {
+            "actor": r"actor\[1, 0\] must be finite, got nan",
+            "critic": r"critic\[624\] must be finite, got inf",
+        }
+        out_dir = tmp_path / "eval"
+        with pytest.raises(SystemExit, match=f"^peg3d evaluate: evader: {expected[part]}$"):
             cli_main(["evaluate", "--checkpoint", str(path), "--runs", "1", "--out", str(out_dir)])
         assert not out_dir.exists()
 

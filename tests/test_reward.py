@@ -5,17 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peg3d.reward import (
-    EVADER,
-    PURSUER,
-    RewardConfig,
-    attraction_reward,
-    repulsion_reward,
-    success_reward,
-    total_reward,
-)
+from peg3d.reward import EVADER, PURSUER, RewardConfig, total_reward
 
 CFG = RewardConfig()
+
+
+# The three terms of total_reward, one formula each: the reference forms that
+# total_reward, which computes them in one body, must match bit for bit.
+def _check_role(role: str):
+    if role not in (PURSUER, EVADER):
+        raise ValueError(f"role must be one of {(PURSUER, EVADER)}, got {role!r}")
+
+
+def repulsion_reward(d_prev: float, d_next: float, cfg: RewardConfig) -> float:
+    """Reward for the change in signed surface distance to the nearest obstacle.
+
+    Zero when the distance is unchanged, approaching 1 as the agent retreats,
+    exponentially negative as it advances on the obstacle.  Same form for
+    both roles.
+    """
+    return 1.0 - math.exp(-cfg.repulsion_coeff * (d_next - d_prev))
+
+
+def attraction_reward(d_prev: float, d_next: float, role: str, cfg: RewardConfig) -> float:
+    """Reward for the change in pursuer-evader separation.
+
+    Positive for the pursuer when the gap shrinks; the evader gets the
+    negated value.
+    """
+    _check_role(role)
+    r = math.exp(-cfg.attraction_coeff * (d_next - d_prev)) - 1.0
+    return r if role == PURSUER else -r
+
+
+def success_reward(captured: bool, role: str, cfg: RewardConfig) -> float:
+    """Terminal capture bonus: positive for the pursuer, negated for the evader."""
+    _check_role(role)
+    if not captured:
+        return 0.0
+    return cfg.success_coeff if role == PURSUER else -cfg.success_coeff
 
 
 class TestConfig:
@@ -142,7 +170,7 @@ class TestTotal:
 
 
 def reference_total_reward(d_obs_prev, d_obs_next, d_opp_prev, d_opp_next, captured, role, cfg):
-    """The weighted sum of the three public terms, the reference for ``total_reward``."""
+    """The weighted sum of the three reference terms, the reference for ``total_reward``."""
     return (
         cfg.repulsion_weight * repulsion_reward(d_obs_prev, d_obs_next, cfg)
         + cfg.attraction_weight * attraction_reward(d_opp_prev, d_opp_next, role, cfg)
@@ -170,7 +198,7 @@ CONFIGS = st.sampled_from(
 
 
 class TestTotalMatchesTerms:
-    """``total_reward`` is bit for bit the weighted sum of the three public terms."""
+    """``total_reward`` is bit for bit the weighted sum of the three reference terms."""
 
     @settings(max_examples=1000, deadline=None)
     @given(
