@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from peg3d import logs, training
+from peg3d._fields import build
 from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT, Obstacle, nearest_obstacle
 from peg3d.fuzzy import RuleBase
 from peg3d.learner import FuzzyActorCritic, extract_inputs
-from peg3d._fields import build
 from peg3d.logs import (
     EpisodeLog,
     StepRecord,
@@ -361,10 +361,9 @@ class TestEpisodeLogExports:
 
     @pytest.mark.parametrize("count", RECORD_COUNTS)
     def test_json_bytes_match_per_record_writer(self, tmp_path, count):
-        template = self._training_log().records
-        specials = (math.nan, math.inf, -math.inf, None, -0.0)
         log = self._training_log()
-        log.records = []
+        template, log.records = log.records, []
+        specials = (math.nan, math.inf, -math.inf, None, -0.0)
         for i in range(count):
             rec = dataclasses.replace(template[i % len(template)], time=i * 0.1)
             rec.pursuer_td, rec.evader_td = specials[i % 5], specials[(i + 1) % 5]
