@@ -1,16 +1,18 @@
-"""What each config field may hold, and building dataclasses from loaded dicts.
+"""What each config field may hold, and building dataclasses from loaded data.
 
 The config dataclasses call :func:`check_fields` first in ``__post_init__``,
 so a value of the wrong type fails with the same message whether it came from
 the Python API, an INI file or a checkpoint.  Each class then checks the
-ranges only it knows.  This module imports nothing from the package, so every
-config module can use it.
+ranges only it knows.  INI text is cast by :func:`cast` and decoded JSON by
+:func:`build`, both through the one table of field kinds.  This module
+imports nothing from the package, so every config module can use it.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 
 
 def _number(value) -> bool:
@@ -23,22 +25,41 @@ def _numbers(value, *counts: int) -> bool:
     return isinstance(value, tuple) and len(value) in counts and all(map(_number, value))
 
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _parse_obstacle_rows(text: str) -> tuple[tuple[float, ...], ...]:
+    chunks = filter(None, map(str.strip, text.split(";")))
+    return tuple(_parse_floats(chunk) for chunk in chunks)
+
+
 # Keyed by annotation text (the config modules postpone annotation evaluation):
-# (test, what the message says the value must be).  A field whose annotation
-# is not here holds a nested config, declared with its class as default_factory.
+# (test, what the message says the value must be, cast from INI text).  A field
+# whose annotation is not here holds a nested config, declared with its class
+# as default_factory.
 _KINDS = {
-    "bool": (lambda v: isinstance(v, bool), "a bool"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
-    "float": (_number, "a float"),
-    "str": (lambda v: isinstance(v, str), "a str"),
-    "tuple[float, float, float]": (lambda v: _numbers(v, 3), "3 floats (x y z)"),
+    "bool": (lambda v: isinstance(v, bool), "a bool", _parse_bool),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int", int),
+    "float": (_number, "a float", float),
+    "str": (lambda v: isinstance(v, str), "a str", str),
+    "tuple[float, float, float]": (lambda v: _numbers(v, 3), "3 floats (x y z)", _parse_floats),
     "tuple[float, float] | None": (  # () means None, as an empty INI value gives
         lambda v: v is None or _numbers(v, 0, 2),
         "2 floats (alpha theta)",
+        _parse_floats,
     ),
     "tuple[tuple[float, float, float, float], ...] | None": (
         lambda v: v is None or isinstance(v, tuple) and all(_numbers(row, 4) for row in v),
         "rows of 4 floats (x y z radius)",
+        _parse_obstacle_rows,
     ),
 }
 
@@ -48,12 +69,18 @@ def check_fields(obj) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in _KINDS:
-            test, kind = _KINDS[f.type]
+            test, kind, _ = _KINDS[f.type]
             ok = test(value)
         else:
             ok, kind = isinstance(value, f.default_factory), f"a {f.type}"
         if not ok:
             raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+
+
+def cast(cls, name: str, text: str):
+    """The value INI ``text`` spells for field ``name`` of dataclass ``cls``."""
+    annotation = next(f.type for f in fields(cls) if f.name == name)
+    return _KINDS[annotation][2](text)
 
 
 def check_int(name: str, value, least: int) -> None:
@@ -72,12 +99,27 @@ def check_positive(obj, names) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def build(cls, data):
-    """``cls(**data)``; a ``ValueError`` names the unknown and missing keys.
+def _decode(f, value):
+    """The value of field ``f`` that decoded JSON ``value`` stands for."""
+    if f.type.startswith("tuple[") and isinstance(value, list):  # obstacle rows are lists too
+        return tuple(tuple(row) if isinstance(row, list) else row for row in value)
+    if is_dataclass(f.default_factory) and not isinstance(value, f.default_factory):
+        return build(f.default_factory, value)  # a nested config's dict
+    return value
 
+
+def build(cls, data):
+    """``cls(**data)`` from decoded JSON; a ``ValueError`` names the unknown and missing keys.
+
+    Lists become tuples and dicts nested configs, as ``cls``'s fields declare.
     The keys are only inspected once the call fails, so well-formed data costs
     nothing extra.  A ``TypeError`` that no key explains is raised again.
     """
+    if isinstance(data, dict):
+        data = {**data}
+        for f in fields(cls):
+            if f.name in data:
+                data[f.name] = _decode(f, data[f.name])
     try:
         return cls(**data)
     except TypeError:

@@ -47,11 +47,9 @@ def _resolve_scenario(arg: str, config_path):
 
 
 def _cmd_train(args):
-    overrides = {
-        name: getattr(args, name)
-        for name in ("seed", "episodes", "max_plays", "freeze", "log_steps")
-        if getattr(args, name) is not None
-    }
+    # The train options named after TrainConfig fields override them when given.
+    names = (f.name for f in dataclasses.fields(TrainConfig))
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     try:
         check_int("report_every", args.report_every, 1)
         scenario, config = _resolve_scenario(args.scenario, args.config)
@@ -143,8 +141,6 @@ def _cmd_replay(args):
 
 
 def _cmd_scenarios(args):
-    if args.action != "list":
-        raise SystemExit("usage: peg3d scenarios list")
     for number, sc in sorted(builtin_scenarios().items()):
         print(
             f"{number}: pursuer {tuple(map(float, sc.pursuer_start))} -> "

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields, check_positive
+from ._fields import check_fields, check_int, check_positive
 from .env import TURN_LIMIT, AgentState
-from .fuzzy import uniform_partition
 
 __all__ = [
     "ANGLE_DOMAIN",
@@ -55,7 +54,7 @@ class LearnerConfig:
             raise ValueError(f"actor rate must be below critic rate, got {actor} >= {critic}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.gamma}")
-        uniform_partition(*DISTANCE_DOMAIN, self.mfs_per_input)  # raises on a bad rule count
+        check_int("mfs_per_input", self.mfs_per_input, 2)
 
 
 class FuzzyActorCritic:

@@ -105,6 +105,8 @@ class EpisodeLog:
         records = data.pop("records", None)
         log = build(cls, data)
         if records is not None:
+            if not isinstance(records, list):
+                raise ValueError(f"records must be a list, got {records!r}")
             log.records = [_step_record(row) for row in records]
         return log
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._fields import build, check_fields, check_int, check_positive
+from ._fields import build, cast, check_fields, check_int, check_positive
 from .env import Arena, AgentState, Obstacle
 from .learner import LearnerConfig
 from .reward import RewardConfig
@@ -33,8 +33,6 @@ __all__ = [
     "build_arena",
     "check_scenario",
     "load_config",
-    "scenario_from_dict",
-    "train_config_from_dict",
 ]
 
 CONFIG_SCHEMA = "peg3d.config.v1"
@@ -259,43 +257,18 @@ def initial_states(scenario: Scenario, config: TrainConfig) -> tuple[AgentState,
 
 # --- INI config files -------------------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_obstacle_rows(text: str) -> tuple[tuple[float, ...], ...]:
-    chunks = filter(None, map(str.strip, text.split(";")))
-    return tuple(_parse_floats(chunk) for chunk in chunks)
-
-
 # The INI layout: section -> (the dataclass its keys set, the keys).  A key is
 # its field's name, except [arena] ``extents``, which sets ``arena_extents``.
 # Defaults come from the dataclasses, casts from the fields' declared types.
+# [config] holds only the schema, which load_config reads itself.
 INI_SECTIONS = {
     "config": (None, ("schema",)),
     "train": (TrainConfig, ("episodes", "max_plays", "seed", "freeze", "log_steps")),
     "arena": (TrainConfig, ("extents", "dt", "capture_distance", "sensing_range")),
     "agents": (TrainConfig, ("pursuer_speed", "evader_speed", "cone_constraint")),
-    "learner": (LearnerConfig, ("alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input")),
+    "learner": (LearnerConfig, tuple(f.name for f in fields(LearnerConfig))),
     "reward": (RewardConfig, tuple(f.name for f in fields(RewardConfig))),
     "scenario": (Scenario, tuple(f.name for f in fields(Scenario))),
-}
-# Keyed by annotation text: the config modules postpone annotation evaluation.
-_CASTS = {
-    "bool": _parse_bool,
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[float, float, float]": _parse_floats,
-    "tuple[float, float] | None": _parse_floats,
-    "tuple[tuple[float, float, float, float], ...] | None": _parse_obstacle_rows,
 }
 
 
@@ -314,44 +287,24 @@ def load_config(path) -> tuple[TrainConfig, Scenario | None]:
     if schema != CONFIG_SCHEMA:
         raise ValueError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
 
-    values = {cls: {} for cls, _ in INI_SECTIONS.values()}
+    values = {cls: {} for cls, _ in INI_SECTIONS.values() if cls is not None}
     for section in parser.sections():
         if section not in INI_SECTIONS:
             raise ValueError(f"unknown config section [{section}] in {path}")
         cls, keys = INI_SECTIONS[section]
-        types = {f.name: f.type for f in fields(cls)} if cls else {"schema": "str"}  # [config]
         for key, text in parser.items(section):
             if key not in keys:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
+            if cls is None:  # [config]: its schema was read above
+                continue
             name = "arena_extents" if key == "extents" else key
             try:
-                values[cls][name] = _CASTS[types[name]](text)
+                values[cls][name] = cast(cls, name, text)
             except ValueError as exc:
                 raise ValueError(f"{exc} (key {key!r} in section [{section}] of {path})") from None
 
-    learner, reward = LearnerConfig(**values[LearnerConfig]), RewardConfig(**values[RewardConfig])
-    config = TrainConfig(**values[TrainConfig], learner=learner, reward=reward)
+    nested = {"learner": values[LearnerConfig], "reward": values[RewardConfig]}
+    config = build(TrainConfig, {**values[TrainConfig], **nested})
     if not parser.has_section("scenario"):
         return config, None
     return config, build(Scenario, values[Scenario])
-
-
-def _tuples(value):
-    """JSON lists back to the dataclasses' tuples, inside nested dicts too."""
-    if isinstance(value, dict):
-        return {key: _tuples(item) for key, item in value.items()}
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    """Inverse of :meth:`Scenario.to_dict`; missing optional keys take the defaults."""
-    return build(Scenario, _tuples(data))
-
-
-def train_config_from_dict(data: dict) -> TrainConfig:
-    """Inverse of :meth:`TrainConfig.to_dict`; missing keys take the defaults."""
-    data = _tuples(data)
-    for name, cls in (("learner", LearnerConfig), ("reward", RewardConfig)):
-        if isinstance(data, dict) and name in data:
-            data[name] = build(cls, data[name])
-    return build(TrainConfig, data)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import check_int
+from ._fields import build, check_int
 from ._version import __version__
 
 # perfbench/ times and counts the layers by rebinding the module-level names
@@ -46,8 +46,6 @@ from .scenarios import (
     check_scenario,
     initial_states,
     realize_obstacles,
-    scenario_from_dict,
-    train_config_from_dict,
 )
 
 __all__ = [
@@ -361,17 +359,18 @@ def evaluate(
     children = np.random.SeedSequence(seed).spawn(runs)
 
     out = Path(out_dir) if out_dir is not None else None
+    record = record_steps and out is not None  # records only go to files
     rows: list[dict] = []
     for i, child in enumerate(children):
         obstacles = realize_obstacles(scenario, config, np.random.default_rng(child))
         log = run_episode(
             scenario, config, obstacles, rulebase, learners, None,
-            record_steps=record_steps, seed=seed, episode=i,
+            record_steps=record, seed=seed, episode=i,
         )
         row = summary_row(log)
         row.pop("episode")
         rows.append({"run": i, **row})
-        if out is not None and record_steps:
+        if record:
             export_json(log, out / "runs" / f"run_{i:03d}.json")
 
     captured = [row for row in rows if row["outcome"] == CAPTURED]
@@ -448,8 +447,8 @@ def load_checkpoint(path_or_dict):
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {schema!r} (expected {CHECKPOINT_SCHEMA})")
-    scenario = scenario_from_dict(_lookup(data, "scenario"))
-    config = train_config_from_dict(_lookup(data, "config"))
+    scenario = build(Scenario, _lookup(data, "scenario"))
+    config = build(TrainConfig, _lookup(data, "config"))
     rulebase = build_rulebase(config)
     learners = build_learners(config, rulebase.n_rules)
     for role in _ROLES:

@@ -21,6 +21,8 @@ from peg3d.env import (
 )
 from peg3d.scenarios import TrainConfig, build_arena
 
+from floatbits import bits
+
 
 def agent(pos, alpha=0.0, theta=math.pi / 2.0, speed=1.0):
     return AgentState(position=pos, alpha=alpha, theta=theta, speed=speed)
@@ -311,13 +313,33 @@ def reference_cone_limited_command(state, dalpha, dtheta, target, max_offset):
     return da, dth
 
 
-def bits(values) -> bytes:
-    """The exact float64 bytes, so -0.0 and NaN payloads count too."""
-    return np.asarray(values, dtype=float).tobytes()
-
-
 def state_bits(state) -> bytes:
     return bits([*state.position, state.alpha, state.theta, state.speed])
+
+
+def _nan(pattern: int) -> float:
+    """The float64 whose bits are ``pattern``."""
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+class TestBits:
+    """The shared ``bits`` helper tells every value apart but a NaN's sign and payload."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(-0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0), (math.nan, math.inf), (math.nan, -1e308)],
+    )
+    def test_differs(self, a, b):
+        assert bits(a) != bits(b)
+        assert bits([1.0, a]) != bits([1.0, b])
+
+    def test_every_nan_is_one_nan(self):
+        negative, payload = _nan(0xFFF8000000000000), _nan(0x7FF8000000000001)
+        assert bits(negative) == bits(payload) == bits(math.nan)
+        assert bits([negative, -0.0]) == bits([math.nan, -0.0])
+        values = np.array([negative])
+        bits(values)
+        assert values.tobytes() == np.float64(negative).tobytes()  # the input stays as it was
 
 
 LIMIT_EDGES = [

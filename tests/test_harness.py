@@ -58,6 +58,8 @@ def episode_from_dict_reference(data) -> EpisodeLog:
     records = data.pop("records", None)
     log = build(EpisodeLog, data)
     if records is not None:
+        if not isinstance(records, list):
+            raise ValueError(f"records must be a list, got {records!r}")
         log.records = [build(StepRecord, row) for row in records]
     return log
 
@@ -429,9 +431,9 @@ class TestEpisodeLogExports:
     @pytest.mark.parametrize(
         "records, error, message",
         [
-            ({"time": 0.0}, ValueError, "StepRecord must be a JSON object, got 'time'"),
-            ("ab", ValueError, "StepRecord must be a JSON object, got 'a'"),
-            (5, TypeError, "'int' object is not iterable"),
+            ({"time": 0.0}, ValueError, "records must be a list, got {'time': 0.0}"),
+            ("ab", ValueError, "records must be a list, got 'ab'"),
+            (5, ValueError, "records must be a list, got 5"),
         ],
         ids=["object", "string", "number"],
     )
@@ -724,6 +726,22 @@ class TestEvaluate:
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert len(lines) == 22  # schema comment + header + 20 rows
 
+    def test_record_steps_without_out_dir_builds_no_records(self, monkeypatch):
+        sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=25)
+        rb = build_rulebase(cfg)
+        learners = build_learners(cfg, rb.n_rules)
+        plain = evaluate(learners, rb, sc, cfg, runs=3, seed=4)
+        asked, run = [], training.run_episode
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs["record_steps"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(training, "run_episode", spy)
+        # Without out_dir the records would have nowhere to go, so none are built.
+        assert evaluate(learners, rb, sc, cfg, runs=3, seed=4, record_steps=True) == plain
+        assert asked == [False, False, False]
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -940,8 +958,12 @@ class TestCLI:
                 lambda data: json.dumps({**data, "records": [[1, 2]]}),
                 r"StepRecord must be a JSON object, got \[1, 2\]$",
             ),
+            (lambda data: json.dumps({**data, "records": 5}), "records must be a list, got 5$"),
         ],
-        ids=["no file", "not json", "a list", "unknown key", "missing key", "record key", "row"],
+        ids=[
+            "no file", "not json", "a list", "unknown key", "missing key", "record key", "row",
+            "records",
+        ],  # fmt: skip
     )
     def test_replay_rejects_a_bad_log(self, tmp_path, text, message):
         sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=3)
@@ -1039,7 +1061,7 @@ class TestCLI:
             ("[train]\nepisodes = 0\n", "episodes must be >= 1"),
             ("[train]\nseed = -3\n", "seed must be >= 0, got -3$"),
             ("[learner]\nalpha_actor = 0.1\n", "actor rate must be below critic rate"),
-            ("[learner]\nmfs_per_input = 1\n", "need at least 2 membership functions"),
+            ("[learner]\nmfs_per_input = 1\n", "mfs_per_input must be >= 2, got 1$"),
             ("[agents]\npursuer_speed = -1\n", "pursuer_speed must be finite and > 0, got -1.0$"),
             ("[agents]\nevader_speed = inf\n", "evader_speed must be finite and > 0, got inf$"),
             ("[agents]\ncone_constraint = maybe\n", "expected a boolean"),

@@ -11,6 +11,8 @@ from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
 from peg3d.scenarios import TrainConfig, build_arena
 from peg3d.training import build_rulebase
 
+from floatbits import bits
+
 
 def critic_value(learner: FuzzyActorCritic, phi: np.ndarray) -> float:
     """Critic state-value estimate for a firing vector, the ``@`` form of ``td_error``'s terms."""
@@ -384,11 +386,6 @@ def reference_update_actor(learner, phi, u, u_exec, delta):
 def reference_td_error(learner, phi_t, phi_next, reward, terminal):
     v_next = 0.0 if terminal else critic_value(learner, phi_next)
     return reward + learner.config.gamma * v_next - critic_value(learner, phi_t)
-
-
-def bits(values) -> bytes:
-    """The exact float64 bytes, so -0.0 and NaN payloads count too."""
-    return np.asarray(values, dtype=float).tobytes()
 
 
 RULES = build_rulebase(TrainConfig())

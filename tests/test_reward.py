@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from peg3d.reward import EVADER, PURSUER, RewardConfig, total_reward
 
+from floatbits import bits
+
 CFG = RewardConfig()
 
 
@@ -176,11 +178,6 @@ def reference_total_reward(d_obs_prev, d_obs_next, d_opp_prev, d_opp_next, captu
         + cfg.attraction_weight * attraction_reward(d_opp_prev, d_opp_next, role, cfg)
         + success_reward(captured, role, cfg)
     )
-
-
-def bits(value) -> bytes:
-    """The exact float64 bytes, so -0.0 and NaN payloads count too."""
-    return np.float64(value).tobytes()
 
 
 # Finite distances keep every exponent below exp's overflow at these coefficients.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from peg3d._fields import _KINDS, build
 from peg3d.env import heading_vector
 from peg3d.learner import LearnerConfig
 from peg3d.reward import RewardConfig
@@ -24,8 +25,6 @@ from peg3d.scenarios import (
     load_config,
     place_obstacles,
     realize_obstacles,
-    scenario_from_dict,
-    train_config_from_dict,
 )
 from peg3d.training import build_learners, build_rulebase, load_checkpoint, make_checkpoint
 
@@ -155,7 +154,7 @@ class TestTrainConfigDefaults:
 
     def test_round_trip_through_dict(self):
         cfg = TrainConfig(seed=9, episodes=50, freeze="evader", cone_constraint=False)
-        clone = train_config_from_dict(cfg.to_dict())
+        clone = build(TrainConfig, cfg.to_dict())
         assert clone == cfg
         with pytest.raises(dataclasses.FrozenInstanceError):
             clone.seed = 1
@@ -173,19 +172,19 @@ class TestTrainConfigDefaults:
             TrainConfig(capture_distance=-1.0)
 
     def test_round_trip_fills_missing_keys_with_defaults(self):
-        assert train_config_from_dict({"seed": 4}) == TrainConfig(seed=4)
-        sc = scenario_from_dict({"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6]})
+        assert build(TrainConfig, {"seed": 4}) == TrainConfig(seed=4)
+        sc = build(Scenario, {"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6]})
         assert sc == Scenario(pursuer_start=(1, 2, 3), evader_start=(4, 5, 6))
         assert sc.name == "custom"
 
     def test_unknown_keys_named(self):
         with pytest.raises(ValueError, match="^unknown TrainConfig key 'bogus'$"):
-            train_config_from_dict({"seed": 4, "bogus": 1})
+            build(TrainConfig, {"seed": 4, "bogus": 1})
         for part, cls in (("learner", "LearnerConfig"), ("reward", "RewardConfig")):
             with pytest.raises(ValueError, match=f"^unknown {cls} key 'bogus', 'extra'$"):
-                train_config_from_dict({part: {"extra": 2, "bogus": 1}})
+                build(TrainConfig, {part: {"extra": 2, "bogus": 1}})
         with pytest.raises(ValueError, match="^unknown Scenario key 'bogus'$"):
-            scenario_from_dict({"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6], "bogus": 1})
+            build(Scenario, {"pursuer_start": [1, 2, 3], "evader_start": [4, 5, 6], "bogus": 1})
 
     @pytest.mark.parametrize(
         "data, message",
@@ -197,12 +196,12 @@ class TestTrainConfigDefaults:
             ({"arena_extents": [35, "35", 20]}, "arena_extents must be 3 floats (x y z), got "),
             ({"learner": 5}, "LearnerConfig must be a JSON object, got 5"),
             ({"reward": {"success_coeff": None}}, "success_coeff must be a float"),
-            ([], "TrainConfig must be a JSON object, got ()"),
+            ([], "TrainConfig must be a JSON object, got []"),
         ],
     )
     def test_wrong_types_named(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            train_config_from_dict(data)
+            build(TrainConfig, data)
 
     @pytest.mark.parametrize(
         "data, message",
@@ -216,7 +215,7 @@ class TestTrainConfigDefaults:
     )
     def test_scenario_missing_or_mistyped_keys_named(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            scenario_from_dict(data)
+            build(Scenario, data)
 
 
 SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0, 0.0)}
@@ -247,7 +246,7 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
             {"arena_extents": (35.0, 0.0, 20.0)},
             "arena extent y must be finite and > 0, got 0.0",
         ),
-        (LearnerConfig, {"mfs_per_input": 1}, "need at least 2 membership functions"),
+        (LearnerConfig, {"mfs_per_input": 1}, "mfs_per_input must be >= 2, got 1"),
         (LearnerConfig, {"mfs_per_input": 2.5}, "mfs_per_input must be an int, got 2.5"),
         (LearnerConfig, {"mfs_per_input": True}, "mfs_per_input must be an int, got True"),
         (
@@ -303,6 +302,17 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
 def test_config_dataclass_rejects_bad_value_when_built(cls, values, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**values)
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, LearnerConfig, RewardConfig, Scenario])
+def test_every_config_field_has_a_kind(cls):
+    """Each field is checked, cast and decoded by its annotation's kind, or is a nested config."""
+    unknown = [
+        (f.name, f.type)
+        for f in dataclasses.fields(cls)
+        if f.type not in _KINDS and not dataclasses.is_dataclass(f.default_factory)
+    ]
+    assert unknown == []
 
 
 @pytest.fixture(scope="module")
@@ -370,19 +380,25 @@ CHECKPOINT_KEYS = {
         ),
         (Scenario, "obstacle_count", -1, True, "obstacle_count must be >= 0, got -1"),
         (Scenario, "name", 3, False, "name must be a str, got 3"),
+        # A nested config's JSON form: build decodes it, and the API takes only the dataclass.
+        (TrainConfig, "learner", 5, False, "LearnerConfig must be a JSON object, got 5"),
+        (TrainConfig, "learner", {"bogus": 1}, False, "unknown LearnerConfig key 'bogus'"),
+        (TrainConfig, "reward", [], False, "RewardConfig must be a JSON object, got []"),
     ],
 )
 def test_bad_value_fails_with_the_same_message_on_every_path(
     tmp_path, checkpoint, cls, name, value, in_ini, message
 ):
-    """The API, an INI file (where INI text can spell the value) and a checkpoint agree."""
+    """The API, build, an INI file (where INI text can spell the value) and a checkpoint agree."""
     values = {**SCENARIO_STARTS, name: value} if cls is Scenario else {name: value}
     stored = json.loads(json.dumps(checkpoint))
     target = stored
     for key in CHECKPOINT_KEYS[cls]:
         target = target[key]
     target[name] = json.loads(json.dumps(value))
-    paths = {"api": lambda: cls(**values), "checkpoint": lambda: load_checkpoint(stored)}
+    paths = {"build": lambda: build(cls, values), "checkpoint": lambda: load_checkpoint(stored)}
+    if name not in ("learner", "reward"):
+        paths["api"] = lambda: cls(**values)
     if in_ini:
         key = "extents" if name == "arena_extents" else name
         section = next(s for s, (c, keys) in INI_SECTIONS.items() if c is cls and key in keys)
@@ -565,7 +581,7 @@ class TestObstaclePlacement:
             obstacles=((10.0, 10.0, 5.0, 1.0),),
             pursuer_heading=(0.1, 1.2),
         )
-        assert scenario_from_dict(sc.to_dict()) == sc
+        assert build(Scenario, sc.to_dict()) == sc
 
 
 class TestConfigFile:
@@ -699,11 +715,11 @@ pursuer_heading = 0.5 1.2
         )
 
         cfg, scenario = load_config(path)
-        assert train_config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert build(TrainConfig, json.loads(json.dumps(cfg.to_dict()))) == cfg
         if scenario is None:
             assert "scenario" not in sections
         else:
-            assert scenario_from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
+            assert build(Scenario, json.loads(json.dumps(scenario.to_dict()))) == scenario
 
         defaults = {
             "train": TrainConfig(),

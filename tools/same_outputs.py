@@ -8,11 +8,14 @@ It exports ``<ref>`` with ``git archive`` into a temporary directory, then
 runs one fixed set of ``peg3d`` commands against each tree's ``src/``: this
 checkout's working tree and the export.  The set covers ``train`` on the four
 built-in scenarios with ``--log-steps all``, both ``--freeze`` roles, a
-``--config`` file with ``[agents] cone_constraint = false``, ``evaluate
---save-logs`` and ``replay --export csv`` and ``json``.  Every command runs in
-its tree's output directory with relative paths, and its standard output is
-kept there as ``stdout/<name>.txt``.  Then ``diff -r`` compares the two output
-directories.
+``--config`` file with ``[agents] cone_constraint = false``, a config file
+that sets every section's keys (explicit obstacles, both headings, 3
+membership functions per input) and ``evaluate`` from the checkpoint it
+trains, a scenario file with random obstacles for ``train`` and ``evaluate
+--scenario``, ``evaluate --save-logs`` and ``replay --export csv`` and
+``json``.  Every command runs in its tree's output directory with relative
+paths, and its standard output is kept there as ``stdout/<name>.txt``.  Then
+``diff -r`` compares the two output directories.
 
 Exit status: 0 when the outputs are identical, 1 when they differ, 2 when the
 export or a command fails.
@@ -29,7 +32,66 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-NO_CONE_INI = "[agents]\ncone_constraint = false\n"
+# Written into each output directory before the commands run.
+INI_FILES = {
+    "no_cone.ini": "[agents]\ncone_constraint = false\n",
+    "full.ini": """\
+[config]
+schema = peg3d.config.v1
+
+[train]
+episodes = 6
+max_plays = 300
+seed = 5
+freeze = none
+log_steps = all
+
+[arena]
+extents = 30 30 15
+dt = 0.2
+capture_distance = 1.5
+sensing_range = 20
+
+[agents]
+pursuer_speed = 1.2
+evader_speed = 0.9
+cone_constraint = true
+
+[learner]
+alpha_actor = 0.002
+alpha_critic = 0.04
+gamma = 0.9
+sigma = 0.2
+mfs_per_input = 3
+
+[reward]
+repulsion_coeff = 8
+attraction_coeff = 4
+success_coeff = 25
+repulsion_weight = 4
+attraction_weight = 12
+
+[scenario]
+name = full
+pursuer_start = 4 25 2
+evader_start = 6 6 3
+obstacles = 10 10 5 1.5 ; 20 18 7 2
+pursuer_heading = -1.2 1.4
+evader_heading = 0.5 1.7
+""",
+    "random.ini": """\
+[scenario]
+name = random
+pursuer_start = 28 4 1
+evader_start = 8 25 6
+obstacle_count = 4
+obstacle_radius = 1.5
+obstacle_margin = 2.5
+
+[agents]
+cone_constraint = false
+""",
+}
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -39,10 +101,19 @@ def commands() -> list[tuple[str, list[str]]]:
     runs += [(f"train-freeze-{role}", [*train, "--scenario", "1", "--freeze", role])
              for role in ("pursuer", "evader")]  # fmt: skip
     runs.append(("train-no-cone", [*train, "--scenario", "2", "--config", "no_cone.ini"]))
+    runs.append(("train-full", ["train", "--scenario", "full.ini", "--config", "full.ini",
+                                "--quiet"]))  # fmt: skip
+    runs.append(("train-random", [*train, "--scenario", "random.ini"]))
     runs = [(name, [*args, "--out", name]) for name, args in runs]
     runs.append(
         ("evaluate", ["evaluate", "--checkpoint", "train-s1/checkpoint.json", "--runs", "3",
                       "--save-logs", "--out", "evaluate"])
+    )  # fmt: skip
+    runs.append(("evaluate-full", ["evaluate", "--checkpoint", "train-full/checkpoint.json",
+                                   "--runs", "2", "--out", "evaluate-full"]))  # fmt: skip
+    runs.append(
+        ("evaluate-random", ["evaluate", "--checkpoint", "train-s1/checkpoint.json", "--runs", "3",
+                             "--scenario", "random.ini", "--out", "evaluate-random"])
     )  # fmt: skip
     for kind in ("csv", "json"):
         log = "evaluate/runs/run_000.json"
@@ -62,7 +133,8 @@ def export(ref: str, dest: Path) -> None:
 def run_all(tree: Path, out: Path) -> None:
     """Run every command with ``tree``'s sources, inside ``out``."""
     (out / "stdout").mkdir(parents=True)
-    (out / "no_cone.ini").write_text(NO_CONE_INI)
+    for name, text in INI_FILES.items():
+        (out / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for name, args in commands():
         proc = subprocess.run(
