@@ -1,11 +1,12 @@
-"""What each config field may hold, and building dataclasses from loaded data.
+"""What each config and log field may hold, and building dataclasses from loaded data.
 
 The config dataclasses call :func:`check_fields` first in ``__post_init__``,
 so a value of the wrong type fails with the same message whether it came from
 the Python API, an INI file or a checkpoint.  Each class then checks the
-ranges only it knows.  INI text is cast by :func:`cast` and decoded JSON by
-:func:`build`, both through the one table of field kinds.  This module
-imports nothing from the package, so every config module can use it.
+ranges only it knows.  Episode logs are checked the same way when they are
+loaded, never when they are built.  INI text is cast by :func:`cast` and
+decoded JSON by :func:`build`, both through the one table of field kinds.
+This module imports nothing from the package, so every config module can use it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,22 @@ def _numbers(value, *counts: int) -> bool:
     return isinstance(value, tuple) and len(value) in counts and all(map(_number, value))
 
 
+def _listed(test):
+    """A test for a list whose every item passes ``test``."""
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+def _keyed(test):
+    """A test for a dict of str keys whose every value passes ``test``."""
+    return lambda v: (
+        isinstance(v, dict) and all(isinstance(k, str) for k in v) and all(map(test, v.values()))
+    )
+
+
+def _optional(test):
+    return lambda v: v is None or test(v)
+
+
 def _parse_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
@@ -41,13 +58,18 @@ def _parse_obstacle_rows(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_parse_floats(chunk) for chunk in chunks)
 
 
-# Keyed by annotation text (the config modules postpone annotation evaluation):
-# (test, what the message says the value must be, cast from INI text).  A field
-# whose annotation is not here holds a nested config, declared with its class
-# as default_factory.
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Keyed by annotation text (the config and log modules postpone annotation
+# evaluation): (test, what the message says the value must be, cast from INI
+# text, or None for a log field, which no INI text sets).  A field whose
+# annotation is not here holds a nested config, declared with its class as
+# default_factory.
 _KINDS = {
     "bool": (lambda v: isinstance(v, bool), "a bool", _parse_bool),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int", int),
+    "int": (_int, "an int", int),
     "float": (_number, "a float", float),
     "str": (lambda v: isinstance(v, str), "a str", str),
     "tuple[float, float, float]": (lambda v: _numbers(v, 3), "3 floats (x y z)", _parse_floats),
@@ -61,11 +83,23 @@ _KINDS = {
         "rows of 4 floats (x y z radius)",
         _parse_obstacle_rows,
     ),
+    # Episode logs, as decoded JSON gives them.
+    "int | None": (_optional(_int), "an int or None", None),
+    "float | None": (_optional(_number), "a float or None", None),
+    "list[float]": (_listed(_number), "a list of floats", None),
+    "list[list[float]]": (_listed(_listed(_number)), "a list of lists of floats", None),
+    "dict[str, float]": (_keyed(_number), "a dict of str to float", None),
+    "dict[str, int]": (_keyed(_int), "a dict of str to int", None),
+    "dict[str, float | None]": (_keyed(_optional(_number)), "a dict of str to float or None", None),
+    "list[StepRecord] | None": (_optional(lambda v: isinstance(v, list)), "a list", None),
 }
 
 
-def check_fields(obj) -> None:
-    """``ValueError`` naming the first field of dataclass ``obj`` that holds a wrong type."""
+def check_fields(obj, where: str = "") -> None:
+    """``ValueError`` naming the first field of dataclass ``obj`` that holds a wrong type.
+
+    ``where`` goes before the field's name in the message.
+    """
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in _KINDS:
@@ -74,7 +108,7 @@ def check_fields(obj) -> None:
         else:
             ok, kind = isinstance(value, f.default_factory), f"a {f.type}"
         if not ok:
-            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            raise ValueError(f"{where}{f.name} must be {kind}, got {value!r}")
 
 
 def cast(cls, name: str, text: str):

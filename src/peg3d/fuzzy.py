@@ -136,7 +136,7 @@ class RuleBase:
             products = grown
             base += k * stride
         raw = np.zeros(self.n_rules)
-        raw[base + self._offsets] = products
+        raw[base:].put(self._offsets, products)  # through the cell's window: no index array
         raw /= np.add.reduce(raw)  # the dense pairwise sum fixes the last bit, as in the reference
         return raw
 

@@ -5,11 +5,16 @@ rule firing features, and one actor weight vector per output channel maps the
 same features to a steering command.  Exploration perturbs the commanded
 action with Gaussian noise; the temporal-difference error then scales both
 the critic step and a perturbation-correlated actor step.
+
+The noise comes from a :func:`noise_stream`: standard normal draws of one
+Generator, taken from blocks of ``NOISE_BLOCK`` values.  :meth:`FuzzyActorCritic.act`
+takes two values per call, the azimuth channel's first.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +28,30 @@ __all__ = [
     "DISTANCE_DOMAIN",
     "FuzzyActorCritic",
     "LearnerConfig",
+    "NOISE_BLOCK",
     "extract_inputs",
+    "noise_stream",
 ]
 
 # Output channels: azimuth turn, polar turn.
 CHANNELS = ("dalpha", "dtheta")
 
 _COINCIDENT_TOL = 1e-12
+
+# Standard normals a noise stream draws from its Generator at once.
+NOISE_BLOCK = 1024
+
+
+def noise_stream(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s standard normal draws as plain floats, one per ``next``, without end.
+
+    They are drawn ``NOISE_BLOCK`` at a time, and values left in a block wait
+    for the next ``next``.  ``0.0 + sigma * z`` of each value ``z`` is bit for
+    bit what ``rng.normal(0.0, sigma)`` returns at the same point of ``rng``'s
+    stream, since the Generator draws each normal on its own.
+    """
+    while True:
+        yield from rng.standard_normal(NOISE_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -75,21 +97,25 @@ class FuzzyActorCritic:
         self._scales = np.empty((len(CHANNELS), 1))
         self._step = np.empty((len(CHANNELS), n_rules))
 
-    def act(self, phi: np.ndarray, rng: np.random.Generator | None = None):
+    def act(self, phi: np.ndarray, noise: Iterator[float] | None = None):
         """Commanded and executed actions for the current firing vector.
 
         Returns ``(u, u_exec)``: ``u`` is the ndarray of raw per-channel actor
         outputs, and ``u_exec`` the executed action as a tuple of plain
-        floats, one per channel, which adds exploration noise (when ``rng``
-        is given) and is clamped to the action limit.  The executed action is
-        what both the environment and the actor update must see.
+        floats, one per channel, clamped to the action limit.  With a
+        ``noise`` stream (see :func:`noise_stream`) ``u_exec`` adds
+        exploration noise ``0.0 + sigma * z`` for the stream's next two
+        values ``z``, azimuth first: the bits of
+        ``rng.normal(0.0, sigma, 2)``.  Without one nothing is drawn.  The
+        executed action is what both the environment and the actor update
+        must see.
         """
         u = self.actor.dot(phi)  # the BLAS call and bits of ``@``, at less overhead
         dalpha, dtheta = u.tolist()
-        if rng is not None:
-            noise_alpha, noise_theta = rng.normal(0.0, self.config.sigma, 2).tolist()
-            dalpha += noise_alpha
-            dtheta += noise_theta
+        if noise is not None:
+            sigma = self.config.sigma
+            dalpha += 0.0 + sigma * next(noise)
+            dtheta += 0.0 + sigma * next(noise)
         # Clamped with comparisons on plain floats, so a NaN comes through as NaN.
         high = self.action_limit
         low = -high

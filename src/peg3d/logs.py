@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
-from ._fields import build
+from ._fields import build, check_fields
 
 __all__ = [
     "EPISODE_SCHEMA",
@@ -96,22 +98,49 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeLog":
-        """Inverse of ``dataclasses.asdict``; ``ValueError`` names unknown and missing keys.
+        """Inverse of ``dataclasses.asdict``; ``ValueError`` names the first bad key or value.
 
-        A step record adopts its row dict as its attributes when the row holds
-        exactly the record's fields in field order, as an exported log does.
+        Unknown and missing keys are named, and so is the first field, of the
+        log or of a step record (as ``records[3].pursuer_pos``), that holds a
+        value of the wrong type.  A step record adopts its row dict as its
+        attributes when the row holds exactly the record's fields in field
+        order, as an exported log does.
         """
-        data = dict(data)
-        records = data.pop("records", None)
         log = build(cls, data)
-        if records is not None:
-            if not isinstance(records, list):
-                raise ValueError(f"records must be a list, got {records!r}")
-            log.records = [_step_record(row) for row in records]
+        check_fields(log)
+        if log.records is not None:
+            log.records = _step_records(log.records)
         return log
 
 
 _STEP_FIELDS = [f.name for f in fields(StepRecord)]
+# The values of a record's list fields, from its values in field order.
+_STEP_LISTS = operator.itemgetter(
+    *(i for i, f in enumerate(fields(StepRecord)) if f.type == "list[float]")
+)
+_REAL_TYPES = frozenset((float, int))
+
+
+def _step_records(rows) -> list[StepRecord]:
+    """A type-checked :class:`StepRecord` per row; ``ValueError`` names the row index and field.
+
+    A row whose values have the types of a row that passed, and whose lists
+    hold only floats and ints, passes too: the kind of every other field is
+    decided by its value's type.  So a log pays ``check_fields`` once per new
+    combination of value types, not once per row.
+    """
+    records, passed = [], set()
+    for i, row in enumerate(rows):
+        record = _step_record(row)
+        values = tuple(vars(record).values())  # field order, however the record was made
+        types = tuple(map(type, values))
+        if types not in passed or not _REAL_TYPES.issuperset(
+            map(type, chain.from_iterable(_STEP_LISTS(values)))
+        ):
+            check_fields(record, f"records[{i}].")
+            passed.add(types)
+        records.append(record)
+    return records
 
 
 def _step_record(row):
@@ -206,7 +235,9 @@ def export_json(log: EpisodeLog, path):
                 continue
             # A step record holds numbers, None, bools and lists of numbers:
             # no nested object and no string, so "}, {" occurs in a chunk's
-            # text only between two records, where the line breaks go.
+            # text only between two records, where the line breaks go.  That
+            # holds for every record run_episode builds and, since from_dict
+            # checks each field's type, for every record of a loaded log.
             lead = "[\n"
             for start in range(0, len(value), _JSON_CHUNK):
                 text = json.dumps(list(map(vars, value[start : start + _JSON_CHUNK])))

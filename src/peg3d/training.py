@@ -6,12 +6,20 @@ updates from that shared transition.  A training run is fully determined by
 (seed, scenario, config): obstacle layouts and exploration noise come from
 two child streams of the master seed, and all exports format floats with
 ``repr`` so identical runs produce identical bytes.
+
+Exploration noise is one stream per training run: ``train`` wraps the noise
+child's Generator in a :func:`~peg3d.learner.noise_stream`, which draws
+standard normals in blocks, and hands that one stream to every episode, so a
+block's leftover values carry into the next episode.  Each step, each
+learning agent takes two values, the pursuer before the evader; a frozen
+agent takes none, and ``evaluate`` draws no noise at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +44,13 @@ from .env import (
 )
 from .fuzzy import RuleBase, firing_entropy, uniform_partition
 from .geometry import pursuit_cone_halfangle
-from .learner import ANGLE_DOMAIN, DISTANCE_DOMAIN, FuzzyActorCritic, extract_inputs
+from .learner import (
+    ANGLE_DOMAIN,
+    DISTANCE_DOMAIN,
+    FuzzyActorCritic,
+    extract_inputs,
+    noise_stream,
+)
 from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_json, write_rows_csv
 from .reward import EVADER, PURSUER, total_reward
 from .scenarios import (
@@ -95,17 +109,21 @@ def run_episode(
     obstacles,
     rulebase: RuleBase,
     learners: dict[str, FuzzyActorCritic],
-    rng: np.random.Generator | None,
+    noise: Iterator[float] | None,
     record_steps: bool = False,
     seed: int | None = None,
     episode: int | None = None,
 ) -> EpisodeLog:
-    """Play one episode among ``obstacles``; an ``rng`` means training, with updates in place.
+    """Play one episode among ``obstacles``; a ``noise`` stream means training, updating in place.
 
     Each iteration: both agents act on the current state, both move, the
     shared transition is scored, and (when training) both critics and actors
     update from it before the next iteration.  An episode ends on capture,
-    or as a timeout after ``config.max_plays`` plays.
+    or as a timeout after ``config.max_plays`` plays.  ``noise`` is a
+    :func:`~peg3d.learner.noise_stream`, which the episode reads on from where
+    the last one stopped: each step every learning agent (not the one
+    ``config.freeze`` names) takes two values, the pursuer first.  Without a
+    stream nothing learns and no noise is added.
     """
     arena = build_arena(config, obstacles)
     starts = initial_states(scenario, config)
@@ -117,12 +135,12 @@ def run_episode(
 
     # Per-role slots, indexed like _ROLES and allocated once: every phase of
     # the loop runs the same code for each role in turn.  A role learns when it
-    # has a noise stream.  Its cone limit bounds its heading's offset from the
-    # P -> E line: the pursuer's cone (only when it is faster), the evader's
+    # reads the noise stream.  Its cone limit bounds its heading's offset from
+    # the P -> E line: the pursuer's cone (only when it is faster), the evader's
     # away half-space.  Its arc is the range of heading offsets from the line
     # to the opponent that counts as inside its cone (empty without one).
     agents = [learners[role] for role in _ROLES]
-    noise = [None if rng is None or config.freeze == role else rng for role in _ROLES]
+    noises = [None if config.freeze == role else noise for role in _ROLES]
     limits = [halfangle, half_pi] if cone_constraint else [None, None]
     no_arc = (math.inf, math.inf)
     arcs = [(0.0, halfangle) if halfangle is not None else no_arc, (half_pi, math.pi)]
@@ -151,7 +169,7 @@ def run_episode(
         for i in (0, 1):  # the pursuer draws its noise first
             # The executed action is a pair of plain floats: scalar math on them
             # is cheaper than on numpy scalars, and the states stay plain floats.
-            u[i], x[i] = agents[i].act(phi[i], noise[i])
+            u[i], x[i] = agents[i].act(phi[i], noises[i])
             limit = limits[i]
             if limit is not None:
                 dalpha, dtheta = x[i]
@@ -183,7 +201,7 @@ def run_episode(
             )
             phi_now = phi[i]
             phi_next = rulebase.fire(feats[i]) if not terminal else None
-            if noise[i] is not None:
+            if noises[i] is not None:
                 agent = agents[i]
                 td[i] = delta = agent.td_error(phi_now, phi_next, reward, terminal)
                 agent.update_critic(phi_now, delta)
@@ -220,7 +238,7 @@ def run_episode(
         d_now = d_next
 
     per_step = (steps, steps)
-    updates = [steps if n is not None else 0 for n in noise]  # a learning role updates every step
+    updates = [steps if n is not None else 0 for n in noises]  # a learning role updates every step
     return EpisodeLog(
         scenario=scenario.name,
         seed=seed,
@@ -273,6 +291,9 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
 
     Episode loop: draw an obstacle layout, reset both agents, play one
     episode with exploration noise and simultaneous actor/critic updates.
+    The noise is one stream for the whole run, drawn in blocks from the
+    second child of ``config.seed``: each step takes two values for each
+    learning agent, the pursuer's first (see :func:`run_episode`).
     When ``out_dir`` is given, writes ``manifest.json``, ``episodes.csv``,
     ``checkpoint.json`` and (depending on ``config.log_steps``) full episode
     logs.  ``progress`` is an optional ``f(episode_index, EpisodeLog)``
@@ -283,7 +304,7 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
     learners = build_learners(config, rulebase.n_rules)
     obstacle_seq, noise_seq = np.random.SeedSequence(config.seed).spawn(2)
     obstacle_rng = np.random.default_rng(obstacle_seq)
-    noise_rng = np.random.default_rng(noise_seq)
+    noise = noise_stream(np.random.default_rng(noise_seq))
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -297,7 +318,7 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
         )
         obstacles = realize_obstacles(scenario, config, obstacle_rng)
         log = run_episode(
-            scenario, config, obstacles, rulebase, learners, noise_rng,
+            scenario, config, obstacles, rulebase, learners, noise,
             record_steps=record, seed=config.seed, episode=ep,
         )
         summaries.append(summary_row(log))
@@ -342,7 +363,7 @@ def evaluate(
     out_dir=None,
     record_steps: bool = False,
 ) -> tuple[dict, list[dict]]:
-    """Assess fixed policies over repeated runs with exploration noise off.
+    """Assess fixed policies over repeated runs with exploration noise off (nothing is drawn).
 
     Each run redraws the scenario's random obstacle layout from its own child
     seed (explicit layouts are identical across runs).  Returns the metrics

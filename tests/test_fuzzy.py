@@ -205,6 +205,15 @@ def _special_points(partition):
     return sorted({*partition.peaks, lo, hi, lo - 1.0, hi + 1.0})
 
 
+def _edge_cell_inputs(rb, edge):
+    """Inputs each at or beyond its ``edge`` ("first" or "last") peak, or off the domain."""
+    if edge == "first":
+        choices = [(p.peaks[0], p.peaks[0] - 0.5, p.lo - 10.0, -math.inf) for p in rb.partitions]
+    else:
+        choices = [(p.peaks[-1], p.peaks[-1] + 0.5, p.hi + 10.0, math.inf) for p in rb.partitions]
+    return itertools.product(*choices)
+
+
 class TestClosedFormFiring:
     """``RuleBase.fire`` is bit for bit the normalized dense product."""
 
@@ -229,6 +238,23 @@ class TestClosedFormFiring:
             for p in rb.partitions
         )
         assert np.array_equal(rb.fire(x), dense_firing(rb, x))
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    @pytest.mark.parametrize("name", ["default", "two-mf-toy"])
+    def test_edge_cells_match_dense_reference(self, name, edge):
+        # The corners of the grid's first and last cells land on its first and last rules:
+        # the last cell's window, from its lowest corner ``base``, ends at the last rule.
+        rb = FIRING_LAYOUTS[name]
+        strides = np.cumprod((*rb.shape[1:], 1)[::-1])[::-1]
+        cells = [0 if edge == "first" else n - 2 for n in rb.shape]
+        base = int(np.dot(cells, strides))
+        window_end = base + rb._offsets[-1]
+        assert window_end == (rb.n_rules - 1 if edge == "last" else sum(strides))
+        rule = 0 if edge == "first" else rb.n_rules - 1
+        for x in _edge_cell_inputs(rb, edge):
+            phi = rb.fire(x)
+            assert np.array_equal(phi, dense_firing(rb, x)), x
+            assert np.flatnonzero(phi).tolist() == [rule] and phi[rule] == 1.0, x
 
 
 def reference_entropy(phi):

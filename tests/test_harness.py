@@ -14,7 +14,7 @@ from peg3d._fields import build
 from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT, Obstacle, nearest_obstacle
 from peg3d.fuzzy import RuleBase
-from peg3d.learner import FuzzyActorCritic, extract_inputs
+from peg3d.learner import NOISE_BLOCK, FuzzyActorCritic, extract_inputs, noise_stream
 from peg3d.logs import (
     EpisodeLog,
     StepRecord,
@@ -36,6 +36,8 @@ from peg3d.training import (
     save_checkpoint,
     train,
 )
+
+from floatbits import bits
 
 # Marks a checkpoint key that a test deletes instead of setting.
 DELETE = object()
@@ -139,7 +141,7 @@ class TestRunEpisode:
         sc = builtin_scenarios()[1]
         cfg = TrainConfig(max_plays=40, freeze=frozen)
         rb, learners = zero_weight_setup(cfg)
-        log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(3))
+        log = run_episode(sc, cfg, [], rb, learners, noise_stream(np.random.default_rng(3)))
         assert learners[learning].critic.any()
         assert not learners[frozen].critic.any()
         assert not learners[frozen].actor.any()
@@ -184,7 +186,8 @@ class TestRunEpisode:
             return states[-1]
 
         monkeypatch.setattr(training, "step_agent", recording_step_agent)
-        log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(5), record_steps=True)
+        noise = noise_stream(np.random.default_rng(5))
+        log = run_episode(sc, cfg, [], rb, learners, noise, record_steps=True)
         assert log.steps == 25
         assert len(states) == 2 * log.steps
         for state in states:
@@ -240,7 +243,7 @@ class TestRunEpisode:
         assert isinstance(first, np.ndarray) and first.shape == (rb.n_rules,)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
-        u, _ = learners["pursuer"].act(first, np.random.default_rng(1))
+        u, _ = learners["pursuer"].act(first, noise_stream(np.random.default_rng(1)))
         assert isinstance(u, np.ndarray) and u.shape == (2,)
 
         calls = {}
@@ -259,7 +262,7 @@ class TestRunEpisode:
         for name in ("act", "td_error", "update_critic", "update_actor"):
             count(FuzzyActorCritic, name)
         count(training, "firing_entropy")
-        log = run_episode(sc, cfg, [], rb, learners, np.random.default_rng(7))
+        log = run_episode(sc, cfg, [], rb, learners, noise_stream(np.random.default_rng(7)))
         assert log.steps == 30
         # Two roles, each once per step; both learn, and the last step fires no successor.
         assert calls == dict.fromkeys(calls, 2 * log.steps)
@@ -282,7 +285,7 @@ class TestEpisodeLogExports:
         cfg = TrainConfig(max_plays=6)
         rb, learners = zero_weight_setup(cfg)
         return run_episode(
-            builtin_scenarios()[1], cfg, [], rb, learners, np.random.default_rng(4),
+            builtin_scenarios()[1], cfg, [], rb, learners, noise_stream(np.random.default_rng(4)),
             record_steps=True, seed=4, episode=0,
         )
 
@@ -448,6 +451,52 @@ class TestEpisodeLogExports:
             episode_from_dict_reference(data)
         assert str(got.value) == str(reference.value)
 
+    @pytest.mark.parametrize("reorder", [False, True], ids=["adopted row", "built row"])
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("time", None, "a float"),
+            ("pursuer_pos", 5, "a list of floats"),
+            ("evader_pos", [1.0, "a", 2.0], "a list of floats"),
+            ("pursuer_u_exec", [True, 0.0], "a list of floats"),
+            ("evader_td", "0.5", "a float or None"),
+            ("pursuer_cone", 1, "a bool"),
+        ],
+    )
+    def test_wrong_typed_record_value_named(self, field, value, kind, reorder):
+        data = dataclasses.asdict(self._training_log())
+        data["records"][3][field] = value
+        if reorder:  # keys out of field order: the record is built, not adopted
+            data["records"][3] = dict(reversed(data["records"][3].items()))
+        with pytest.raises(ValueError, match=re.escape(f"records[3].{field} must be {kind}, got ")):
+            EpisodeLog.from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("seed", "4", "an int or None"),
+            ("dt", [0.1], "a float"),
+            ("obstacles", [[1.0, 2.0, "x", 1.0]], "a list of lists of floats"),
+            ("path_length", {"pursuer": "a", "evader": 1.0}, "a dict of str to float"),
+            ("collision_steps", {"pursuer": 1.5, "evader": 0}, "a dict of str to int"),
+            ("records", "ab", "a list"),
+        ],
+    )
+    def test_wrong_typed_log_value_named(self, field, value, kind):
+        data = dataclasses.asdict(self._training_log())
+        data[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be {kind}, got ')}"):
+            EpisodeLog.from_dict(json.loads(json.dumps(data)))
+
+    def test_ints_load_as_floats(self):
+        # JSON may spell a whole float as an int; that is a float's value still.
+        data = dataclasses.asdict(self._training_log())
+        data["dt"], data["obstacles"] = 1, [[1, 2, 3, 1]]
+        for row in data["records"]:
+            row["time"], row["pursuer_pos"] = 0, [1, 2.0, 3]
+        loaded = EpisodeLog.from_dict(json.loads(json.dumps(data)))
+        assert loaded.records[-1].pursuer_pos == [1, 2.0, 3]
+
     def test_csv_bytes_match_per_value_formatting(self, tmp_path):
         log = self._small_log()
         rec = log.records[0]
@@ -585,6 +634,72 @@ class TestTrain:
         res = train(sc, TrainConfig(episodes=2, max_plays=40, freeze="pursuer"))
         assert not res.learners["pursuer"].actor.any()
         assert res.learners["evader"].critic.any()
+
+
+def clamp_to_turn_limit(value):
+    return max(-FuzzyActorCritic.action_limit, min(FuzzyActorCritic.action_limit, value))
+
+
+class TestNoiseStream:
+    """train's one noise stream adds, act by act, what per-act ``Generator.normal`` draws gave."""
+
+    @staticmethod
+    def _record_acts(monkeypatch):
+        act, calls = FuzzyActorCritic.act, []
+
+        def recording_act(self, phi, noise=None):
+            u, u_exec = act(self, phi, noise)
+            calls.append((self, u.tolist(), u_exec, noise))
+            return u, u_exec
+
+        monkeypatch.setattr(FuzzyActorCritic, "act", recording_act)
+        return calls
+
+    @pytest.mark.parametrize("freeze", ["none", "pursuer", "evader"])
+    def test_train_adds_the_per_act_draws(self, monkeypatch, freeze):
+        cfg = TrainConfig(episodes=6, max_plays=300, seed=3, freeze=freeze, log_steps="none")
+        calls = self._record_acts(monkeypatch)
+        result = train(builtin_scenarios()[1], cfg)
+        roles = (result.learners["pursuer"], result.learners["evader"])
+        learning = [role for role in ("pursuer", "evader") if role != freeze]
+
+        # Draws per episode: two per step for each learning role.  Some block
+        # boundary falls inside an episode, and some block outlives its episode.
+        ends = np.cumsum([2 * len(learning) * row["steps"] for row in result.summaries]).tolist()
+        starts = [0, *ends[:-1]]
+        assert any(s // NOISE_BLOCK < (e - 1) // NOISE_BLOCK for s, e in zip(starts, ends))
+        assert any(e % NOISE_BLOCK for e in ends[:-1])
+        assert ends[-1] > 2 * NOISE_BLOCK
+
+        # Acts alternate pursuer, evader; one stream serves every learning act.
+        assert [learner for learner, *_ in calls] == list(roles) * (len(calls) // 2)
+        streams = {id(noise) for *_, noise in calls if noise is not None}
+        assert len(streams) == 1
+        child = np.random.SeedSequence(cfg.seed).spawn(2)[1]
+        reference, sigma = np.random.default_rng(child), cfg.learner.sigma
+        unclamped = 0
+        for i, (learner, u, u_exec, noise) in enumerate(calls):
+            role = ("pursuer", "evader")[i % 2]
+            assert (noise is not None) == (role in learning)
+            if noise is None:
+                expected = [clamp_to_turn_limit(v) for v in u]
+            else:
+                summed = [v + z for v, z in zip(u, reference.normal(0.0, sigma, 2).tolist())]
+                expected = [clamp_to_turn_limit(v) for v in summed]
+                unclamped += expected == summed
+            assert bits(u_exec) == bits(expected), i
+        # Most draws show through the clamp, so the comparison sees the noise itself.
+        assert unclamped > 0.9 * ends[-1] / 2
+
+    def test_evaluate_draws_no_noise(self, monkeypatch):
+        cfg = TrainConfig(episodes=2, max_plays=50, seed=5)
+        trained = train(builtin_scenarios()[1], cfg)
+        calls = self._record_acts(monkeypatch)
+        monkeypatch.setattr(training, "noise_stream", None)  # evaluate builds no stream
+        evaluate(trained.learners, trained.rulebase, builtin_scenarios()[1], cfg, runs=3)
+        assert calls and all(noise is None for *_, noise in calls)
+        for _, u, u_exec, _ in calls:
+            assert bits(u_exec) == bits([clamp_to_turn_limit(v) for v in u])
 
 
 class TestCheckpoints:
@@ -959,10 +1074,27 @@ class TestCLI:
                 r"StepRecord must be a JSON object, got \[1, 2\]$",
             ),
             (lambda data: json.dumps({**data, "records": 5}), "records must be a list, got 5$"),
+            (  # the record adopts its row, so this is the adopted-row path
+                lambda data: json.dumps(
+                    {
+                        **data,
+                        "records": [data["records"][0], {**data["records"][1], "pursuer_pos": 5}],
+                    }
+                ),
+                r"records\[1\]\.pursuer_pos must be a list of floats, got 5$",
+            ),
+            (
+                lambda data: json.dumps({**data, "records": [], "pursuer_start": 5}),
+                "pursuer_start must be a list of floats, got 5$",
+            ),
+            (
+                lambda data: json.dumps({**data, "steps": "abc"}),
+                "steps must be an int, got 'abc'$",
+            ),
         ],
         ids=[
             "no file", "not json", "a list", "unknown key", "missing key", "record key", "row",
-            "records",
+            "records", "record value", "start value", "steps value",
         ],  # fmt: skip
     )
     def test_replay_rejects_a_bad_log(self, tmp_path, text, message):

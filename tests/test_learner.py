@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peg3d.env import TURN_LIMIT, AgentState, Obstacle, heading_vector, nearest_obstacle
-from peg3d.learner import FuzzyActorCritic, LearnerConfig, extract_inputs
+from peg3d.learner import NOISE_BLOCK, FuzzyActorCritic, LearnerConfig, extract_inputs, noise_stream
 from peg3d.scenarios import TrainConfig, build_arena
 from peg3d.training import build_rulebase
 
@@ -54,7 +54,7 @@ class TestConstruction:
 class TestAct:
     def test_zero_weights_zero_action(self):
         learner = FuzzyActorCritic(8, LearnerConfig())
-        u, u_exec = learner.act(one_hot(8, 2), rng=None)
+        u, u_exec = learner.act(one_hot(8, 2), noise=None)
         assert np.array_equal(u, np.zeros(2))
         assert np.array_equal(u_exec, np.zeros(2))
 
@@ -62,27 +62,42 @@ class TestAct:
         learner = FuzzyActorCritic(8, LearnerConfig())
         learner.actor[0, 3] = 0.25
         learner.actor[1, 3] = -0.5
-        u, _ = learner.act(one_hot(8, 3), rng=None)
+        u, _ = learner.act(one_hot(8, 3), noise=None)
         assert u == pytest.approx([0.25, -0.5], abs=1e-15)
 
     def test_executed_action_clamped(self):
         learner = FuzzyActorCritic(4, LearnerConfig())
         learner.actor[0, 1] = math.pi / 3.0
-        u, u_exec = learner.act(one_hot(4, 1), rng=None)
+        u, u_exec = learner.act(one_hot(4, 1), noise=None)
         assert u[0] == pytest.approx(math.pi / 3.0, abs=1e-15)
         assert u_exec[0] == TURN_LIMIT
         assert u_exec[1] == 0.0
 
     def test_noise_added_per_channel(self):
         learner = FuzzyActorCritic(4, LearnerConfig(sigma=0.1))
-        rng = np.random.default_rng(11)
-        u, u_exec = learner.act(one_hot(4, 0), rng=rng)
+        u, u_exec = learner.act(one_hot(4, 0), noise=noise_stream(np.random.default_rng(11)))
         assert np.array_equal(u, np.zeros(2))
         assert u_exec[0] != 0.0 and u_exec[1] != 0.0
         assert np.all(np.abs(u_exec) <= TURN_LIMIT)
         # same seed, same draw
-        u2, u_exec2 = learner.act(one_hot(4, 0), rng=np.random.default_rng(11))
+        u2, u_exec2 = learner.act(one_hot(4, 0), noise=noise_stream(np.random.default_rng(11)))
         assert np.array_equal(u_exec, u_exec2)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
+    def test_stream_is_the_per_call_draws(self, sigma):
+        # Three blocks' worth: each pair is what rng.normal(0.0, sigma, 2) gave, bit for
+        # bit, on both sides of each block boundary.
+        seed = 41
+        noise, rng = noise_stream(np.random.default_rng(seed)), np.random.default_rng(seed)
+        for _ in range(3 * NOISE_BLOCK // 2 + 1):
+            pair = [0.0 + sigma * next(noise), 0.0 + sigma * next(noise)]
+            assert bits(pair) == bits(rng.normal(0.0, sigma, 2))
+
+    def test_takes_two_values_azimuth_first(self):
+        learner = FuzzyActorCritic(4, LearnerConfig(sigma=0.5))
+        noise = iter([0.25, -0.125, 7.0])
+        assert learner.act(one_hot(4, 0), noise)[1] == (0.125, -0.0625)
+        assert next(noise) == 7.0
 
 
 class TestTDError:
@@ -197,10 +212,10 @@ class TestConvergence:
 
         def run():
             learner = FuzzyActorCritic(rb.n_rules, LearnerConfig())
-            rng = np.random.default_rng(23)
+            rng, noise = np.random.default_rng(23), noise_stream(np.random.default_rng(29))
             phi = rb.fire((12.0, 0.4, 20.0, -1.0))
             for _ in range(200):
-                u, u_exec = learner.act(phi, rng)
+                u, u_exec = learner.act(phi, noise)
                 r = float(rng.normal())
                 delta = learner.td_error(phi, phi, r, False)
                 learner.update_critic(phi, delta)
@@ -367,6 +382,7 @@ class TestExtractInputsMatchesReference:
 # np.maximum/np.minimum in act, the broadcast outer product in update_actor,
 # critic_value (another ``@``) twice in td_error.
 def reference_act(learner, phi, rng):
+    """``act`` in numpy, drawing its noise per call from Generator ``rng`` (as ``act`` once did)."""
     u = learner.actor @ phi
     if rng is not None:
         u_exec = u + rng.normal(0.0, learner.config.sigma, size=u.shape)
@@ -386,6 +402,13 @@ def reference_update_actor(learner, phi, u, u_exec, delta):
 def reference_td_error(learner, phi_t, phi_next, reward, terminal):
     v_next = 0.0 if terminal else critic_value(learner, phi_next)
     return reward + learner.config.gamma * v_next - critic_value(learner, phi_t)
+
+
+def noise_and_reference(seed):
+    """A noise stream and a Generator that draws the same normals, both of ``seed``; or Nones."""
+    if seed is None:
+        return None, None
+    return noise_stream(np.random.default_rng(seed)), np.random.default_rng(seed)
 
 
 RULES = build_rulebase(TrainConfig())
@@ -428,14 +451,14 @@ class TestMatchesNumpyReference:
     @settings(max_examples=300, deadline=None)
     @given(learner=learners(), phi=FIRINGS, seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     def test_act(self, learner, phi, seed):
-        rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
-        u, u_exec = learner.act(phi, rngs[0])
-        ref_u, ref_exec = reference_act(learner, phi, rngs[1])
+        noise, rng = noise_and_reference(seed)
+        u, u_exec = learner.act(phi, noise)
+        ref_u, ref_exec = reference_act(learner, phi, rng)
         assert isinstance(u, np.ndarray) and bits(u) == bits(ref_u)
         assert type(u_exec) is tuple and [type(v) for v in u_exec] == [float, float]
         assert bits(u_exec) == bits(ref_exec)
-        if seed is not None:  # both drew the same stretch of the stream
-            assert rngs[0].random() == rngs[1].random()
+        if seed is not None:  # both took the same stretch of the Generator's normals
+            assert next(noise) == rng.standard_normal()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -447,8 +470,7 @@ class TestMatchesNumpyReference:
     )
     def test_update_actor(self, learner, phi, seed, delta, limited):
         # The actor step sees the executed action, or the cone limiter's replacement.
-        rng = None if seed is None else np.random.default_rng(seed)
-        u, u_exec = learner.act(phi, rng)
+        u, u_exec = learner.act(phi, noise_and_reference(seed)[0])
         if limited is not None:
             u_exec = limited
         before = learner.actor.copy()
@@ -479,9 +501,9 @@ class TestMatchesNumpyReference:
         phi = RULES.fire((0.0, 0.0, 35.0, math.pi))
         assert np.count_nonzero(phi) == 1
         learner.actor[:, np.flatnonzero(phi)] = [[weight], [-weight]]
-        rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
-        u, u_exec = learner.act(phi, rngs[0])
-        ref_u, ref_exec = reference_act(learner, phi, rngs[1])
+        noise, rng = noise_and_reference(seed)
+        u, u_exec = learner.act(phi, noise)
+        ref_u, ref_exec = reference_act(learner, phi, rng)
         assert bits(u) == bits(ref_u) and bits(u_exec) == bits(ref_exec)
         if seed is None and not math.isnan(weight):
             assert u_exec == (max(-LIMIT, min(LIMIT, weight)), max(-LIMIT, min(LIMIT, -weight)))
