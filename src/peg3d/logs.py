@@ -114,31 +114,29 @@ class EpisodeLog:
 
 
 _STEP_FIELDS = [f.name for f in fields(StepRecord)]
-# The values of a record's list fields, from its values in field order.
-_STEP_LISTS = operator.itemgetter(
-    *(i for i, f in enumerate(fields(StepRecord)) if f.type == "list[float]")
-)
+# A record's list fields, from its attribute dict.
+_STEP_LISTS = operator.itemgetter(*(f.name for f in fields(StepRecord) if f.type == "list[float]"))
 _REAL_TYPES = frozenset((float, int))
 
 
 def _step_records(rows) -> list[StepRecord]:
     """A type-checked :class:`StepRecord` per row; ``ValueError`` names the row index and field.
 
-    A row whose values have the types of a row that passed, and whose lists
-    hold only floats and ints, passes too: the kind of every other field is
-    decided by its value's type.  So a log pays ``check_fields`` once per new
-    combination of value types, not once per row.
+    A row whose values have the types of the last row checked, and whose
+    lists hold only floats and ints, passes too: the kind of every other
+    field is decided by its value's type.  So a log pays ``check_fields``
+    once per change of value types, not once per row.
     """
-    records, passed = [], set()
+    records, checked = [], None
     for i, row in enumerate(rows):
         record = _step_record(row)
-        values = tuple(vars(record).values())  # field order, however the record was made
-        types = tuple(map(type, values))
-        if types not in passed or not _REAL_TYPES.issuperset(
-            map(type, chain.from_iterable(_STEP_LISTS(values)))
+        attrs = vars(record)
+        types = tuple(map(type, attrs.values()))
+        if types != checked or not _REAL_TYPES.issuperset(
+            map(type, chain.from_iterable(_STEP_LISTS(attrs)))
         ):
             check_fields(record, f"records[{i}].")
-            passed.add(types)
+            checked = types
         records.append(record)
     return records
 

@@ -44,13 +44,7 @@ from .env import (
 )
 from .fuzzy import RuleBase, firing_entropy, uniform_partition
 from .geometry import pursuit_cone_halfangle
-from .learner import (
-    ANGLE_DOMAIN,
-    DISTANCE_DOMAIN,
-    FuzzyActorCritic,
-    extract_inputs,
-    noise_stream,
-)
+from .learner import ANGLE_DOMAIN, DISTANCE_DOMAIN, FuzzyActorCritic, extract_inputs, noise_stream
 from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_json, write_rows_csv
 from .reward import EVADER, PURSUER, total_reward
 from .scenarios import (
