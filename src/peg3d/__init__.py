@@ -24,7 +24,7 @@ from .geometry import (
     pursuit_cone_halfangle,
     pursuit_offset_angle,
 )
-from .learner import FuzzyActorCritic, LearnerConfig, extract_inputs
+from .learner import FuzzyActorCritic, LearnerConfig, extract_inputs, noise_stream
 from .logs import EpisodeLog, StepRecord, export_csv, export_json, load_episode
 from .reward import RewardConfig, total_reward
 from .scenarios import (
