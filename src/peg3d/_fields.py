@@ -91,7 +91,9 @@ _KINDS = {
     "dict[str, float]": (_keyed(_number), "a dict of str to float", None),
     "dict[str, int]": (_keyed(_int), "a dict of str to int", None),
     "dict[str, float | None]": (_keyed(_optional(_number)), "a dict of str to float or None", None),
-    "list[StepRecord] | None": (_optional(lambda v: isinstance(v, list)), "a list", None),
+    "list[StepRecord] | None": (  # stored by column; peg3d.logs checks each column
+        _optional(lambda v: isinstance(v, dict)), "a dict of columns", None
+    ),
 }
 
 

@@ -7,20 +7,20 @@ of rows.  JSON export round-trips losslessly; CSV export writes one
 trajectory file, one reward/TD time-series file, and a JSON summary.
 
 Exports only read a log: they serialise its fields and records as they are,
-without copying them first, and stream them to the file.  An episode JSON file
-holds one line per top-level key and one compact line per step record.
+without copying them first.  An episode JSON file holds one line per top-level
+key, and stores the step records by column: one line per StepRecord field,
+holding that field's value at each step (see :func:`export_json`).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import operator
 from dataclasses import dataclass, fields
-from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
-from ._fields import build, check_fields
+from ._fields import _KINDS, build, check_fields
 
 __all__ = [
     "EPISODE_SCHEMA",
@@ -36,7 +36,7 @@ __all__ = [
     "export_csv",
 ]
 
-EPISODE_SCHEMA = "peg3d.episode.v1"
+EPISODE_SCHEMA = "peg3d.episode.v2"
 TRAJECTORY_SCHEMA = "peg3d.trajectory.v1"
 SERIES_SCHEMA = "peg3d.series.v1"
 
@@ -98,60 +98,65 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeLog":
-        """Inverse of ``dataclasses.asdict``; ``ValueError`` names the first bad key or value.
+        """The log decoded JSON ``data`` holds; ``ValueError`` names the first bad key or value.
 
-        Unknown and missing keys are named, and so is the first field, of the
-        log or of a step record (as ``records[3].pursuer_pos``), that holds a
-        value of the wrong type.  A step record adopts its row dict as its
-        attributes when the row holds exactly the record's fields in field
-        order, as an exported log does.
+        ``data["records"]`` is None or a dict of step columns, as
+        :func:`export_json` writes it.  Unknown and missing keys and columns
+        are named, and so is a column that is not a list or whose length
+        differs from the ``time`` column's, and the first value, of the log or
+        of a column (as ``records[3].pursuer_pos``), of the wrong kind.
         """
         log = build(cls, data)
         check_fields(log)
         if log.records is not None:
-            log.records = _step_records(log.records)
+            log.records = _from_columns(log.records)
         return log
 
 
-_STEP_FIELDS = [f.name for f in fields(StepRecord)]
-# A record's list fields, from its attribute dict.
-_STEP_LISTS = operator.itemgetter(*(f.name for f in fields(StepRecord) if f.type == "list[float]"))
-_REAL_TYPES = frozenset((float, int))
+_STEP_NAMES = tuple(f.name for f in fields(StepRecord))
+_step_values = attrgetter(*_STEP_NAMES)  # a record's values in field order
+# The list fields' lengths, which their shared annotation cannot say.
+_LIST_LENGTHS = {
+    **dict.fromkeys(("pursuer_pos", "evader_pos"), 3),
+    **dict.fromkeys(("pursuer_u", "pursuer_u_exec", "evader_u", "evader_u_exec"), 2),
+}
 
 
-def _step_records(rows) -> list[StepRecord]:
-    """A type-checked :class:`StepRecord` per row; ``ValueError`` names the row index and field.
+def _value_check(f):
+    """(test, kind) for one value of StepRecord field ``f``, as ``_from_columns`` uses them."""
+    test, kind, _ = _KINDS[f.type]
+    n = _LIST_LENGTHS.get(f.name)
+    if n is None:
+        return test, kind
+    return (lambda v: test(v) and len(v) == n), f"a list of {n} floats"
 
-    A row whose values have the types of the last row checked, and whose
-    lists hold only floats and ints, passes too: the kind of every other
-    field is decided by its value's type.  So a log pays ``check_fields``
-    once per change of value types, not once per row.
+
+_VALUE_CHECKS = tuple(map(_value_check, fields(StepRecord)))
+
+
+def _from_columns(columns: dict) -> list[StepRecord]:
+    """A :class:`StepRecord` per step; ``ValueError`` names the first bad column or value.
+
+    Each column is checked once, in field order: it is a list as long as the
+    ``time`` column, and each of its values passes its field's kind test.
     """
-    records, checked = [], None
-    for i, row in enumerate(rows):
-        record = _step_record(row)
-        attrs = vars(record)
-        types = tuple(map(type, attrs.values()))
-        if types != checked or not _REAL_TYPES.issuperset(
-            map(type, chain.from_iterable(_STEP_LISTS(attrs)))
-        ):
-            check_fields(record, f"records[{i}].")
-            checked = types
-        records.append(record)
-    return records
-
-
-def _step_record(row):
-    """``StepRecord(**row)``, without the call when ``row`` already is its attribute dict.
-
-    Any other row (reordered keys, a wrong key, not a dict) goes through
-    ``build``, which orders the attributes or words the error.
-    """
-    if type(row) is dict and list(row) == _STEP_FIELDS:
-        record = object.__new__(StepRecord)
-        record.__dict__ = row
-        return record
-    return build(StepRecord, row)
+    # build names unknown and missing columns, as StepRecord keys.
+    columns = vars(build(StepRecord, columns)).values()
+    steps = None
+    for name, (test, kind), column in zip(_STEP_NAMES, _VALUE_CHECKS, columns):
+        if not isinstance(column, list):
+            raise ValueError(f"records.{name} must be a list, got {column!r}")
+        if steps is None:
+            steps = len(column)
+        elif len(column) != steps:
+            raise ValueError(
+                f"records.{name} must hold {steps} values, as records.time does, "
+                f"got {len(column)}"
+            )
+        if not all(map(test, column)):
+            step = next(i for i, value in enumerate(column) if not test(value))
+            raise ValueError(f"records[{step}].{name} must be {kind}, got {column[step]!r}")
+    return list(map(StepRecord, *columns))
 
 
 # EpisodeLog's per-role fields in column order; each is a pursuer_ and an evader_ column.
@@ -206,19 +211,13 @@ def write_json(data, path):
         fh.write("\n")
 
 
-# Step records per json.dumps call in export_json: few enough that a chunk's
-# text stays small, enough to spread the per-call cost of the encoder.
-_JSON_CHUNK = 32
-
-
 def export_json(log: EpisodeLog, path):
-    """Write ``log`` with each top-level key on one line and each step record on one line.
+    """Write ``log`` with each top-level key on one line and each step column on one line.
 
-    Every value goes through ``json.dumps`` without ``indent``, which runs the C
-    encoder.  The records are encoded and written ``_JSON_CHUNK`` (32) at a
-    time, so at most one chunk's text is held in memory, never the whole file.
-    Keys, key order and float tokens are those of
-    ``json.dump(dataclasses.asdict(log), indent=1)``; only the whitespace differs.
+    The records are transposed once into a column per StepRecord field; every
+    column and every other value goes through one ``json.dumps`` call without
+    ``indent``, which runs the C encoder.  Float tokens are those of
+    ``json.dump``; :meth:`EpisodeLog.from_dict` reads the file back.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -228,20 +227,15 @@ def export_json(log: EpisodeLog, path):
             value = getattr(log, f.name)
             fh.write(f'{sep}"{f.name}": ')
             sep = ",\n"
-            if f.name != "records" or not value:
+            if f.name != "records" or value is None:
                 fh.write(json.dumps(value))
                 continue
-            # A step record holds numbers, None, bools and lists of numbers:
-            # no nested object and no string, so "}, {" occurs in a chunk's
-            # text only between two records, where the line breaks go.  That
-            # holds for every record run_episode builds and, since from_dict
-            # checks each field's type, for every record of a loaded log.
-            lead = "[\n"
-            for start in range(0, len(value), _JSON_CHUNK):
-                text = json.dumps(list(map(vars, value[start : start + _JSON_CHUNK])))
-                fh.write(lead + text[1:-1].replace("}, {", "},\n{"))
+            columns = zip(*map(_step_values, value)) if value else [()] * len(_STEP_NAMES)
+            lead = "{\n"
+            for name, column in zip(_STEP_NAMES, columns):
+                fh.write(f'{lead}"{name}": {json.dumps(column)}')
                 lead = ",\n"
-            fh.write("\n]")
+            fh.write("\n}")
         fh.write("\n}\n")
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from peg3d import logs, training
-from peg3d._fields import build
 from peg3d.cli import main as cli_main
 from peg3d.env import CAPTURED, TIMEOUT, Obstacle, nearest_obstacle
 from peg3d.fuzzy import RuleBase
@@ -43,32 +42,27 @@ from floatbits import bits
 DELETE = object()
 
 
+STEP_FIELDS = [f.name for f in dataclasses.fields(StepRecord)]
+
+
+def episode_dict_reference(log) -> dict:
+    """``dataclasses.asdict(log)`` with the step records transposed into a column per field."""
+    data = dataclasses.asdict(log)
+    if data["records"] is not None:
+        data["records"] = {name: [row[name] for row in data["records"]] for name in STEP_FIELDS}
+    return data
+
+
 def episode_json_reference(log) -> str:
-    """The episode JSON layout rebuilt from ``dataclasses.asdict``: a line per key and per record."""
+    """The episode JSON layout from ``episode_dict_reference``: a line per key and per column."""
     lines = []
-    for key, value in dataclasses.asdict(log).items():
+    for key, value in episode_dict_reference(log).items():
         text = json.dumps(value)
-        if key == "records" and value:
-            text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
+        if key == "records" and value is not None:
+            text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in value.items())
+            text += "\n}"
         lines.append(f"{json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
-
-
-def episode_from_dict_reference(data) -> EpisodeLog:
-    """``EpisodeLog.from_dict`` built one ``StepRecord(**row)`` call per record."""
-    data = dict(data)
-    records = data.pop("records", None)
-    log = build(EpisodeLog, data)
-    if records is not None:
-        if not isinstance(records, list):
-            raise ValueError(f"records must be a list, got {records!r}")
-        log.records = [build(StepRecord, row) for row in records]
-    return log
-
-
-# Record counts around export_json's chunk boundaries.
-CHUNK = logs._JSON_CHUNK
-RECORD_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 
 
 def rows_csv_reference(path, header, rows, schema):
@@ -323,16 +317,17 @@ class TestEpisodeLogExports:
         path = tmp_path / "episode.json"
         export_json(log, path)
         assert load_episode(path) == log
-        # "{", a line per top-level key, a line per step record, "],", "}".
+        # "{", a line per top-level key, a line per step column, "},", "}".
         lines = path.read_text().splitlines()
-        assert len(lines) == 1 + len(dataclasses.fields(log)) + log.steps + 2
+        assert len(lines) == 1 + len(dataclasses.fields(log)) + len(STEP_FIELDS) + 2
+        assert json.loads(path.read_text())["schema"] == "peg3d.episode.v2"
 
     @pytest.mark.parametrize("kind", ["training", "close"])
     def test_indented_log_still_loads(self, tmp_path, kind):
         log = {"training": self._training_log, "close": self._close_log}[kind]()
         path = tmp_path / "episode.json"
         with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(log), fh, indent=1)
+            json.dump(episode_dict_reference(log), fh, indent=1)
             fh.write("\n")
         assert load_episode(path) == log
 
@@ -356,16 +351,17 @@ class TestEpisodeLogExports:
         export_json(log, path)
         text = path.read_text()
         assert text == episode_json_reference(log)
-        assert '"pursuer_reward": NaN' in text and '"evader_reward": -Infinity' in text
+        assert '"pursuer_reward": [NaN, ' in text and '"evader_reward": [-Infinity, ' in text
+        assert '"pursuer_td": [Infinity, null, null]' in text
         loaded = load_episode(path)
         back = loaded.records[0]
         assert math.isnan(back.pursuer_reward) and math.isnan(loaded.final_distance)
-        assert (back.evader_reward, back.pursuer_td) == (-math.inf, math.inf)
+        assert (back.evader_reward, back.pursuer_td, back.evader_td) == (-math.inf, math.inf, None)
         assert math.copysign(1.0, back.distance) == -1.0 and back.time == 5e-324
         assert loaded.records[1:] == log.records[1:]
 
-    @pytest.mark.parametrize("count", RECORD_COUNTS)
-    def test_json_bytes_match_per_record_writer(self, tmp_path, count):
+    @pytest.mark.parametrize("count", [0, 1, 2, 75])
+    def test_json_bytes_match_column_writer(self, tmp_path, count):
         log = self._training_log()
         template, log.records = log.records, []
         specials = (math.nan, math.inf, -math.inf, None, -0.0)
@@ -379,96 +375,94 @@ class TestEpisodeLogExports:
         path = tmp_path / "episode.json"
         export_json(log, path)
         assert path.read_text() == episode_json_reference(log)
+        # "{", a line per top-level key and per step column, "},", "}", whatever the count.
         lines = path.read_text().splitlines()
-        # "{", a line per top-level key, "}"; records add a line each and "],".
-        assert len(lines) == 2 + len(dataclasses.fields(log)) + count + (1 if count else 0)
+        assert len(lines) == 1 + len(dataclasses.fields(log)) + len(STEP_FIELDS) + 2
         # What loads back writes the same bytes again.
         export_json(load_episode(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
-    def test_loaded_record_is_the_record_of_its_row(self, tmp_path):
+    def test_columns_in_any_order_load_in_field_order(self, tmp_path):
         log = self._training_log()
-        path = tmp_path / "episode.json"
-        export_json(log, path)
-        data = json.loads(path.read_text())
-        # Keys out of field order too: the record still has StepRecord's field order.
-        data["records"][1] = dict(reversed(data["records"][1].items()))
+        data = episode_dict_reference(log)
+        data["records"] = dict(reversed(data["records"].items()))
         loaded = EpisodeLog.from_dict(json.loads(json.dumps(data)))
-        assert loaded == episode_from_dict_reference(data) == log
-        for rec, row in zip(loaded.records, data["records"]):
-            expected = StepRecord(**row)
-            assert type(rec) is StepRecord and rec == expected
-            assert list(vars(rec).items()) == list(vars(expected).items())
+        assert loaded == log
+        for rec in loaded.records:
+            assert type(rec) is StepRecord and list(vars(rec)) == STEP_FIELDS
 
     @pytest.mark.parametrize(
-        "corrupt, error, message",
+        "corrupt, message",
         [
-            (lambda recs: recs[1].update(bogus=1), ValueError, "unknown StepRecord key 'bogus'"),
-            (lambda recs: recs[2].pop("distance"), ValueError, "missing StepRecord key 'distance'"),
+            (lambda cols: cols.update(bogus=[1]), "unknown StepRecord key 'bogus'"),
+            (lambda cols: cols.pop("distance"), "missing StepRecord key 'distance'"),
+            (lambda cols: cols.update(time=7), "records.time must be a list, got 7"),
             (
-                lambda recs: recs.insert(1, 7),
-                ValueError,
-                "StepRecord must be a JSON object, got 7",
+                lambda cols: cols.update(evader_u=dict(enumerate(cols["evader_u"]))),
+                r"records.evader_u must be a list, got \{'0': \[",
             ),
             (
-                lambda recs: recs.insert(0, list(recs[0])),
-                ValueError,
-                r"StepRecord must be a JSON object, got \['time', 'pursuer_pos', ",
+                lambda cols: cols["distance"].pop(),
+                "records.distance must hold 6 values, as records.time does, got 5",
+            ),
+            (
+                lambda cols: cols["time"].pop(),
+                "records.pursuer_pos must hold 5 values, as records.time does, got 6",
+            ),
+            (
+                lambda cols: cols["evader_cone"].append(True),
+                "records.evader_cone must hold 6 values, as records.time does, got 7",
             ),
         ],
-        ids=["unknown key", "missing key", "not an object", "list of the field names"],
+        ids=[
+            "unknown column", "missing column", "column not a list", "column an object",
+            "column short", "time short", "column long",
+        ],  # fmt: skip
     )
-    def test_bad_record_row_message(self, tmp_path, corrupt, error, message):
-        log = self._training_log()
-        path = tmp_path / "episode.json"
-        export_json(log, path)
-        data = json.loads(path.read_text())
+    def test_bad_column_message(self, tmp_path, corrupt, message):
+        data = episode_dict_reference(self._training_log())
         corrupt(data["records"])
+        path = tmp_path / "episode.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(error, match=f"^{message}") as got:
+        with pytest.raises(ValueError, match=f"^{message}"):
             load_episode(path)
-        with pytest.raises(error) as reference:
-            episode_from_dict_reference(data)
-        assert str(got.value) == str(reference.value)
 
     @pytest.mark.parametrize(
-        "records, error, message",
+        "records, message",
         [
-            ({"time": 0.0}, ValueError, "records must be a list, got {'time': 0.0}"),
-            ("ab", ValueError, "records must be a list, got 'ab'"),
-            (5, ValueError, "records must be a list, got 5"),
+            ([{"time": 0.0}], "records must be a dict of columns, got [{'time': 0.0}]"),
+            ([], "records must be a dict of columns, got []"),
+            ("ab", "records must be a dict of columns, got 'ab'"),
+            (5, "records must be a dict of columns, got 5"),
         ],
-        ids=["object", "string", "number"],
+        ids=["rows", "empty list", "string", "number"],
     )
-    def test_records_not_a_list_message(self, tmp_path, records, error, message):
-        data = dataclasses.asdict(self._small_log())
+    def test_records_not_a_dict_message(self, tmp_path, records, message):
+        data = episode_dict_reference(self._small_log())
         data["records"] = records
         path = tmp_path / "episode.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(error, match=f"^{message}$") as got:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_episode(path)
-        with pytest.raises(error) as reference:
-            episode_from_dict_reference(data)
-        assert str(got.value) == str(reference.value)
 
-    @pytest.mark.parametrize("reorder", [False, True], ids=["adopted row", "built row"])
     @pytest.mark.parametrize(
         "field, value, kind",
         [
             ("time", None, "a float"),
-            ("pursuer_pos", 5, "a list of floats"),
-            ("evader_pos", [1.0, "a", 2.0], "a list of floats"),
-            ("pursuer_u_exec", [True, 0.0], "a list of floats"),
+            ("pursuer_pos", 5, "a list of 3 floats"),
+            ("evader_pos", [1.0, "a", 2.0], "a list of 3 floats"),
+            ("evader_pos", [1.0, 2.0], "a list of 3 floats"),
+            ("pursuer_u", [1.0, 2.0, 3.0], "a list of 2 floats"),
+            ("pursuer_u_exec", [True, 0.0], "a list of 2 floats"),
             ("evader_td", "0.5", "a float or None"),
             ("pursuer_cone", 1, "a bool"),
         ],
     )
-    def test_wrong_typed_record_value_named(self, field, value, kind, reorder):
-        data = dataclasses.asdict(self._training_log())
-        data["records"][3][field] = value
-        if reorder:  # keys out of field order: the record is built, not adopted
-            data["records"][3] = dict(reversed(data["records"][3].items()))
-        with pytest.raises(ValueError, match=re.escape(f"records[3].{field} must be {kind}, got ")):
+    def test_wrong_typed_record_value_named(self, field, value, kind):
+        data = episode_dict_reference(self._training_log())
+        data["records"][field][3] = value
+        message = f"records[3].{field} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EpisodeLog.from_dict(json.loads(json.dumps(data)))
 
     @pytest.mark.parametrize(
@@ -479,23 +473,25 @@ class TestEpisodeLogExports:
             ("obstacles", [[1.0, 2.0, "x", 1.0]], "a list of lists of floats"),
             ("path_length", {"pursuer": "a", "evader": 1.0}, "a dict of str to float"),
             ("collision_steps", {"pursuer": 1.5, "evader": 0}, "a dict of str to int"),
-            ("records", "ab", "a list"),
+            ("records", "ab", "a dict of columns"),
         ],
     )
     def test_wrong_typed_log_value_named(self, field, value, kind):
-        data = dataclasses.asdict(self._training_log())
+        data = episode_dict_reference(self._training_log())
         data[field] = value
         with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be {kind}, got ')}"):
             EpisodeLog.from_dict(json.loads(json.dumps(data)))
 
     def test_ints_load_as_floats(self):
         # JSON may spell a whole float as an int; that is a float's value still.
-        data = dataclasses.asdict(self._training_log())
+        data = episode_dict_reference(self._training_log())
         data["dt"], data["obstacles"] = 1, [[1, 2, 3, 1]]
-        for row in data["records"]:
-            row["time"], row["pursuer_pos"] = 0, [1, 2.0, 3]
+        columns = data["records"]
+        columns["time"] = [0] * len(columns["time"])
+        columns["pursuer_pos"] = [[1, 2.0, 3]] * len(columns["time"])
         loaded = EpisodeLog.from_dict(json.loads(json.dumps(data)))
         assert loaded.records[-1].pursuer_pos == [1, 2.0, 3]
+        assert loaded.records[-1].time == 0
 
     def test_csv_bytes_match_per_value_formatting(self, tmp_path):
         log = self._small_log()
@@ -1058,33 +1054,58 @@ class TestCLI:
             (None, r"\[Errno 2\] No such file or directory"),
             (lambda data: "{not json", "Expecting property name enclosed in double quotes"),
             (lambda data: "[]", "unsupported episode schema None"),
+            (
+                lambda data: json.dumps(
+                    {
+                        **data,
+                        "records": [
+                            dict(zip(STEP_FIELDS, row)) for row in zip(*data["records"].values())
+                        ],
+                        "schema": "peg3d.episode.v1",
+                    }
+                ),
+                r"unsupported episode schema 'peg3d.episode.v1' \(expected peg3d.episode.v2\)$",
+            ),
             (lambda data: json.dumps({**data, "bogus": 1}), "unknown EpisodeLog key 'bogus'$"),
             (
                 lambda data: json.dumps({k: v for k, v in data.items() if k != "outcome"}),
                 "missing EpisodeLog key 'outcome'$",
             ),
             (
-                lambda data: json.dumps(
-                    {**data, "records": [{**rec, "bogus": 1} for rec in data["records"]]}
-                ),
+                lambda data: json.dumps({**data, "records": {**data["records"], "bogus": [1]}}),
                 "unknown StepRecord key 'bogus'$",
             ),
             (
                 lambda data: json.dumps({**data, "records": [[1, 2]]}),
-                r"StepRecord must be a JSON object, got \[1, 2\]$",
+                r"records must be a dict of columns, got \[\[1, 2\]\]$",
             ),
-            (lambda data: json.dumps({**data, "records": 5}), "records must be a list, got 5$"),
-            (  # the record adopts its row, so this is the adopted-row path
+            (
+                lambda data: json.dumps({**data, "records": 5}),
+                "records must be a dict of columns, got 5$",
+            ),
+            (
                 lambda data: json.dumps(
                     {
                         **data,
-                        "records": [data["records"][0], {**data["records"][1], "pursuer_pos": 5}],
+                        "records": {**data["records"], "distance": data["records"]["distance"][1:]},
                     }
                 ),
-                r"records\[1\]\.pursuer_pos must be a list of floats, got 5$",
+                r"records\.distance must hold 3 values, as records\.time does, got 2$",
             ),
             (
-                lambda data: json.dumps({**data, "records": [], "pursuer_start": 5}),
+                lambda data: json.dumps(
+                    {
+                        **data,
+                        "records": {
+                            **data["records"],
+                            "pursuer_pos": [data["records"]["pursuer_pos"][0], 5, [1.0, 2.0, 3.0]],
+                        },
+                    }
+                ),
+                r"records\[1\]\.pursuer_pos must be a list of 3 floats, got 5$",
+            ),
+            (
+                lambda data: json.dumps({**data, "records": None, "pursuer_start": 5}),
                 "pursuer_start must be a list of floats, got 5$",
             ),
             (
@@ -1093,8 +1114,8 @@ class TestCLI:
             ),
         ],
         ids=[
-            "no file", "not json", "a list", "unknown key", "missing key", "record key", "row",
-            "records", "record value", "start value", "steps value",
+            "no file", "not json", "a list", "v1 rows", "unknown key", "missing key", "column key",
+            "rows", "records", "short column", "record value", "start value", "steps value",
         ],  # fmt: skip
     )
     def test_replay_rejects_a_bad_log(self, tmp_path, text, message):
@@ -1102,9 +1123,34 @@ class TestCLI:
         log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
         path = tmp_path / "episode.json"
         if text is not None:
-            path.write_text(text(dataclasses.asdict(log)))
+            path.write_text(text(episode_dict_reference(log)))
         out_dir = tmp_path / "replay"
         with pytest.raises(SystemExit, match=f"^peg3d replay: {message}"):
+            cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "field, length",
+        [
+            (f"{role}_{name}", length)
+            for role in ("pursuer", "evader")
+            for name, n in (("pos", 3), ("u", 2), ("u_exec", 2))
+            for length in range(5)
+            if length != n
+        ],
+    )
+    def test_replay_rejects_a_wrong_length_list(self, tmp_path, field, length):
+        sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=3)
+        log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
+        n = len(getattr(log.records[1], field))
+        value = [1.0] * length
+        data = episode_dict_reference(log)
+        data["records"][field][1] = value
+        path = tmp_path / "episode.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        message = f"peg3d replay: records[1].{field} must be a list of {n} floats, got {value!r}"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
             cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
         assert not out_dir.exists()
 

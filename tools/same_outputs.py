@@ -15,7 +15,9 @@ trains, a scenario file with random obstacles for ``train`` and ``evaluate
 --scenario``, ``evaluate --save-logs`` and ``replay --export csv`` and
 ``json``.  Every command runs in its tree's output directory with relative
 paths, and its standard output is kept there as ``stdout/<name>.txt``.  Then
-``diff -r`` compares the two output directories.
+``diff -r`` compares the two output directories.  When they differ, it prints
+the name of every differing file, then the first 20,000 characters of the
+line diff.
 
 Exit status: 0 when the outputs are identical, 1 when they differ, 2 when the
 export or a command fails.
@@ -169,7 +171,9 @@ def main(argv=None) -> int:
             print(f"same_outputs: diff failed: {diff.stderr}", file=sys.stderr)
             return 2
         if diff.returncode == 1:
-            sys.stdout.write(diff.stdout[:20_000])
+            # Every differing file by name, then the start of the line diff.
+            brief = subprocess.run(["diff", "-rq", "ref", "here"], cwd=tmp, capture_output=True)
+            sys.stdout.write(brief.stdout.decode() + diff.stdout[:20_000])
             print(f"same_outputs: outputs differ from {args.ref}", file=sys.stderr)
             return 1
         files = sum(len(names) for _, _, names in os.walk(tmp / "here"))
