@@ -171,9 +171,10 @@ def main(argv=None) -> int:
             print(f"same_outputs: diff failed: {diff.stderr}", file=sys.stderr)
             return 2
         if diff.returncode == 1:
-            # Every differing file by name, then the start of the line diff.
-            brief = subprocess.run(["diff", "-rq", "ref", "here"], cwd=tmp, capture_output=True)
-            sys.stdout.write(brief.stdout.decode() + diff.stdout[:20_000])
+            brief = subprocess.run(
+                ["diff", "-rq", "ref", "here"], cwd=tmp, capture_output=True, text=True
+            )
+            sys.stdout.write(brief.stdout + diff.stdout[:20_000])
             print(f"same_outputs: outputs differ from {args.ref}", file=sys.stderr)
             return 1
         files = sum(len(names) for _, _, names in os.walk(tmp / "here"))
