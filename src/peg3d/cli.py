@@ -33,6 +33,8 @@ _BAD_INPUT = (ValueError, OSError, configparser.Error)
 def _resolve_scenario(arg: str, config_path):
     """``--scenario`` takes a built-in number (1-4) or a config-file path."""
     config, scenario = (TrainConfig(), None) if config_path is None else load_config(config_path)
+    if scenario is not None and (arg.isdigit() or not Path(arg).samefile(config_path)):
+        raise ValueError(f"{config_path} has a [scenario] section; pass it as --scenario")
     if arg.isdigit():
         presets = builtin_scenarios()
         number = int(arg)
@@ -128,6 +130,8 @@ def _cmd_replay(args):
         raise SystemExit(f"peg3d replay: the export {target} would overwrite --log; choose --out")
     try:
         log = load_episode(args.log)
+        if args.export == "csv" and log.records is None:
+            raise ValueError(f"{args.log} has no step records")
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d replay: {exc}") from None
     if args.export == "json":

@@ -4,19 +4,23 @@ An :class:`EpisodeLog` always carries the terminal summary (outcome, final
 separation, path lengths, compliance fractions); per-step records are kept
 only when requested, since long training runs would otherwise hold millions
 of rows.  JSON export round-trips losslessly; CSV export writes one
-trajectory file, one reward/TD time-series file, and a JSON summary.
+trajectory file, one reward/TD time-series file, and a summary, which is the
+log without its records as :func:`export_json` writes it.
 
-Exports only read a log: they serialise its fields and records as they are,
-without copying them first.  An episode JSON file holds one line per top-level
-key, and stores the step records by column: one line per StepRecord field,
-holding that field's value at each step (see :func:`export_json`).
+The two dataclasses declare the layout once: the summary columns follow
+EpisodeLog's per-role fields, the series columns are StepRecord fields, and
+every step column holds ``steps`` values.  Exports only read a log: they
+serialise its fields and records as they are, without copying them first.
+An episode JSON file holds one line per top-level key, and stores the step
+records by column: one line per StepRecord field, holding that field's value
+at each step (see :func:`export_json`).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -85,12 +89,13 @@ class EpisodeLog:
     pursuer_start: list[float]
     evader_start: list[float]
     obstacles: list[list[float]]  # rows of [x, y, z, radius]
+    # Per-role values, keyed "pursuer" and "evader", in summary-column order.
+    reward_total: dict[str, float]
+    reward_mean: dict[str, float]
     path_length: dict[str, float]
     min_clearance: dict[str, float]
     collision_steps: dict[str, int]
     cone_fraction: dict[str, float]
-    reward_total: dict[str, float]
-    reward_mean: dict[str, float]
     td_abs_mean: dict[str, float | None]
     entropy_mean: dict[str, float]
     records: list[StepRecord] | None = None
@@ -102,14 +107,14 @@ class EpisodeLog:
 
         ``data["records"]`` is None or a dict of step columns, as
         :func:`export_json` writes it.  Unknown and missing keys and columns
-        are named, and so is a column that is not a list or whose length
-        differs from the ``time`` column's, and the first value, of the log or
-        of a column (as ``records[3].pursuer_pos``), of the wrong kind.
+        are named, and so is a column that is not a list or does not hold
+        ``steps`` values, and the first value, of the log or of a column (as
+        ``records[3].pursuer_pos``), of the wrong kind.
         """
         log = build(cls, data)
         check_fields(log)
         if log.records is not None:
-            log.records = _from_columns(log.records)
+            log.records = _from_columns(log.records, log.steps)
         return log
 
 
@@ -134,25 +139,19 @@ def _value_check(f):
 _VALUE_CHECKS = tuple(map(_value_check, fields(StepRecord)))
 
 
-def _from_columns(columns: dict) -> list[StepRecord]:
-    """A :class:`StepRecord` per step; ``ValueError`` names the first bad column or value.
+def _from_columns(columns: dict, steps: int) -> list[StepRecord]:
+    """``steps`` :class:`StepRecord` objects; ``ValueError`` names the first bad column or value.
 
-    Each column is checked once, in field order: it is a list as long as the
-    ``time`` column, and each of its values passes its field's kind test.
+    Each column is checked once, in field order: it is a list of ``steps``
+    values, and each of its values passes its field's kind test.
     """
     # build names unknown and missing columns, as StepRecord keys.
     columns = vars(build(StepRecord, columns)).values()
-    steps = None
     for name, (test, kind), column in zip(_STEP_NAMES, _VALUE_CHECKS, columns):
         if not isinstance(column, list):
             raise ValueError(f"records.{name} must be a list, got {column!r}")
-        if steps is None:
-            steps = len(column)
-        elif len(column) != steps:
-            raise ValueError(
-                f"records.{name} must hold {steps} values, as records.time does, "
-                f"got {len(column)}"
-            )
+        if len(column) != steps:
+            raise ValueError(f"records.{name} must hold {steps} values (steps), got {len(column)}")
         if not all(map(test, column)):
             step = next(i for i, value in enumerate(column) if not test(value))
             raise ValueError(f"records[{step}].{name} must be {kind}, got {column[step]!r}")
@@ -160,16 +159,7 @@ def _from_columns(columns: dict) -> list[StepRecord]:
 
 
 # EpisodeLog's per-role fields in column order; each is a pursuer_ and an evader_ column.
-_ROLE_FIELDS = (
-    "reward_total",
-    "reward_mean",
-    "path_length",
-    "min_clearance",
-    "collision_steps",
-    "cone_fraction",
-    "td_abs_mean",
-    "entropy_mean",
-)
+_ROLE_FIELDS = tuple(f.name for f in fields(EpisodeLog) if f.type.startswith("dict["))
 
 
 def summary_row(log: EpisodeLog) -> dict:
@@ -260,19 +250,9 @@ def _trajectory_rows(log: EpisodeLog):
 
 
 def _series_rows(log: EpisodeLog):
-    """Rows in ``_SERIES_FIELDS`` order, cone flags as ints."""
-    for rec in log.records or ():
-        yield (
-            rec.time,
-            rec.pursuer_reward,
-            rec.evader_reward,
-            rec.pursuer_td,
-            rec.evader_td,
-            rec.pursuer_entropy,
-            rec.evader_entropy,
-            int(rec.pursuer_cone),
-            int(rec.evader_cone),
-        )
+    """Rows in ``_SERIES_FIELDS`` order, the two cone flags (the last fields) as ints."""
+    for values in map(_series_values, log.records):
+        yield values[:-2] + (int(values[-2]), int(values[-1]))
 
 
 _TRAJECTORY_FIELDS = (
@@ -296,10 +276,13 @@ _SERIES_FIELDS = (
     "pursuer_cone",
     "evader_cone",
 )
+_series_values = attrgetter(*_SERIES_FIELDS)
 
 
 def export_csv(log: EpisodeLog, out_dir, stem: str = "episode") -> list[Path]:
     """Write ``<stem>_trajectory.csv``, ``<stem>_series.csv``, ``<stem>_summary.json``."""
+    if log.records is None:
+        raise ValueError("export_csv needs a log with step records")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory = out_dir / f"{stem}_trajectory.csv"
@@ -307,5 +290,5 @@ def export_csv(log: EpisodeLog, out_dir, stem: str = "episode") -> list[Path]:
     summary = out_dir / f"{stem}_summary.json"
     write_rows_csv(trajectory, _TRAJECTORY_FIELDS, _trajectory_rows(log), TRAJECTORY_SCHEMA)
     write_rows_csv(series, _SERIES_FIELDS, _series_rows(log), SERIES_SCHEMA)
-    write_json({f.name: getattr(log, f.name) for f in fields(log) if f.name != "records"}, summary)
+    export_json(replace(log, records=None), summary)
     return [trajectory, series, summary]

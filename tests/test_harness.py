@@ -301,11 +301,8 @@ class TestEpisodeLogExports:
         ref = tmp_path / "ref"
         ref.mkdir()
         (ref / "episode.json").write_text(episode_json_reference(log))
-        summary = dataclasses.asdict(log)
-        summary.pop("records")
-        with open(ref / "ep_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=1)
-            fh.write("\n")
+        summary = dataclasses.replace(log, records=None)
+        (ref / "ep_summary.json").write_text(episode_json_reference(summary))
 
         export_json(log, tmp_path / "episode.json")
         export_csv(log, tmp_path, stem="ep")
@@ -335,6 +332,8 @@ class TestEpisodeLogExports:
     def test_round_trip_without_records(self, tmp_path, records):
         log = self._small_log()
         log.records = records
+        if records is not None:
+            log.steps = 0  # every column holds one value per step
         path = tmp_path / "episode.json"
         export_json(log, path)
         assert path.read_text() == episode_json_reference(log)
@@ -372,6 +371,7 @@ class TestEpisodeLogExports:
             rec.pursuer_pos = [-0.0, math.inf, float(i)]
             rec.evader_cone = i % 2 == 0
             log.records.append(rec)
+        log.steps = count
         path = tmp_path / "episode.json"
         export_json(log, path)
         assert path.read_text() == episode_json_reference(log)
@@ -403,15 +403,12 @@ class TestEpisodeLogExports:
             ),
             (
                 lambda cols: cols["distance"].pop(),
-                "records.distance must hold 6 values, as records.time does, got 5",
+                r"records.distance must hold 6 values \(steps\), got 5$",
             ),
-            (
-                lambda cols: cols["time"].pop(),
-                "records.pursuer_pos must hold 5 values, as records.time does, got 6",
-            ),
+            (lambda cols: cols["time"].pop(), r"records.time must hold 6 values \(steps\), got 5$"),
             (
                 lambda cols: cols["evader_cone"].append(True),
-                "records.evader_cone must hold 6 values, as records.time does, got 7",
+                r"records.evader_cone must hold 6 values \(steps\), got 7$",
             ),
         ],
         ids=[
@@ -550,6 +547,34 @@ class TestEpisodeLogExports:
         lines = (tmp_path / "ep_trajectory.csv").read_text().splitlines()
         assert len(lines) == 3  # schema comment + header + terminal row
         assert lines[2].startswith("0.0,")
+
+    @pytest.mark.parametrize("kind", ["training", "close"])
+    def test_summary_is_the_log_without_records(self, tmp_path, kind):
+        log = {"training": self._training_log, "close": self._close_log}[kind]()
+        export_csv(log, tmp_path, stem="ep")
+        assert load_episode(tmp_path / "ep_summary.json") == dataclasses.replace(log, records=None)
+
+    def test_csv_export_needs_step_records(self, tmp_path):
+        log = self._small_log()
+        log.records = None
+        with pytest.raises(ValueError, match="^export_csv needs a log with step records$"):
+            export_csv(log, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_log_in_the_old_key_order_loads(self, tmp_path):
+        # The per-role keys before they took the summary-column order; keys load by name.
+        old_order = [
+            "scenario", "seed", "episode", "dt", "outcome", "steps", "elapsed", "final_distance",
+            "capture_time", "pursuer_start", "evader_start", "obstacles", "path_length",
+            "min_clearance", "collision_steps", "cone_fraction", "reward_total", "reward_mean",
+            "td_abs_mean", "entropy_mean", "records", "schema",
+        ]  # fmt: skip
+        log = self._training_log()
+        data = episode_dict_reference(log)
+        assert sorted(data) == sorted(old_order) and list(data) != old_order
+        path = tmp_path / "episode.json"
+        path.write_text(json.dumps({key: data[key] for key in old_order}))
+        assert load_episode(path) == log
 
     def test_unsupported_schema_rejected(self, tmp_path):
         log = self._small_log()
@@ -1090,7 +1115,11 @@ class TestCLI:
                         "records": {**data["records"], "distance": data["records"]["distance"][1:]},
                     }
                 ),
-                r"records\.distance must hold 3 values, as records\.time does, got 2$",
+                r"records\.distance must hold 3 values \(steps\), got 2$",
+            ),
+            (
+                lambda data: json.dumps({**data, "steps": 7}),
+                r"records\.time must hold 7 values \(steps\), got 3$",
             ),
             (
                 lambda data: json.dumps(
@@ -1115,7 +1144,8 @@ class TestCLI:
         ],
         ids=[
             "no file", "not json", "a list", "v1 rows", "unknown key", "missing key", "column key",
-            "rows", "records", "short column", "record value", "start value", "steps value",
+            "rows", "records", "short column", "steps over records", "record value", "start value",
+            "steps value",
         ],  # fmt: skip
     )
     def test_replay_rejects_a_bad_log(self, tmp_path, text, message):
@@ -1186,6 +1216,62 @@ class TestCLI:
         argv = ["replay", "--log", str(path), "--export", fmt, "--out", str(out_dir)]
         assert cli_main(argv) == 0
         assert len(calls) == 1
+
+    def test_replay_csv_needs_step_records(self, tmp_path):
+        sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=3)
+        log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
+        log.records = None
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        out_dir = tmp_path / "out"
+        message = f"peg3d replay: {path} has no step records"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
+        assert not out_dir.exists()
+        # The JSON export needs no records.
+        assert cli_main(["replay", "--log", str(path), "--export", "json", "--out", str(out_dir)]) == 0
+        assert load_episode(out_dir / "episode.json") == log
+
+    def test_replay_csv_of_a_zero_step_log_writes_the_start_row(self, tmp_path):
+        sc = Scenario(name="close", pursuer_start=(5.0, 5.0, 0.0), evader_start=(5.4, 5.0, 0.0))
+        cfg = TrainConfig(max_plays=10)
+        log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
+        assert (log.steps, log.records) == (0, [])
+        path = tmp_path / "episode.json"
+        export_json(log, path)
+        out_dir = tmp_path / "out"
+        assert cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)]) == 0
+        start = (log.elapsed, *log.pursuer_start, *log.evader_start, log.final_distance)
+        lines = (out_dir / "episode_trajectory.csv").read_text().splitlines()
+        assert lines[2:] == [",".join(map(repr, start))]
+        assert len((out_dir / "episode_series.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("scenario", ["1", "other.ini"])
+    def test_train_refuses_a_scenario_section_in_config(self, tmp_path, scenario):
+        section = "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\nepisodes = 1\nmax_plays = 5\n" + section)
+        (tmp_path / "other.ini").write_text(section)
+        arg = scenario if scenario.isdigit() else str(tmp_path / scenario)
+        out_dir = tmp_path / "out"
+        message = f"peg3d train: {config} has a [scenario] section; pass it as --scenario"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli_main(
+                ["train", "--scenario", arg, "--config", str(config), "--out", str(out_dir)]
+            )  # fmt: skip
+        assert not out_dir.exists()
+
+    def test_train_with_one_file_as_scenario_and_config(self, tmp_path, monkeypatch):
+        (tmp_path / "run.ini").write_text(
+            "[train]\nepisodes = 1\nmax_plays = 5\n"
+            "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        argv = ["train", "--scenario", "run.ini", "--config", "./run.ini", "--out", "out", "--quiet"]
+        assert cli_main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["scenario"]["name"] == "custom"
+        assert manifest["config"]["episodes"] == 1
 
     def test_train_with_config_and_scenario_file(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -13,7 +13,9 @@ that sets every section's keys (explicit obstacles, both headings, 3
 membership functions per input) and ``evaluate`` from the checkpoint it
 trains, a scenario file with random obstacles for ``train`` and ``evaluate
 --scenario``, ``evaluate --save-logs`` and ``replay --export csv`` and
-``json``.  Every command runs in its tree's output directory with relative
+``json`` of one of its run logs, and ``replay --export csv`` of a training
+episode log, whose TD errors are floats (an evaluation run's are all None).
+Every command runs in its tree's output directory with relative
 paths, and its standard output is kept there as ``stdout/<name>.txt``.  Then
 ``diff -r`` compares the two output directories.  When they differ, it prints
 the name of every differing file, then the first 20,000 characters of the
@@ -121,6 +123,8 @@ def commands() -> list[tuple[str, list[str]]]:
         log = "evaluate/runs/run_000.json"
         runs.append((f"replay-{kind}", ["replay", "--log", log, "--export", kind,
                                          "--out", f"replay-{kind}"]))  # fmt: skip
+    runs.append(("replay-train-csv", ["replay", "--log", "train-s1/episodes/episode_0007.json",
+                                      "--export", "csv", "--out", "replay-train-csv"]))  # fmt: skip
     return runs
 
 
