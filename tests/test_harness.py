@@ -1229,7 +1229,8 @@ class TestCLI:
             cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
         assert not out_dir.exists()
         # The JSON export needs no records.
-        assert cli_main(["replay", "--log", str(path), "--export", "json", "--out", str(out_dir)]) == 0
+        argv = ["replay", "--log", str(path), "--export", "json", "--out", str(out_dir)]
+        assert cli_main(argv) == 0
         assert load_episode(out_dir / "episode.json") == log
 
     def test_replay_csv_of_a_zero_step_log_writes_the_start_row(self, tmp_path):
@@ -1240,7 +1241,8 @@ class TestCLI:
         path = tmp_path / "episode.json"
         export_json(log, path)
         out_dir = tmp_path / "out"
-        assert cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)]) == 0
+        argv = ["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)]
+        assert cli_main(argv) == 0
         start = (log.elapsed, *log.pursuer_start, *log.evader_start, log.final_distance)
         lines = (out_dir / "episode_trajectory.csv").read_text().splitlines()
         assert lines[2:] == [",".join(map(repr, start))]
@@ -1255,10 +1257,9 @@ class TestCLI:
         arg = scenario if scenario.isdigit() else str(tmp_path / scenario)
         out_dir = tmp_path / "out"
         message = f"peg3d train: {config} has a [scenario] section; pass it as --scenario"
+        argv = ["train", "--scenario", arg, "--config", str(config), "--out", str(out_dir)]
         with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
-            cli_main(
-                ["train", "--scenario", arg, "--config", str(config), "--out", str(out_dir)]
-            )  # fmt: skip
+            cli_main(argv)
         assert not out_dir.exists()
 
     def test_train_with_one_file_as_scenario_and_config(self, tmp_path, monkeypatch):
@@ -1267,7 +1268,8 @@ class TestCLI:
             "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
         )
         monkeypatch.chdir(tmp_path)
-        argv = ["train", "--scenario", "run.ini", "--config", "./run.ini", "--out", "out", "--quiet"]
+        argv = ["train", "--scenario", "run.ini", "--config", "./run.ini", "--out", "out"]
+        argv.append("--quiet")
         assert cli_main(argv) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["scenario"]["name"] == "custom"
