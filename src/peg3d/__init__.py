@@ -11,6 +11,7 @@ from .env import (
     step_agent,
 )
 from .fuzzy import (
+    Firing,
     InputPartition,
     RuleBase,
     firing_entropy,

@@ -48,6 +48,14 @@ def _resolve_scenario(arg: str, config_path):
     return file_scenario, config if config_path is not None else file_config
 
 
+def _run_sections(path) -> list[str]:
+    """The sections of INI file ``path`` that set run settings: all but [config] and [scenario]."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    with open(path) as fh:
+        parser.read_file(fh)
+    return [s for s in parser.sections() if s not in ("config", "scenario") and parser.options(s)]
+
+
 def _cmd_train(args):
     # The train options named after TrainConfig fields override them when given.
     names = (f.name for f in dataclasses.fields(TrainConfig))
@@ -92,6 +100,12 @@ def _cmd_evaluate(args):
         learners, rulebase, scenario, config = load_checkpoint(args.checkpoint)
         if args.scenario is not None:
             scenario, _ = _resolve_scenario(args.scenario, None)
+            sections = [] if args.scenario.isdigit() else _run_sections(args.scenario)
+            if sections:
+                listed = ", ".join(f"[{section}]" for section in sections)
+                raise ValueError(
+                    f"{args.scenario} sets run settings ({listed}); evaluate uses the checkpoint's"
+                )
         check_scenario(scenario, config)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d evaluate: {exc}") from None

@@ -12,7 +12,9 @@ and ``k + 1`` has nonzero membership in those two functions only.  Rule
 firing is therefore computed in closed form: one peak lookup per input gives
 its cell and two degrees, and only the ``2 ** n`` rules at the corners of
 that cell, for ``n`` inputs (16 of 625 for the default layout), get a nonzero
-strength.
+strength.  A :class:`Firing` holds just those rules and their strengths, and
+every sum over it runs left to right in ascending rule order, so its bits
+depend on no BLAS kernel or SIMD level.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Firing",
     "InputPartition",
     "RuleBase",
     "uniform_partition",
@@ -66,6 +69,30 @@ def uniform_partition(lo: float, hi: float, n_mfs: int) -> InputPartition:
     return InputPartition(lo, hi, tuple(lo + k * (hi - lo) / (n_mfs - 1) for k in range(n_mfs)))
 
 
+class Firing:
+    """The rules one :meth:`RuleBase.fire` call fired, with their normalized strengths.
+
+    ``pairs`` lists ``(rule, strength)`` for the ``2 ** n`` corner rules of
+    the inputs' cell, in ascending rule order; a corner on a zero membership
+    degree has strength 0.0.  Each of the other rules of the grid's ``size``
+    has strength 0.  ``np.asarray(firing)`` builds the dense vector of all
+    ``size`` strengths.
+    """
+
+    __slots__ = ("pairs", "size")
+
+    def __init__(self, pairs: list[tuple[int, float]], size: int):
+        self.pairs = pairs
+        self.size = size
+
+    def __array__(self, dtype=None, copy=None):
+        """The dense vector of all ``size`` strengths, a new array on every call."""
+        dense = np.zeros(self.size)
+        for rule, strength in self.pairs:
+            dense[rule] = strength
+        return dense if dtype is None else dense.astype(dtype)
+
+
 class RuleBase:
     """Full cross-product rule grid over the input partitions.
 
@@ -95,29 +122,31 @@ class RuleBase:
             )
             for p, stride in zip(self.partitions, strides)
         )
-        # Rule offsets of a cell's corners from its lowest corner, row-major.
-        self._offsets = np.array(
-            [
-                sum(s for bit, s in zip(corner, strides) if bit)
-                for corner in itertools.product((0, 1), repeat=len(strides))
-            ],
-            dtype=np.intp,
+        # Rule offsets of a cell's corners from its lowest corner, row-major,
+        # so ascending.
+        self._offsets = tuple(
+            sum(s for bit, s in zip(corner, strides) if bit)
+            for corner in itertools.product((0, 1), repeat=len(strides))
         )
+        # The corner rules of each cell met so far, keyed by its lowest corner rule.
+        self._windows: dict[int, tuple[int, ...]] = {}
 
-    def fire(self, x) -> np.ndarray:
-        """Normalized firing strength of every rule for input vector ``x``.
+    def fire(self, x) -> Firing:
+        """The rules that input vector ``x`` fires, with their normalized strengths.
 
         Inputs are clamped to their partition domains.  Each rule's raw
-        strength is the product of its per-input memberships; the vector is
-        normalized to sum to 1.
+        strength is the product of its per-input memberships; the strengths
+        are normalized to sum to 1.
 
         Closed form: input ``i`` clamped between peaks ``k`` and ``k + 1``
         has degrees ``(right - x) / w`` and ``(x - left) / w`` (``w`` the
         peak gap) in those two functions and 0 in every other, since the
-        feet sit at the neighboring peaks.  The ``2 ** len(x)`` corner
-        products are scattered into a dense zero vector, so the result is
-        bit for bit the normalized dense outer product of every input's
-        membership degrees (``tests/test_fuzzy.py`` keeps that reference).
+        feet sit at the neighboring peaks.  Only the ``2 ** len(x)`` corners
+        of that cell can fire.  Their products are divided by their sum,
+        taken left to right in corner order, so the dense vector is bit for
+        bit the dense outer product of every input's membership degrees
+        divided by its left-to-right sum (``tests/test_fuzzy.py`` keeps that
+        reference).
         """
         if len(x) != len(self.partitions):
             raise ValueError(f"expected {len(self.partitions)} inputs, got {len(x)}")
@@ -135,14 +164,22 @@ class RuleBase:
                 grown += (p * low, p * high)
             products = grown
             base += k * stride
-        raw = np.zeros(self.n_rules)
-        raw[base:].put(self._offsets, products)  # through the cell's window: no index array
-        raw /= np.add.reduce(raw)  # the dense pairwise sum fixes the last bit, as in the reference
-        return raw
+        total = 0.0
+        for p in products:  # not sum(): Python 3.12's sum() compensates, so its bits differ
+            total += p
+        window = self._windows.get(base)
+        if window is None:
+            window = self._windows[base] = tuple(base + offset for offset in self._offsets)
+        return Firing([(rule, p / total) for rule, p in zip(window, products)], self.n_rules)
 
 
-def firing_entropy(phi) -> float:
-    """Shannon entropy (nats) of a firing vector; a rule-activation spread diagnostic."""
-    phi = np.asarray(phi, dtype=float)
-    active = phi[phi > 0.0]
-    return -float(np.add.reduce(active * np.log(active)))
+def firing_entropy(phi: Firing) -> float:
+    """Shannon entropy (nats) of a firing; a rule-activation spread diagnostic.
+
+    The terms ``s * log(s)`` of the strengths ``s > 0`` are summed left to right.
+    """
+    total = 0.0
+    for _, s in phi.pairs:
+        if s > 0.0:
+            total += s * math.log(s)
+    return -total

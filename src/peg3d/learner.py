@@ -21,6 +21,7 @@ import numpy as np
 
 from ._fields import check_fields, check_int, check_positive
 from .env import TURN_LIMIT, AgentState
+from .fuzzy import Firing
 
 __all__ = [
     "ANGLE_DOMAIN",
@@ -83,7 +84,11 @@ class FuzzyActorCritic:
     """Actor-critic weights over rule firing features, with their update rules.
 
     One actor row per output channel in :data:`CHANNELS`; the hyperparameters
-    are read from ``config``.
+    are read from ``config``.  Each actor row and the critic are plain lists
+    of floats, one weight per rule (``np.asarray`` gives them as arrays).
+    Every method reads or moves only the weights of the rules a
+    :class:`~peg3d.fuzzy.Firing` fired, and sums over them left to right in
+    ascending rule order.
     """
 
     # Commands saturate here, matching the arena's per-step steering limit.
@@ -91,14 +96,11 @@ class FuzzyActorCritic:
 
     def __init__(self, n_rules: int, config: LearnerConfig):
         self.config = config
-        self.actor = np.zeros((len(CHANNELS), n_rules))
-        self.critic = np.zeros(n_rules)
-        # update_actor's per-channel scales as a column, and its outer-product step.
-        self._scales = np.empty((len(CHANNELS), 1))
-        self._step = np.empty((len(CHANNELS), n_rules))
+        self.actor = [[0.0] * n_rules for _ in CHANNELS]
+        self.critic = [0.0] * n_rules
 
-    def act(self, phi: np.ndarray, noise: Iterator[float] | None = None):
-        """Commanded and executed actions for the current firing vector.
+    def act(self, phi: Firing, noise: Iterator[float] | None = None):
+        """Commanded and executed actions for the current firing.
 
         Returns ``(u, u_exec)``: ``u`` is the ndarray of raw per-channel actor
         outputs, and ``u_exec`` the executed action as a tuple of plain
@@ -110,8 +112,12 @@ class FuzzyActorCritic:
         executed action is what both the environment and the actor update
         must see.
         """
-        u = self.actor.dot(phi)  # the BLAS call and bits of ``@``, at less overhead
-        dalpha, dtheta = u.tolist()
+        w_alpha, w_theta = self.actor
+        dalpha = dtheta = 0.0
+        for rule, strength in phi.pairs:
+            dalpha += w_alpha[rule] * strength
+            dtheta += w_theta[rule] * strength
+        u = np.array((dalpha, dtheta))
         if noise is not None:
             sigma = self.config.sigma
             dalpha += 0.0 + sigma * next(noise)
@@ -124,18 +130,27 @@ class FuzzyActorCritic:
         return u, (dalpha, dtheta)
 
     def td_error(
-        self, phi_t: np.ndarray, phi_next: np.ndarray | None, reward: float, terminal: bool
+        self, phi_t: Firing, phi_next: Firing | None, reward: float, terminal: bool
     ) -> float:
         """Temporal-difference error; terminal successor states count as value 0."""
         critic = self.critic
-        v_next = 0.0 if terminal else float(critic.dot(phi_next))
-        return reward + self.config.gamma * v_next - float(critic.dot(phi_t))
+        v_next = 0.0
+        if not terminal:
+            for rule, strength in phi_next.pairs:
+                v_next += critic[rule] * strength
+        v_now = 0.0
+        for rule, strength in phi_t.pairs:
+            v_now += critic[rule] * strength
+        return reward + self.config.gamma * v_next - v_now
 
-    def update_critic(self, phi: np.ndarray, delta: float):
+    def update_critic(self, phi: Firing, delta: float):
         """Move the critic along the firing features by the TD error."""
-        self.critic += (self.config.alpha_critic * delta) * phi
+        step = self.config.alpha_critic * delta
+        critic = self.critic
+        for rule, strength in phi.pairs:
+            critic[rule] += step * strength
 
-    def update_actor(self, phi: np.ndarray, u: np.ndarray, u_exec, delta: float):
+    def update_actor(self, phi: Firing, u: np.ndarray, u_exec, delta: float):
         """Reinforce the executed perturbation in proportion to the TD error.
 
         Per channel the weight step is
@@ -147,14 +162,15 @@ class FuzzyActorCritic:
         config = self.config
         c = config.alpha_actor * delta / config.sigma
         (exec_alpha, exec_theta), (u_alpha, u_theta) = u_exec, u.tolist()
-        scales, step = self._scales, self._step
-        scales[0, 0], scales[1, 0] = c * (exec_alpha - u_alpha), c * (exec_theta - u_theta)
-        np.multiply(scales, phi, out=step)  # the outer product, without a new array
-        self.actor += step
+        scale_alpha, scale_theta = c * (exec_alpha - u_alpha), c * (exec_theta - u_theta)
+        w_alpha, w_theta = self.actor
+        for rule, strength in phi.pairs:
+            w_alpha[rule] += scale_alpha * strength
+            w_theta[rule] += scale_theta * strength
 
     def state_dict(self) -> dict:
-        """Actor and critic weights as plain JSON-ready lists."""
-        return {"actor": self.actor.tolist(), "critic": self.critic.tolist()}
+        """Actor and critic weights as plain JSON-ready lists (copies)."""
+        return {"actor": [list(row) for row in self.actor], "critic": list(self.critic)}
 
     def load_state_dict(self, data: dict):
         """Take the weights of a :meth:`state_dict`.
@@ -164,10 +180,12 @@ class FuzzyActorCritic:
         """
         actor = np.asarray(data["actor"], dtype=float)
         critic = np.asarray(data["critic"], dtype=float)
-        if actor.shape != self.actor.shape or critic.shape != self.critic.shape:
+        n_rules = len(self.critic)
+        layout = (len(CHANNELS), n_rules), (n_rules,)
+        if (actor.shape, critic.shape) != layout:
             raise ValueError(
                 f"weight shapes {actor.shape}/{critic.shape} do not match "
-                f"the layout {self.actor.shape}/{self.critic.shape}"
+                f"the layout {layout[0]}/{layout[1]}"
             )
         for part, weights in (("actor", actor), ("critic", critic)):
             bad = np.argwhere(~np.isfinite(weights))
@@ -175,7 +193,7 @@ class FuzzyActorCritic:
                 index = bad[0].tolist()
                 value = float(weights[tuple(index)])
                 raise ValueError(f"{part}{index} must be finite, got {value!r}")
-        self.actor, self.critic = actor, critic
+        self.actor, self.critic = actor.tolist(), critic.tolist()
 
 
 # The rule grid's input domains, one per kind of feature extract_inputs returns:

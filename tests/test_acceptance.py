@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from peg3d.env import AgentState, heading_vector, step_agent
-from peg3d.fuzzy import uniform_partition
+from peg3d.fuzzy import Firing, uniform_partition
 from peg3d.geometry import (
     BOUNDARY,
     EVADER_DOMINANT,
@@ -160,7 +160,7 @@ def test_criterion_4_partition_of_unity():
             rng.uniform(-5.0, 40.0),
             rng.uniform(-4.0, 4.0),
         )
-        worst_fire = max(worst_fire, abs(rb.fire(x).sum() - 1.0))
+        worst_fire = max(worst_fire, abs(np.asarray(rb.fire(x)).sum() - 1.0))
     assert worst_fire <= 1e-9
     print(f"criterion 4 PASS: membership err {worst_mf:.1e}, firing err {worst_fire:.1e}")
 
@@ -180,7 +180,7 @@ def test_criterion_5_gradient_check():
             rng.uniform(0.0, 35.0),
             rng.uniform(-math.pi, math.pi),
         )
-        phi = rb.fire(x)
+        phi = np.asarray(rb.fire(x))
         w = rng.normal(size=rb.n_rules)
         fd = ((w + eps * eye) @ phi - (w - eps * eye) @ phi) / (2.0 * eps)
         worst = max(worst, float(np.max(np.abs(fd - phi))))
@@ -191,7 +191,7 @@ def test_criterion_5_gradient_check():
 def test_criterion_6_critic_convergence():
     """Single-rule critic with no discounting converges to the mean reward."""
     learner = FuzzyActorCritic(1, LearnerConfig(gamma=0.0, alpha_actor=0.001, alpha_critic=0.05))
-    phi = np.ones(1)
+    phi = Firing([(0, 1.0)], 1)
     rng = np.random.default_rng(606)
     for _ in range(10_000):
         reward = float(rng.uniform(0.1, 0.5))  # mean 0.3

@@ -29,3 +29,9 @@ def test_all_matches_public_definitions(name):
         and obj.__module__ == name
     }
     assert sorted(defined - set(exported)) == [], "public definition missing from __all__"
+
+
+def test_package_exports_the_rule_firing_api():
+    # fire's Firing result is part of the API that callers of RuleBase.fire see.
+    fuzzy = importlib.import_module("peg3d.fuzzy")
+    assert [n for n in fuzzy.__all__ if getattr(peg3d, n, None) is not getattr(fuzzy, n)] == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peg3d.fuzzy import InputPartition, RuleBase, firing_entropy, uniform_partition
+from peg3d.fuzzy import Firing, InputPartition, RuleBase, firing_entropy, uniform_partition
 from peg3d.scenarios import TrainConfig
 from peg3d.training import build_rulebase
 
@@ -115,7 +115,7 @@ class TestRuleBase:
 
     def test_single_rule_activation_at_isolated_peaks(self):
         rb = default_rulebase()
-        phi = rb.fire((8.75, -math.pi / 2.0, 17.5, 0.0))
+        phi = np.asarray(rb.fire((8.75, -math.pi / 2.0, 17.5, 0.0)))
         assert np.count_nonzero(phi) == 1
         # row-major rule order: indices (1, 1, 2, 2)
         idx = ((1 * 5 + 1) * 5 + 2) * 5 + 2
@@ -131,7 +131,7 @@ class TestRuleBase:
                 rng.uniform(-5.0, 45.0),
                 rng.uniform(-4.0, 4.0),
             )
-            phi = rb.fire(x)
+            phi = np.asarray(rb.fire(x))
             assert abs(phi.sum() - 1.0) <= 1e-9
             assert phi.min() >= 0.0
             assert phi.max() <= 1.0
@@ -140,7 +140,7 @@ class TestRuleBase:
         parts = [uniform_partition(0.0, 1.0, 2) for _ in range(4)]
         rb = RuleBase(parts)
         assert rb.n_rules == 16
-        phi = rb.fire((0.5, 0.5, 0.5, 0.5))
+        phi = np.asarray(rb.fire((0.5, 0.5, 0.5, 0.5)))
         assert np.allclose(phi, 1.0 / 16.0, atol=1e-15)
 
     def test_wrong_input_count(self):
@@ -163,16 +163,44 @@ class TestRuleBase:
             )
             dx = rng.normal(size=4)
             dx /= np.abs(dx).max()
-            phi0 = rb.fire(tuple(x))
-            phi1 = rb.fire(tuple(x + eps * dx))
+            phi0 = np.asarray(rb.fire(tuple(x)))
+            phi1 = np.asarray(rb.fire(tuple(x + eps * dx)))
             assert np.max(np.abs(phi1 - phi0)) < 1e-5
 
 
-def dense_firing(rb, x):
-    """Reference firing: the dense outer product of every membership, normalized."""
+def dense_products(rb, x):
+    """The dense outer product of every input's memberships, in rule order."""
     degrees = [memberships(p, xi) for p, xi in zip(rb.partitions, x)]
-    raw = reduce(np.multiply.outer, degrees).ravel()
+    return reduce(np.multiply.outer, degrees).ravel()
+
+
+def dense_firing(rb, x):
+    """The old reference firing: the dense products over numpy's pairwise sum of all of them."""
+    raw = dense_products(rb, x)
     return raw / raw.sum()
+
+
+def left_to_right_firing(rb, x):
+    """Reference firing: the dense products over their sum taken left to right in rule order."""
+    raw = dense_products(rb, x)
+    total = 0.0
+    for value in raw.tolist():
+        total += value
+    return raw / total
+
+
+def assert_fires_as_reference(rb, x):
+    """``fire(x)`` is bit for bit the left-to-right reference, and the old one to rounding."""
+    firing = rb.fire(x)
+    assert isinstance(firing, Firing) and firing.size == rb.n_rules
+    rules = [rule for rule, _ in firing.pairs]
+    assert len(rules) == 2 ** len(rb.partitions) and rules == sorted(set(rules)), x
+    assert all(type(strength) is float for _, strength in firing.pairs)
+    phi = np.asarray(firing)
+    assert np.array_equal(phi, left_to_right_firing(rb, x)), x
+    # The sums differ in order only: a few units in the last place of a value <= 1.
+    np.testing.assert_allclose(phi, dense_firing(rb, x), rtol=1e-14, atol=0.0)
+    return phi
 
 
 def _layout(*inputs):
@@ -215,13 +243,13 @@ def _edge_cell_inputs(rb, edge):
 
 
 class TestClosedFormFiring:
-    """``RuleBase.fire`` is bit for bit the normalized dense product."""
+    """``RuleBase.fire`` is bit for bit the dense product over its left-to-right sum."""
 
     @pytest.mark.parametrize("name", FIRING_LAYOUTS)
     def test_matches_dense_reference_on_special_points(self, name):
         rb = FIRING_LAYOUTS[name]
         for x in itertools.product(*(_special_points(p) for p in rb.partitions)):
-            assert np.array_equal(rb.fire(x), dense_firing(rb, x)), x
+            assert_fires_as_reference(rb, x)
 
     @pytest.mark.parametrize("name", FIRING_LAYOUTS)
     @settings(max_examples=300, deadline=None)
@@ -237,7 +265,7 @@ class TestClosedFormFiring:
             )
             for p in rb.partitions
         )
-        assert np.array_equal(rb.fire(x), dense_firing(rb, x))
+        assert_fires_as_reference(rb, x)
 
     @pytest.mark.parametrize("edge", ["first", "last"])
     @pytest.mark.parametrize("name", ["default", "two-mf-toy"])
@@ -252,13 +280,30 @@ class TestClosedFormFiring:
         assert window_end == (rb.n_rules - 1 if edge == "last" else sum(strides))
         rule = 0 if edge == "first" else rb.n_rules - 1
         for x in _edge_cell_inputs(rb, edge):
-            phi = rb.fire(x)
-            assert np.array_equal(phi, dense_firing(rb, x)), x
+            phi = assert_fires_as_reference(rb, x)
             assert np.flatnonzero(phi).tolist() == [rule] and phi[rule] == 1.0, x
+
+    def test_dense_vectors_are_new_arrays(self):
+        rb = FIRING_LAYOUTS["default"]
+        firing = rb.fire((10.0, 0.5, 20.0, -1.0))
+        first, second = np.asarray(firing), np.asarray(firing)
+        assert first.dtype == np.float64 and not np.shares_memory(first, second)
+        first[:] = 7.0
+        assert np.array_equal(second, np.asarray(firing))
+        assert np.array_equal(np.asarray(firing, dtype=np.float32), second.astype(np.float32))
 
 
 def reference_entropy(phi):
-    """``firing_entropy`` as a negated ndarray sum; negation is exact, so the bits agree."""
+    """``firing_entropy`` over the dense vector: ``s * log(s)`` of each ``s > 0``, left to right."""
+    total = 0.0
+    for s in phi.tolist():
+        if s > 0.0:
+            total += s * math.log(s)
+    return -total
+
+
+def numpy_entropy(phi):
+    """The old ``firing_entropy``: a negated ndarray sum of ``np.log`` terms."""
     active = phi[phi > 0.0]
     return float(-(active * np.log(active)).sum())
 
@@ -272,16 +317,20 @@ class TestEntropy:
             data.draw(st.one_of(st.floats(p.lo - 5.0, p.hi + 5.0), st.sampled_from(p.peaks)))
             for p in rb.partitions
         )
-        phi = rb.fire(x)
-        entropy = firing_entropy(phi)
+        firing = rb.fire(x)
+        entropy = firing_entropy(firing)
         assert type(entropy) is float
+        phi = np.asarray(firing)
         assert bits(entropy) == bits(reference_entropy(phi))
+        # The sums differ in order, and np.log may differ from math.log in the last place.
+        assert entropy == pytest.approx(numpy_entropy(phi), rel=1e-13, abs=1e-15)
 
     def test_one_hot_entropy_zero(self):
-        phi = np.zeros(16)
-        phi[3] = 1.0
-        assert firing_entropy(phi) == 0.0
+        assert firing_entropy(Firing([(3, 1.0)], 16)) == 0.0
+
+    def test_zero_strengths_are_skipped(self):
+        assert firing_entropy(Firing([(0, 0.0), (1, 0.5), (5, 0.0), (6, 0.5)], 25)) == math.log(2.0)
 
     def test_uniform_entropy(self):
-        phi = np.full(16, 1.0 / 16.0)
+        phi = Firing([(rule, 1.0 / 16.0) for rule in range(16)], 16)
         assert firing_entropy(phi) == pytest.approx(math.log(16.0), abs=1e-12)

@@ -136,9 +136,9 @@ class TestRunEpisode:
         cfg = TrainConfig(max_plays=40, freeze=frozen)
         rb, learners = zero_weight_setup(cfg)
         log = run_episode(sc, cfg, [], rb, learners, noise_stream(np.random.default_rng(3)))
-        assert learners[learning].critic.any()
-        assert not learners[frozen].critic.any()
-        assert not learners[frozen].actor.any()
+        assert np.any(learners[learning].critic)
+        assert not np.any(learners[frozen].critic)
+        assert not np.any(learners[frozen].actor)
         assert log.td_abs_mean[learning] is not None
         assert log.td_abs_mean[frozen] is None
 
@@ -227,18 +227,22 @@ class TestRunEpisode:
         assert changes >= 2  # the pursuer's nearest obstacle changed twice
 
     def test_benchmark_seam(self, monkeypatch):
-        """The boundaries perfbench/tracing.py wraps keep their types and per-step calls."""
+        """The boundaries perfbench/tracing.py wraps keep what it reads and their per-step calls.
+
+        Its fire observer counts ``np.count_nonzero(phi)`` of ``phi.size`` rules, and its
+        act observer reads ``result[0].tolist()``.
+        """
         sc = builtin_scenarios()[1]
         cfg = TrainConfig(max_plays=30)
         rb, learners = zero_weight_setup(cfg)
         first = rb.fire((10.0, 0.5, 20.0, -1.0))
-        kept = first.copy()
+        kept = np.asarray(first)
         second = rb.fire((3.0, -2.0, 7.0, 2.5))
-        assert isinstance(first, np.ndarray) and first.shape == (rb.n_rules,)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, kept)
+        assert np.asarray(first).shape == (rb.n_rules,) and first.size == rb.n_rules
+        assert np.count_nonzero(first) == np.count_nonzero(second) == 16
+        assert np.array_equal(np.asarray(first), kept)
         u, _ = learners["pursuer"].act(first, noise_stream(np.random.default_rng(1)))
-        assert isinstance(u, np.ndarray) and u.shape == (2,)
+        assert [type(v) for v in u.tolist()] == [float, float]
 
         calls = {}
 
@@ -653,8 +657,8 @@ class TestTrain:
     def test_frozen_pursuer_stays_zero(self):
         sc = builtin_scenarios()[1]
         res = train(sc, TrainConfig(episodes=2, max_plays=40, freeze="pursuer"))
-        assert not res.learners["pursuer"].actor.any()
-        assert res.learners["evader"].critic.any()
+        assert not np.any(res.learners["pursuer"].actor)
+        assert np.any(res.learners["evader"].critic)
 
 
 def clamp_to_turn_limit(value):
@@ -916,7 +920,7 @@ class TestEvaluate:
         learners = build_learners(cfg, rb.n_rules)
         rng = np.random.default_rng(2)
         for learner in learners.values():
-            learner.actor[:] = rng.normal(0.0, 0.1, learner.actor.shape)
+            learner.actor = rng.normal(0.0, 0.1, (2, rb.n_rules)).tolist()
         for runs in (3, 5):
             evaluate(
                 learners, rb, sc, cfg, runs=runs, seed=11,
@@ -968,10 +972,10 @@ class TestEvaluate:
         cfg = TrainConfig(max_plays=30)
         rb = build_rulebase(cfg)
         learners = build_learners(cfg, rb.n_rules)
-        learners["pursuer"].actor[:] = 0.01
-        before = learners["pursuer"].actor.copy()
+        learners["pursuer"].actor = [[0.01] * rb.n_rules for _ in range(2)]
+        before = [list(row) for row in learners["pursuer"].actor]
         evaluate(learners, rb, sc, cfg, runs=2, seed=1)
-        assert np.array_equal(learners["pursuer"].actor, before)
+        assert learners["pursuer"].actor == before
 
 
 class TestTrainedProtocol:
@@ -1475,6 +1479,32 @@ class TestCLI:
                 ]
             )
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "settings, listed",
+        [
+            ("[agents]\ncone_constraint = false\n", "[agents]"),
+            ("[train]\nseed = 4\n[learner]\nsigma = 0.2\n", "[train], [learner]"),
+        ],
+    )
+    def test_evaluate_refuses_run_settings_in_a_scenario_file(self, tmp_path, settings, listed):
+        run_dir = tmp_path / "run"
+        argv = ["train", "--scenario", "1", "--episodes", "1", "--max-plays", "5"]
+        cli_main([*argv, "--out", str(run_dir), "--quiet"])
+        section = "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
+        evaluate = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"), "--runs", "1"]
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text("[config]\nschema = peg3d.config.v1\n" + section + settings)
+        message = f"peg3d evaluate: {scenario} sets run settings ({listed}); "
+        message += "evaluate uses the checkpoint's"
+        out_dir = tmp_path / "eval"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli_main([*evaluate, "--scenario", str(scenario), "--out", str(out_dir)])
+        assert not out_dir.exists()
+        # The [scenario] and [config] sections alone are taken.
+        scenario.write_text("[config]\nschema = peg3d.config.v1\n" + section)
+        assert cli_main([*evaluate, "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "metrics.json").read_text())["scenario"] == "custom"
 
     def test_evaluate_rejects_a_scenario_outside_the_arena(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peg3d.env import TURN_LIMIT, AgentState, Obstacle, heading_vector, nearest_obstacle
+from peg3d.fuzzy import Firing
 from peg3d.learner import NOISE_BLOCK, FuzzyActorCritic, LearnerConfig, extract_inputs, noise_stream
 from peg3d.scenarios import TrainConfig, build_arena
 from peg3d.training import build_rulebase
@@ -14,15 +15,19 @@ from peg3d.training import build_rulebase
 from floatbits import bits
 
 
-def critic_value(learner: FuzzyActorCritic, phi: np.ndarray) -> float:
-    """Critic state-value estimate for a firing vector, the ``@`` form of ``td_error``'s terms."""
-    return float(learner.critic @ phi)
+def critic_value(learner: FuzzyActorCritic, phi: Firing) -> float:
+    """Critic state-value estimate for a firing, the dense ``@`` form of ``td_error``'s terms."""
+    return float(np.asarray(learner.critic) @ np.asarray(phi))
 
 
 def one_hot(n, k):
-    phi = np.zeros(n)
-    phi[k] = 1.0
-    return phi
+    return Firing([(k, 1.0)], n)
+
+
+def dense(strengths) -> Firing:
+    """A firing of every rule, one strength each."""
+    strengths = np.asarray(strengths, dtype=float)
+    return Firing(list(enumerate(strengths.tolist())), strengths.size)
 
 
 class TestConstruction:
@@ -46,9 +51,10 @@ class TestConstruction:
 
     def test_zero_initialization(self):
         learner = FuzzyActorCritic(625, LearnerConfig())
-        assert not learner.actor.any()
-        assert not learner.critic.any()
-        assert learner.actor.shape == (2, 625)
+        assert learner.actor == [[0.0] * 625, [0.0] * 625]
+        assert learner.critic == [0.0] * 625
+        assert learner.actor[0] is not learner.actor[1]
+        assert {type(w) for w in (*learner.actor[0], *learner.actor[1], *learner.critic)} == {float}
 
 
 class TestAct:
@@ -60,14 +66,14 @@ class TestAct:
 
     def test_one_hot_firing_reads_weight(self):
         learner = FuzzyActorCritic(8, LearnerConfig())
-        learner.actor[0, 3] = 0.25
-        learner.actor[1, 3] = -0.5
+        learner.actor[0][3] = 0.25
+        learner.actor[1][3] = -0.5
         u, _ = learner.act(one_hot(8, 3), noise=None)
         assert u == pytest.approx([0.25, -0.5], abs=1e-15)
 
     def test_executed_action_clamped(self):
         learner = FuzzyActorCritic(4, LearnerConfig())
-        learner.actor[0, 1] = math.pi / 3.0
+        learner.actor[0][1] = math.pi / 3.0
         u, u_exec = learner.act(one_hot(4, 1), noise=None)
         assert u[0] == pytest.approx(math.pi / 3.0, abs=1e-15)
         assert u_exec[0] == TURN_LIMIT
@@ -103,13 +109,13 @@ class TestAct:
 class TestTDError:
     def test_zero_value_function(self):
         learner = FuzzyActorCritic(6, LearnerConfig())
-        phi = np.full(6, 1.0 / 6.0)
+        phi = dense(np.full(6, 1.0 / 6.0))
         assert learner.td_error(phi, phi, 1.0, False) == 1.0
 
     def test_terminal_drops_successor(self):
         learner = FuzzyActorCritic(4, LearnerConfig())
-        learner.critic[:] = 2.0
-        phi = np.full(4, 0.25)
+        learner.critic[:] = [2.0] * 4
+        phi = dense(np.full(4, 0.25))
         assert learner.td_error(phi, None, 0.0, True) == -2.0
 
     def test_band_discount_substitution(self):
@@ -123,27 +129,27 @@ class TestTDError:
 class TestUpdates:
     def test_zero_td_no_change(self):
         learner = FuzzyActorCritic(8, LearnerConfig())
-        phi = np.full(8, 1.0 / 8.0)
+        phi = dense(np.full(8, 1.0 / 8.0))
         learner.update_critic(phi, 0.0)
-        learner.update_actor(phi, np.zeros(2), np.full(2, 0.3), 0.0)
-        assert not learner.critic.any()
-        assert not learner.actor.any()
+        learner.update_actor(phi, np.zeros(2), (0.3, 0.3), 0.0)
+        assert not np.any(learner.critic)
+        assert not np.any(learner.actor)
 
     def test_zero_perturbation_no_actor_change(self):
         learner = FuzzyActorCritic(8, LearnerConfig())
-        phi = np.full(8, 1.0 / 8.0)
+        phi = dense(np.full(8, 1.0 / 8.0))
         u = np.array([0.1, -0.2])
-        learner.update_actor(phi, u, u.copy(), 5.0)
-        assert not learner.actor.any()
+        learner.update_actor(phi, u, (0.1, -0.2), 5.0)
+        assert not np.any(learner.actor)
 
     def test_actor_single_rule_increment(self):
         # alpha_a=0.001, delta=1, (u_exec - u)/sigma = 1, one-hot firing
         learner = FuzzyActorCritic(8, LearnerConfig(alpha_actor=0.001, sigma=0.1))
         phi = one_hot(8, 5)
         u = np.zeros(2)
-        u_exec = np.array([0.1, 0.0])
+        u_exec = (0.1, 0.0)
         learner.update_actor(phi, u, u_exec, 1.0)
-        assert learner.actor[0, 5] == pytest.approx(0.001, abs=1e-15)
+        assert learner.actor[0][5] == pytest.approx(0.001, abs=1e-15)
         assert np.count_nonzero(learner.actor) == 1
 
     def test_critic_single_rule_increment(self):
@@ -155,16 +161,16 @@ class TestUpdates:
     def test_critic_uniform_firing(self):
         n = 10
         learner = FuzzyActorCritic(n, LearnerConfig(alpha_critic=0.05))
-        phi = np.full(n, 1.0 / n)
+        phi = dense(np.full(n, 1.0 / n))
         learner.update_critic(phi, 1.0)
         assert np.allclose(learner.critic, 0.05 * (1.0 / n), atol=1e-18)
 
     def test_critic_moves_value_in_td_direction(self):
         rng = np.random.default_rng(13)
         learner = FuzzyActorCritic(16, LearnerConfig())
-        learner.critic[:] = rng.normal(size=16)
+        learner.critic[:] = rng.normal(size=16).tolist()
         phi = rng.random(16)
-        phi /= phi.sum()
+        phi = dense(phi / phi.sum())
         before = critic_value(learner, phi)
         learner.update_critic(phi, 2.5)
         assert critic_value(learner, phi) > before
@@ -183,15 +189,15 @@ class TestUpdates:
                 rng.uniform(-math.pi, math.pi),
             )
             phi = rb.fire(x)
-            learner.critic[:] = rng.normal(size=rb.n_rules)
-            for l in rng.integers(0, rb.n_rules, size=8):
+            learner.critic[:] = rng.normal(size=rb.n_rules).tolist()
+            for l in rng.integers(0, rb.n_rules, size=8).tolist():
                 saved = learner.critic[l]
                 learner.critic[l] = saved + eps
                 hi = critic_value(learner, phi)
                 learner.critic[l] = saved - eps
                 lo = critic_value(learner, phi)
                 learner.critic[l] = saved
-                assert (hi - lo) / (2.0 * eps) == pytest.approx(phi[l], abs=1e-6)
+                assert (hi - lo) / (2.0 * eps) == pytest.approx(np.asarray(phi)[l], abs=1e-6)
 
 
 class TestConvergence:
@@ -199,7 +205,7 @@ class TestConvergence:
         # degenerate one-rule system, no discounting, i.i.d. rewards
         config = LearnerConfig(gamma=0.0, alpha_critic=0.05, alpha_actor=0.001)
         learner = FuzzyActorCritic(1, config)
-        phi = np.ones(1)
+        phi = one_hot(1, 0)
         rng = np.random.default_rng(19)
         for _ in range(10_000):
             r = rng.uniform(0.1, 0.5)  # mean 0.3
@@ -231,14 +237,17 @@ class TestStateDict:
     def test_round_trip(self):
         config = LearnerConfig(alpha_actor=0.002, alpha_critic=0.03, sigma=0.2)
         learner = FuzzyActorCritic(6, config)
-        learner.actor += np.arange(12.0).reshape(2, 6)
-        learner.critic += np.arange(6.0)
-        state = json.loads(json.dumps(learner.state_dict()))
-        assert set(state) == {"actor", "critic"}
+        learner.actor = np.arange(12.0).reshape(2, 6).tolist()
+        learner.critic = np.arange(6.0).tolist()
+        state = learner.state_dict()
+        assert state == {"actor": learner.actor, "critic": learner.critic}
+        # Copies: a later update does not reach a state taken before it.
+        assert state["critic"] is not learner.critic
+        assert all(a is not b for a, b in zip(state["actor"], learner.actor))
         clone = FuzzyActorCritic(6, config)
-        clone.load_state_dict(state)
-        assert np.array_equal(clone.actor, learner.actor)
-        assert np.array_equal(clone.critic, learner.critic)
+        clone.load_state_dict(json.loads(json.dumps(state)))
+        assert clone.actor == learner.actor and clone.critic == learner.critic
+        assert type(clone.critic) is list and {type(w) for w in clone.critic} == {float}
 
     def test_shape_mismatch_rejected(self):
         learner = FuzzyActorCritic(6, LearnerConfig())
@@ -246,7 +255,7 @@ class TestStateDict:
             state = dict(learner.state_dict(), **{part: weights})
             with pytest.raises(ValueError, match="do not match the layout"):
                 learner.load_state_dict(state)
-        assert learner.actor.shape == (2, 6) and learner.critic.shape == (6,)
+        assert np.shape(learner.actor) == (2, 6) and np.shape(learner.critic) == (6,)
 
 
 class TestExtractInputs:
@@ -377,13 +386,23 @@ class TestExtractInputsMatchesReference:
         assert bits(extract_inputs(*case)) == bits(reference_extract_inputs(*case))
 
 
-# The numpy forms of the learner's per-step methods, kept here as references
-# for the plain-float code in src/: the ``@`` product, numpy add and
-# np.maximum/np.minimum in act, the broadcast outer product in update_actor,
-# critic_value (another ``@``) twice in td_error.
+# References for the plain-float code in src/, written over the dense arrays:
+# ``reference_dot`` sums over the fired rules left to right in ascending rule
+# order, where src/ loops over a firing's pairs; act's noise and clamp stay the
+# numpy Generator draw and np.maximum/np.minimum.  The old numpy forms (``@``
+# and the broadcast outer product) stay as checks to rounding.
+def reference_dot(weights, phi: Firing) -> float:
+    """``weights[l] * phi[l]`` summed over the fired rules ``l`` in ascending order."""
+    weights, strengths = np.asarray(weights).tolist(), np.asarray(phi).tolist()
+    total = 0.0
+    for rule in sorted(rule for rule, _ in phi.pairs):
+        total += weights[rule] * strengths[rule]
+    return total
+
+
 def reference_act(learner, phi, rng):
     """``act`` in numpy, drawing its noise per call from Generator ``rng`` (as ``act`` once did)."""
-    u = learner.actor @ phi
+    u = np.array([reference_dot(row, phi) for row in learner.actor])
     if rng is not None:
         u_exec = u + rng.normal(0.0, learner.config.sigma, size=u.shape)
         np.maximum(u_exec, -learner.action_limit, out=u_exec)
@@ -393,15 +412,33 @@ def reference_act(learner, phi, rng):
     return u, u_exec
 
 
-def reference_update_actor(learner, phi, u, u_exec, delta):
-    config = learner.config
-    scale = (config.alpha_actor * delta / config.sigma) * (u_exec - u)
-    learner.actor += scale[:, None] * phi[None, :]
+def reference_update_actor(actor, phi, u, u_exec, delta, config):
+    """The actor after ``update_actor``: each fired rule's weights move by scale * strength."""
+    actor = np.array(actor)
+    scale = (config.alpha_actor * delta / config.sigma) * (np.asarray(u_exec) - u)
+    strengths = np.asarray(phi)
+    for rule, _ in phi.pairs:
+        actor[:, rule] += scale * strengths[rule]
+    return actor
+
+
+def numpy_update_actor(actor, phi, u, u_exec, delta, config):
+    """The old dense form: the broadcast outer product over every rule."""
+    scale = (config.alpha_actor * delta / config.sigma) * (np.asarray(u_exec) - u)
+    return np.asarray(actor) + scale[:, None] * np.asarray(phi)[None, :]
 
 
 def reference_td_error(learner, phi_t, phi_next, reward, terminal):
-    v_next = 0.0 if terminal else critic_value(learner, phi_next)
-    return reward + learner.config.gamma * v_next - critic_value(learner, phi_t)
+    v_next = 0.0 if terminal else reference_dot(learner.critic, phi_next)
+    return reward + learner.config.gamma * v_next - reference_dot(learner.critic, phi_t)
+
+
+EPS = np.finfo(float).eps
+
+
+def dot_bound(weights, phi) -> float:
+    """How far two sums of ``weights * phi`` over the fired rules, in any orders, can differ."""
+    return 2 * len(phi.pairs) * EPS * float(np.abs(np.asarray(weights)) @ np.asarray(phi))
 
 
 def noise_and_reference(seed):
@@ -425,7 +462,7 @@ FIRINGS = st.one_of(
     st.tuples(*map(_input, PEAKS)).map(RULES.fire),
     # Dense firings: every weight takes part in the dot products.
     st.integers(0, 2**32 - 1).map(
-        lambda seed: np.random.default_rng(seed).dirichlet(np.ones(RULES.n_rules))
+        lambda seed: dense(np.random.default_rng(seed).dirichlet(np.ones(RULES.n_rules)))
     ),
 )
 
@@ -437,16 +474,18 @@ def learners(draw):
     config = LearnerConfig(sigma=draw(st.sampled_from([0.01, 0.1, 1.0, 3.0])))
     learner = FuzzyActorCritic(RULES.n_rules, config)
     actor_scale = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
-    learner.actor[:] = actor_scale * rng.normal(size=learner.actor.shape)
-    learner.critic[:] = draw(st.sampled_from([0.0, 1.0, 100.0])) * rng.normal(size=RULES.n_rules)
+    learner.actor = (actor_scale * rng.normal(size=(2, RULES.n_rules))).tolist()
+    critic_scale = draw(st.sampled_from([0.0, 1.0, 100.0]))
+    learner.critic = (critic_scale * rng.normal(size=RULES.n_rules)).tolist()
     pinned = draw(st.sampled_from([None, LIMIT, -LIMIT, 2.0, -2.0, math.nan]))
     if pinned is not None:  # one channel's whole row: its u is about the pin, or NaN
-        learner.actor[draw(st.integers(0, 1)), :] = pinned
+        learner.actor[draw(st.integers(0, 1))] = [pinned] * RULES.n_rules
     return learner
 
 
-class TestMatchesNumpyReference:
-    """``act``, ``update_actor`` and ``td_error`` are bit for bit their numpy forms."""
+class TestMatchesReference:
+    """``act``, ``update_actor``, ``update_critic`` and ``td_error`` are bit for bit their
+    left-to-right references, and their old numpy forms to rounding."""
 
     @settings(max_examples=300, deadline=None)
     @given(learner=learners(), phi=FIRINGS, seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
@@ -454,11 +493,15 @@ class TestMatchesNumpyReference:
         noise, rng = noise_and_reference(seed)
         u, u_exec = learner.act(phi, noise)
         ref_u, ref_exec = reference_act(learner, phi, rng)
-        assert isinstance(u, np.ndarray) and bits(u) == bits(ref_u)
+        assert isinstance(u, np.ndarray) and u.shape == (2,) and bits(u) == bits(ref_u)
         assert type(u_exec) is tuple and [type(v) for v in u_exec] == [float, float]
         assert bits(u_exec) == bits(ref_exec)
         if seed is not None:  # both took the same stretch of the Generator's normals
             assert next(noise) == rng.standard_normal()
+        for value, row in zip(u.tolist(), learner.actor):
+            if np.isfinite(row).all():
+                numpy_value = float(np.asarray(row) @ np.asarray(phi))
+                assert abs(value - numpy_value) <= dot_bound(row, phi)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -473,12 +516,33 @@ class TestMatchesNumpyReference:
         u, u_exec = learner.act(phi, noise_and_reference(seed)[0])
         if limited is not None:
             u_exec = limited
-        before = learner.actor.copy()
+        before = [list(row) for row in learner.actor]
         learner.update_actor(phi, u, u_exec, delta)
-        reference = FuzzyActorCritic(RULES.n_rules, learner.config)
-        reference.actor = before
-        reference_update_actor(reference, phi, u, u_exec, delta)
-        assert bits(learner.actor) == bits(reference.actor)
+        config = learner.config
+        reference = reference_update_actor(before, phi, u, u_exec, delta, config)
+        assert bits(learner.actor) == bits(reference)
+        assert [type(w) for row in learner.actor for w in row] == [float] * (2 * RULES.n_rules)
+        # Every product is the same, and a weight plus 0 is that weight (up to a zero's sign).
+        np.testing.assert_array_equal(
+            learner.actor, numpy_update_actor(before, phi, u, u_exec, delta, config)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        learner=learners(),
+        phi=FIRINGS,
+        delta=st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0])),
+    )
+    def test_update_critic(self, learner, phi, delta):
+        before = np.array(learner.critic)
+        learner.update_critic(phi, delta)
+        step = learner.config.alpha_critic * delta
+        reference, strengths = before.copy(), np.asarray(phi)
+        for rule, _ in phi.pairs:
+            reference[rule] += step * strengths[rule]
+        assert bits(learner.critic) == bits(reference)
+        assert type(learner.critic) is list and {type(w) for w in learner.critic} == {float}
+        np.testing.assert_array_equal(learner.critic, before + step * strengths)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -492,6 +556,15 @@ class TestMatchesNumpyReference:
         delta = learner.td_error(phi_t, None if terminal else phi_next, reward, terminal)
         ref = reference_td_error(learner, phi_t, None if terminal else phi_next, reward, terminal)
         assert type(delta) is float and bits(delta) == bits(ref)
+        # The old numpy form to rounding: both dot products, then the three terms.
+        gamma = learner.config.gamma
+        v_next = 0.0 if terminal else critic_value(learner, phi_next)
+        numpy_delta = reward + gamma * v_next - critic_value(learner, phi_t)
+        bound = dot_bound(learner.critic, phi_t) + (
+            0.0 if terminal else gamma * dot_bound(learner.critic, phi_next)
+        )
+        bound += 4 * EPS * (abs(reward) + gamma * abs(v_next) + abs(critic_value(learner, phi_t)))
+        assert abs(delta - numpy_delta) <= bound
 
     @pytest.mark.parametrize("weight", [LIMIT, -LIMIT, 2.0, -2.0, math.nan, 0.0])
     @pytest.mark.parametrize("seed", [None, 5])
@@ -499,8 +572,8 @@ class TestMatchesNumpyReference:
         # Exactly on the limit, beyond it on both sides, and NaN, through a one-hot firing.
         learner = FuzzyActorCritic(RULES.n_rules, LearnerConfig())
         phi = RULES.fire((0.0, 0.0, 35.0, math.pi))
-        assert np.count_nonzero(phi) == 1
-        learner.actor[:, np.flatnonzero(phi)] = [[weight], [-weight]]
+        (rule,) = np.flatnonzero(np.asarray(phi)).tolist()
+        learner.actor[0][rule], learner.actor[1][rule] = weight, -weight
         noise, rng = noise_and_reference(seed)
         u, u_exec = learner.act(phi, noise)
         ref_u, ref_exec = reference_act(learner, phi, rng)
@@ -513,23 +586,44 @@ class TestMatchesNumpyReference:
     @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0, 0.0, LIMIT, -LIMIT])
     @pytest.mark.parametrize("weight", [0.0, -0.0, 1.0, -2.0])
     def test_products_with_special_values(self, special, weight):
-        # The .dot products in src/ against ``@`` when the firing or a weight is
-        # NaN, infinite or a signed zero.  0 * inf is NaN in both, and both warn
-        # of an invalid value, so the warnings are silenced here.
+        # The sums over the fired rules when a strength or a weight is NaN, infinite
+        # or a signed zero.  A weight of a rule that did not fire takes no part: the
+        # old dense ``.dot`` made 0 * inf = NaN of it, so this test changed by design.
         learner = FuzzyActorCritic(RULES.n_rules, LearnerConfig())
         phi = RULES.fire((10.0, 0.3, 20.0, -1.0))
-        learner.actor[:] = weight
-        learner.critic[:] = weight
-        for where in ("phi", "weights"):
+        fired = [rule for rule, strength in phi.pairs if strength > 0.0]
+        unfired = 7
+        assert unfired not in {rule for rule, _ in phi.pairs}
+        learner.actor = [[weight] * RULES.n_rules for _ in range(2)]
+        learner.critic = [weight] * RULES.n_rules
+        for where in ("phi", "fired weight", "unfired weight"):
             if where == "phi":
-                phi = phi.copy()
-                phi[np.flatnonzero(phi)[:3]] = special
+                phi = Firing(
+                    [(r, special if r in fired[:3] else s) for r, s in phi.pairs], phi.size
+                )
             else:
-                learner.actor[1, 7] = learner.critic[7] = special
-            with np.errstate(invalid="ignore"):
+                rule = fired[5] if where == "fired weight" else unfired
+                learner.actor[1][rule] = learner.critic[rule] = special
+            with np.errstate(invalid="ignore"):  # reference_dot's np.asarray of NaN
                 u, u_exec = learner.act(phi, None)
                 ref_u, ref_exec = reference_act(learner, phi, None)
                 deltas = [learner.td_error(phi, phi, 0.5, t) for t in (False, True)]
                 refs = [reference_td_error(learner, phi, phi, 0.5, t) for t in (False, True)]
             assert bits(u) == bits(ref_u) and bits(u_exec) == bits(ref_exec)
             assert bits(deltas) == bits(refs)
+        if math.isfinite(weight):  # an unfired weight changed nothing
+            learner.critic[unfired] = learner.actor[1][unfired] = weight
+            assert bits(learner.act(phi, None)[0]) == bits(u)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_td_error_reaches_only_the_fired_weights(self, delta):
+        # The old dense updates made every weight NaN (0 * inf); now only the fired move.
+        learner = FuzzyActorCritic(RULES.n_rules, LearnerConfig())
+        phi = RULES.fire((10.0, 0.3, 20.0, -1.0))
+        u, u_exec = np.zeros(2), (0.01, -0.02)
+        learner.update_critic(phi, delta)
+        learner.update_actor(phi, u, u_exec, delta)
+        fired = {rule for rule, _ in phi.pairs}
+        for weights in (learner.critic, *learner.actor):
+            assert {i for i, w in enumerate(weights) if w != 0.0} == fired
+            assert not any(math.isfinite(weights[rule]) for rule in fired)

@@ -11,9 +11,10 @@ built-in scenarios with ``--log-steps all``, both ``--freeze`` roles, a
 ``--config`` file with ``[agents] cone_constraint = false``, a config file
 that sets every section's keys (explicit obstacles, both headings, 3
 membership functions per input) and ``evaluate`` from the checkpoint it
-trains, a scenario file with random obstacles for ``train`` and ``evaluate
---scenario``, ``evaluate --save-logs`` and ``replay --export csv`` and
-``json`` of one of its run logs, and ``replay --export csv`` of a training
+trains, a scenario file with random obstacles for ``train`` and its
+``[scenario]`` section alone for ``evaluate --scenario``, ``evaluate
+--save-logs`` and ``replay --export csv`` and ``json`` of one of its run
+logs, and ``replay --export csv`` of a training
 episode log, whose TD errors are floats (an evaluation run's are all None).
 Every command runs in its tree's output directory with relative
 paths, and its standard output is kept there as ``stdout/<name>.txt``.  Then
@@ -35,6 +36,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+RANDOM_SCENARIO = """\
+[scenario]
+name = random
+pursuer_start = 28 4 1
+evader_start = 8 25 6
+obstacle_count = 4
+obstacle_radius = 1.5
+obstacle_margin = 2.5
+"""
 
 # Written into each output directory before the commands run.
 INI_FILES = {
@@ -83,18 +94,9 @@ obstacles = 10 10 5 1.5 ; 20 18 7 2
 pursuer_heading = -1.2 1.4
 evader_heading = 0.5 1.7
 """,
-    "random.ini": """\
-[scenario]
-name = random
-pursuer_start = 28 4 1
-evader_start = 8 25 6
-obstacle_count = 4
-obstacle_radius = 1.5
-obstacle_margin = 2.5
-
-[agents]
-cone_constraint = false
-""",
+    "random.ini": RANDOM_SCENARIO + "\n[agents]\ncone_constraint = false\n",
+    # evaluate refuses a scenario file with run settings: they are the checkpoint's.
+    "random_scenario.ini": RANDOM_SCENARIO,
 }
 
 
@@ -117,7 +119,7 @@ def commands() -> list[tuple[str, list[str]]]:
                                    "--runs", "2", "--out", "evaluate-full"]))  # fmt: skip
     runs.append(
         ("evaluate-random", ["evaluate", "--checkpoint", "train-s1/checkpoint.json", "--runs", "3",
-                             "--scenario", "random.ini", "--out", "evaluate-random"])
+                             "--scenario", "random_scenario.ini", "--out", "evaluate-random"])
     )  # fmt: skip
     for kind in ("csv", "json"):
         log = "evaluate/runs/run_000.json"
