@@ -483,7 +483,7 @@ def learners(draw):
     return learner
 
 
-class TestMatchesReference:
+class TestMatchesNumpyReference:
     """``act``, ``update_actor``, ``update_critic`` and ``td_error`` are bit for bit their
     left-to-right references, and their old numpy forms to rounding."""
 
