@@ -13,6 +13,7 @@ from pathlib import Path
 # module's exporters, so replay calls the exporters through ``logs``.
 from . import logs
 from ._fields import check_int
+from .env import CAPTURED
 from .logs import load_episode
 from .scenarios import (
     FREEZE_MODES,
@@ -30,30 +31,18 @@ __all__ = ["build_parser", "main"]
 _BAD_INPUT = (ValueError, OSError, configparser.Error)
 
 
-def _resolve_scenario(arg: str, config_path):
-    """``--scenario`` takes a built-in number (1-4) or a config-file path."""
-    config, scenario = (TrainConfig(), None) if config_path is None else load_config(config_path)
-    if scenario is not None and (arg.isdigit() or not Path(arg).samefile(config_path)):
-        raise ValueError(f"{config_path} has a [scenario] section; pass it as --scenario")
+def _read_scenario(arg: str):
+    """``--scenario``'s scenario (built-in 1-4 or a file's), and the file's run config or None."""
     if arg.isdigit():
         presets = builtin_scenarios()
         number = int(arg)
         if number not in presets:
-            raise SystemExit(f"unknown scenario {number}; use 1-{max(presets)} or a file path")
-        return presets[number], config
-    file_config, file_scenario = load_config(arg)
-    if file_scenario is None:
-        raise SystemExit(f"{arg} has no [scenario] section")
-    # A scenario file may also carry run settings; an explicit --config wins.
-    return file_scenario, config if config_path is not None else file_config
-
-
-def _run_sections(path) -> list[str]:
-    """The sections of INI file ``path`` that set run settings: all but [config] and [scenario]."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path) as fh:
-        parser.read_file(fh)
-    return [s for s in parser.sections() if s not in ("config", "scenario") and parser.options(s)]
+            raise ValueError(f"unknown scenario {number}; use 1-{max(presets)} or a file path")
+        return presets[number], None
+    config, scenario = load_config(arg)
+    if scenario is None:
+        raise ValueError(f"{arg} has no [scenario] section")
+    return scenario, config
 
 
 def _cmd_train(args):
@@ -62,9 +51,18 @@ def _cmd_train(args):
     overrides = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     try:
         check_int("report_every", args.report_every, 1)
-        scenario, config = _resolve_scenario(args.scenario, args.config)
+        arg, path = args.scenario, args.config
+        scenario, config = _read_scenario(arg)
+        # Run settings come from --config, else from the scenario file; one
+        # file given as both is read once.
+        if path is not None and (arg.isdigit() or not Path(arg).samefile(path)):
+            if config is not None:
+                raise ValueError(f"{arg} sets run settings; --config {path} would drop them")
+            config, extra = load_config(path)
+            if extra is not None:
+                raise ValueError(f"{path} has a [scenario] section; pass it as --scenario")
         # replace() builds a new config, so its validation runs on the overrides.
-        config = dataclasses.replace(config, **overrides)
+        config = dataclasses.replace(config or TrainConfig(), **overrides)
         check_scenario(scenario, config)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d train: {exc}") from None
@@ -80,7 +78,7 @@ def _cmd_train(args):
             )
 
     result = train(scenario, config, out_dir=args.out, progress=progress)
-    captured = sum(1 for row in result.summaries if row["outcome"] == "captured")
+    captured = sum(1 for row in result.summaries if row["outcome"] == CAPTURED)
     print(
         f"{scenario.name}: {config.episodes} episodes, "
         f"{captured} captured ({captured / config.episodes:.0%}), seed={config.seed}"
@@ -99,12 +97,10 @@ def _cmd_evaluate(args):
             raise ValueError("--save-logs needs --out")
         learners, rulebase, scenario, config = load_checkpoint(args.checkpoint)
         if args.scenario is not None:
-            scenario, _ = _resolve_scenario(args.scenario, None)
-            sections = [] if args.scenario.isdigit() else _run_sections(args.scenario)
-            if sections:
-                listed = ", ".join(f"[{section}]" for section in sections)
+            scenario, settings = _read_scenario(args.scenario)
+            if settings is not None:
                 raise ValueError(
-                    f"{args.scenario} sets run settings ({listed}); evaluate uses the checkpoint's"
+                    f"{args.scenario} sets run settings; evaluate uses the checkpoint's"
                 )
         check_scenario(scenario, config)
     except _BAD_INPUT as exc:

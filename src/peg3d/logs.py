@@ -25,6 +25,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from ._fields import _KINDS, build, check_fields
+from .reward import ROLES
 
 __all__ = [
     "EPISODE_SCHEMA",
@@ -174,7 +175,7 @@ def summary_row(log: EpisodeLog) -> dict:
     }
     for name in _ROLE_FIELDS:
         per_role = getattr(log, name)
-        for role in ("pursuer", "evader"):
+        for role in ROLES:
             row[f"{role}_{name}"] = per_role[role]
     return row
 

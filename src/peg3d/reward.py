@@ -17,13 +17,14 @@ from ._fields import check_fields, check_positive
 __all__ = [
     "PURSUER",
     "EVADER",
+    "ROLES",
     "RewardConfig",
     "total_reward",
 ]
 
 PURSUER = "pursuer"
 EVADER = "evader"
-_ROLES = (PURSUER, EVADER)
+ROLES = (PURSUER, EVADER)  # every per-role sequence follows this order
 
 
 @dataclass(frozen=True)
@@ -68,5 +69,5 @@ def total_reward(
         attraction = -attraction
         success = -cfg.success_coeff if captured else 0.0
     else:
-        raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
     return cfg.repulsion_weight * repulsion + cfg.attraction_weight * attraction + success

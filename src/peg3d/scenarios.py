@@ -17,7 +17,7 @@ import numpy as np
 from ._fields import build, cast, check_fields, check_int, check_positive
 from .env import Arena, AgentState, Obstacle
 from .learner import LearnerConfig
-from .reward import RewardConfig
+from .reward import ROLES, RewardConfig
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA = "peg3d.config.v1"
-FREEZE_MODES = ("none", "pursuer", "evader")
+FREEZE_MODES = ("none", *ROLES)
 LOG_STEPS_MODES = ("none", "final", "all")
 
 
@@ -272,14 +272,16 @@ INI_SECTIONS = {
 }
 
 
-def load_config(path) -> tuple[TrainConfig, Scenario | None]:
-    """Read an INI config file; returns the run config and an optional scenario.
+def load_config(path) -> tuple[TrainConfig | None, Scenario | None]:
+    """Read an INI config file; returns its run config and its scenario.
 
-    Only a ``[scenario]`` section produces a scenario; otherwise the caller
-    picks one of the built-ins.  Unknown keys raise so typos do not silently
-    fall back to defaults.
+    Each is ``None`` when the file sets none of its keys, so a caller that
+    wants the defaults writes ``config or TrainConfig()``.  Unknown sections
+    and keys, ``[DEFAULT]`` included, raise so typos do not silently fall
+    back to defaults.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No header names the default section "", so [DEFAULT] is an unknown section like any other.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     with open(path) as fh:
         parser.read_file(fh)
 
@@ -303,8 +305,7 @@ def load_config(path) -> tuple[TrainConfig, Scenario | None]:
             except ValueError as exc:
                 raise ValueError(f"{exc} (key {key!r} in section [{section}] of {path})") from None
 
-    nested = {"learner": values[LearnerConfig], "reward": values[RewardConfig]}
-    config = build(TrainConfig, {**values[TrainConfig], **nested})
-    if not parser.has_section("scenario"):
-        return config, None
-    return config, build(Scenario, values[Scenario])
+    scenario = values.pop(Scenario)
+    run = {**values[TrainConfig], "learner": values[LearnerConfig], "reward": values[RewardConfig]}
+    config = build(TrainConfig, run) if any(values.values()) else None
+    return config, build(Scenario, scenario) if scenario else None

@@ -46,7 +46,7 @@ from .fuzzy import RuleBase, firing_entropy, uniform_partition
 from .geometry import pursuit_cone_halfangle
 from .learner import ANGLE_DOMAIN, DISTANCE_DOMAIN, FuzzyActorCritic, extract_inputs, noise_stream
 from .logs import EpisodeLog, StepRecord, export_json, summary_row, write_json, write_rows_csv
-from .reward import EVADER, PURSUER, total_reward
+from .reward import ROLES, total_reward
 from .scenarios import (
     Scenario,
     TrainConfig,
@@ -78,8 +78,6 @@ METRICS_SCHEMA = "peg3d.metrics.v1"
 EPISODES_CSV_SCHEMA = "peg3d.episodes.v1"
 RUNS_CSV_SCHEMA = "peg3d.runs.v1"
 
-_ROLES = (PURSUER, EVADER)
-
 
 class CheckpointLayoutError(ValueError):
     """Checkpoint weights do not fit the rule-base layout its config defines, or are not finite."""
@@ -94,7 +92,7 @@ def build_rulebase(config: TrainConfig) -> RuleBase:
 
 
 def build_learners(config: TrainConfig, n_rules: int) -> dict[str, FuzzyActorCritic]:
-    return {role: FuzzyActorCritic(n_rules, config.learner) for role in _ROLES}
+    return {role: FuzzyActorCritic(n_rules, config.learner) for role in ROLES}
 
 
 def run_episode(
@@ -127,14 +125,14 @@ def run_episode(
     halfangle = pursuit_cone_halfangle(v_p, v_e) if 0.0 < v_e < v_p else None
     half_pi = math.pi / 2.0
 
-    # Per-role slots, indexed like _ROLES and allocated once: every phase of
+    # Per-role slots, indexed like ROLES and allocated once: every phase of
     # the loop runs the same code for each role in turn.  A role learns when it
     # reads the noise stream.  Its cone limit bounds its heading's offset from
     # the P -> E line: the pursuer's cone (only when it is faster), the evader's
     # away half-space.  Its arc is the range of heading offsets from the line
     # to the opponent that counts as inside its cone (empty without one).
-    agents = [learners[role] for role in _ROLES]
-    noises = [None if config.freeze == role else noise for role in _ROLES]
+    agents = [learners[role] for role in ROLES]
+    noises = [None if config.freeze == role else noise for role in ROLES]
     limits = [halfangle, half_pi] if cone_constraint else [None, None]
     no_arc = (math.inf, math.inf)
     arcs = [(0.0, halfangle) if halfangle is not None else no_arc, (half_pi, math.pi)]
@@ -184,7 +182,7 @@ def run_episode(
             feats[i] = extract_inputs(state, states[1 - i], nearest)
         d_prev, d_next = d_now, feats[0][0]
 
-        for i, role in enumerate(_ROLES):
+        for i, role in enumerate(ROLES):
             # Obstacle-distance change is measured against the obstacle that is
             # nearest after the move.
             obs, clear = near[i]
@@ -259,13 +257,13 @@ def run_episode(
 
 
 def _by_role(values, counts=None, empty=0.0) -> dict:
-    """``values`` (in ``_ROLES`` order) keyed by role; divided by ``counts`` when given.
+    """``values`` (in ``ROLES`` order) keyed by role; divided by ``counts`` when given.
 
     A zero count gives ``empty``.
     """
     if counts is None:
-        return dict(zip(_ROLES, values))
-    return {role: (v / n if n else empty) for role, v, n in zip(_ROLES, values, counts)}
+        return dict(zip(ROLES, values))
+    return {role: (v / n if n else empty) for role, v, n in zip(ROLES, values, counts)}
 
 
 @dataclass
@@ -438,7 +436,7 @@ def make_checkpoint(
         "version": __version__,
         "scenario": scenario.to_dict(),
         "config": config.to_dict(),
-        "agents": {role: learners[role].state_dict() for role in _ROLES},
+        "agents": {role: learners[role].state_dict() for role in ROLES},
     }
 
 
@@ -466,7 +464,7 @@ def load_checkpoint(path_or_dict):
     config = build(TrainConfig, _lookup(data, "config"))
     rulebase = build_rulebase(config)
     learners = build_learners(config, rulebase.n_rules)
-    for role in _ROLES:
+    for role in ROLES:
         weights = {part: _lookup(data, f"agents.{role}.{part}") for part in ("actor", "critic")}
         try:
             learners[role].load_state_dict(weights)

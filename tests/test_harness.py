@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import json
@@ -5,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -626,14 +628,6 @@ class TestTrain:
         assert manifest["schema"] == "peg3d.manifest.v1"
         assert manifest["seed"] == 11
         assert len(manifest["episodes"]) == 2
-
-    def test_byte_identical_reruns(self, tmp_path):
-        sc = builtin_scenarios()[1]
-        cfg = TrainConfig(episodes=3, max_plays=40, seed=21)
-        train(sc, cfg, out_dir=tmp_path / "a")
-        train(sc, cfg, out_dir=tmp_path / "b")
-        for name in ("episodes.csv", "manifest.json", "checkpoint.json", "episode_final.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seed_changes_outputs(self, tmp_path):
         sc = builtin_scenarios()[1]
@@ -1300,9 +1294,40 @@ class TestCLI:
         assert manifest["config"]["episodes"] == 2
         assert manifest["config"]["seed"] == 13
 
-    def test_unknown_scenario_number_exits(self):
-        with pytest.raises(SystemExit):
-            cli_main(["train", "--scenario", "9", "--quiet"])
+    def test_unknown_scenario_number_exits(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.ini").write_text("[train]\nepisodes = 1\nmax_plays = 5\n")
+        argv = ["train", "--scenario", "1", "--config", "run.ini", "--out", "run", "--quiet"]
+        assert cli_main(argv) == 0
+        commands = {
+            "train": ["train", "--quiet"],
+            "evaluate": ["evaluate", "--checkpoint", "run/checkpoint.json", "--runs", "1"],
+        }
+        for command, argv in commands.items():
+            for arg, message in [
+                ("9", "unknown scenario 9; use 1-4 or a file path"),
+                ("run.ini", "run.ini has no [scenario] section"),
+            ]:
+                line = f"peg3d {command}: {message}"
+                with pytest.raises(SystemExit, match=f"^{re.escape(line)}$"):
+                    cli_main([*argv, "--scenario", arg, "--out", "out"])
+                assert not Path("out").exists()
+
+    def test_train_refuses_run_settings_in_a_scenario_file_with_another_config(self, tmp_path):
+        # --config would otherwise win, and the scenario file's settings be dropped.
+        scenario = tmp_path / "f.ini"
+        scenario.write_text(
+            "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
+            "[train]\nepisodes = 7\n[agents]\ncone_constraint = false\n"
+        )
+        config = tmp_path / "c.ini"
+        config.write_text("[train]\nmax_plays = 5\n")
+        out_dir = tmp_path / "out"
+        message = f"peg3d train: {scenario} sets run settings; --config {config} would drop them"
+        argv = ["train", "--scenario", str(scenario), "--config", str(config), "--quiet"]
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli_main([*argv, "--out", str(out_dir)])
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -1382,6 +1407,13 @@ class TestCLI:
                 r"unknown key 'steering_mode' in section \[arena\]",
             ),
             ("[simulation]\ndt = 0.1\n", r"unknown config section \[simulation\]"),
+            # configparser would load [DEFAULT] alone as no settings, and copy its keys
+            # into every other section.
+            ("[DEFAULT]\nepisodes = 3\n", r"unknown config section \[DEFAULT\] in .*run\.ini$"),
+            (
+                "[DEFAULT]\nseed = 3\n[train]\nmax_plays = 5\n",
+                r"unknown config section \[DEFAULT\] in .*run\.ini$",
+            ),
             ("episodes = 3\n", "File contains no section headers"),
         ],
     )
@@ -1481,13 +1513,11 @@ class TestCLI:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "settings, listed",
-        [
-            ("[agents]\ncone_constraint = false\n", "[agents]"),
-            ("[train]\nseed = 4\n[learner]\nsigma = 0.2\n", "[train], [learner]"),
-        ],
+        "settings",
+        ["[agents]\ncone_constraint = false\n", "[train]\nseed = 4\n[learner]\nsigma = 0.2\n"],
+        ids=["agents", "train-learner"],
     )
-    def test_evaluate_refuses_run_settings_in_a_scenario_file(self, tmp_path, settings, listed):
+    def test_evaluate_refuses_run_settings_in_a_scenario_file(self, tmp_path, settings):
         run_dir = tmp_path / "run"
         argv = ["train", "--scenario", "1", "--episodes", "1", "--max-plays", "5"]
         cli_main([*argv, "--out", str(run_dir), "--quiet"])
@@ -1495,8 +1525,7 @@ class TestCLI:
         evaluate = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"), "--runs", "1"]
         scenario = tmp_path / "scenario.ini"
         scenario.write_text("[config]\nschema = peg3d.config.v1\n" + section + settings)
-        message = f"peg3d evaluate: {scenario} sets run settings ({listed}); "
-        message += "evaluate uses the checkpoint's"
+        message = f"peg3d evaluate: {scenario} sets run settings; evaluate uses the checkpoint's"
         out_dir = tmp_path / "eval"
         with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
             cli_main([*evaluate, "--scenario", str(scenario), "--out", str(out_dir)])
@@ -1505,6 +1534,31 @@ class TestCLI:
         scenario.write_text("[config]\nschema = peg3d.config.v1\n" + section)
         assert cli_main([*evaluate, "--scenario", str(scenario), "--out", str(out_dir)]) == 0
         assert json.loads((out_dir / "metrics.json").read_text())["scenario"] == "custom"
+
+    def test_each_ini_file_is_parsed_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.ini").write_text(
+            "[train]\nepisodes = 1\nmax_plays = 5\n"
+            "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
+        )
+        Path("scenario.ini").write_text(
+            "[scenario]\nname = custom\npursuer_start = 5 30 0\nevader_start = 5 5 0\n"
+        )
+        parsed = []
+        read_file = configparser.ConfigParser.read_file
+
+        def counted(parser, fh, source=None):
+            parsed.append(Path(fh.name).name)
+            return read_file(parser, fh, source)
+
+        monkeypatch.setattr(configparser.ConfigParser, "read_file", counted)
+        argv = ["train", "--scenario", "run.ini", "--config", "./run.ini", "--out", "run"]
+        assert cli_main([*argv, "--quiet"]) == 0
+        assert parsed == ["run.ini"]
+        parsed.clear()
+        argv = ["evaluate", "--checkpoint", "run/checkpoint.json", "--runs", "1"]
+        assert cli_main([*argv, "--scenario", "scenario.ini"]) == 0
+        assert parsed == ["scenario.ini"]
 
     def test_evaluate_rejects_a_scenario_outside_the_arena(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -659,6 +659,20 @@ pursuer_heading = 0.5 1.2
         with pytest.raises(ValueError, match="simulation"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nepisodes = 3\n", "[DEFAULT]\nseed = 3\n[train]\nepisodes = 2\n"],
+        ids=["alone", "with-train"],
+    )
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser reads [DEFAULT] alone as no settings, and copies its keys into
+        # every other section.
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        message = f"unknown config section [DEFAULT] in {path}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
     def test_unsupported_schema_rejected(self, tmp_path):
         path = tmp_path / "old.ini"
         path.write_text("[config]\nschema = peg3d.config.v0\n")
@@ -715,10 +729,13 @@ pursuer_heading = 0.5 1.2
         )
 
         cfg, scenario = load_config(path)
+        # Each is None exactly when the file sets none of its keys.
+        run_sections = INI_SECTIONS.keys() - {"config", "scenario"}
+        assert (cfg is None) == sections.keys().isdisjoint(run_sections)
+        assert (scenario is None) == ("scenario" not in sections)
+        cfg = cfg or TrainConfig()
         assert build(TrainConfig, json.loads(json.dumps(cfg.to_dict()))) == cfg
-        if scenario is None:
-            assert "scenario" not in sections
-        else:
+        if scenario is not None:
             assert build(Scenario, json.loads(json.dumps(scenario.to_dict()))) == scenario
 
         defaults = {

@@ -11,11 +11,12 @@ built-in scenarios with ``--log-steps all``, both ``--freeze`` roles, a
 ``--config`` file with ``[agents] cone_constraint = false``, a config file
 that sets every section's keys (explicit obstacles, both headings, 3
 membership functions per input) and ``evaluate`` from the checkpoint it
-trains, a scenario file with random obstacles for ``train`` and its
-``[scenario]`` section alone for ``evaluate --scenario``, ``evaluate
---save-logs`` and ``replay --export csv`` and ``json`` of one of its run
-logs, and ``replay --export csv`` of a training
-episode log, whose TD errors are floats (an evaluation run's are all None).
+trains, a scenario file with random obstacles for ``train``, its
+``[scenario]`` section alone for ``evaluate --scenario`` and for ``train``
+with the ``--config`` file above, ``evaluate --save-logs`` and ``replay
+--export csv`` and ``json`` of one of its run logs, and ``replay --export
+csv`` of a training episode log, whose TD errors are floats (an evaluation
+run's are all None).
 Every command runs in its tree's output directory with relative
 paths, and its standard output is kept there as ``stdout/<name>.txt``.  Then
 ``diff -r`` compares the two output directories.  When they differ, it prints
@@ -110,6 +111,8 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("train-full", ["train", "--scenario", "full.ini", "--config", "full.ini",
                                 "--quiet"]))  # fmt: skip
     runs.append(("train-random", [*train, "--scenario", "random.ini"]))
+    runs.append(("train-two-files", [*train, "--scenario", "random_scenario.ini",
+                                     "--config", "no_cone.ini"]))  # fmt: skip
     runs = [(name, [*args, "--out", name]) for name, args in runs]
     runs.append(
         ("evaluate", ["evaluate", "--checkpoint", "train-s1/checkpoint.json", "--runs", "3",
