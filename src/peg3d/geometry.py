@@ -8,15 +8,13 @@ straight line at top speed.  The same construction yields the optimal motion
 cones: the pursuer aims within ``asin(a)`` of the line of sight, the evader
 keeps its heading at least 90 degrees away from the pursuer.
 
-All functions are pure; inputs are 3-vectors (anything ``np.asarray`` takes).
+All functions are pure; inputs are 3-vectors: any iterable of 3 finite numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -46,20 +44,21 @@ class DegenerateInputError(ValueError):
     """The requested construction is geometrically undefined."""
 
 
-def _as_point(p, name: str) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} components must be finite")
-    return arr
+def _as_point(p, name: str) -> tuple[float, float, float]:
+    try:
+        point = tuple(map(float, p))
+    except (TypeError, ValueError):
+        point = ()
+    if isinstance(p, str) or len(point) != 3 or not all(map(math.isfinite, point)):
+        raise ValueError(f"{name} must be 3 finite numbers, got {p!r}")
+    return point
 
 
 @dataclass(frozen=True)
 class ApolloniusSphere:
     """Center and radius of the constant-distance-ratio boundary."""
 
-    center: np.ndarray
+    center: tuple[float, float, float]
     radius: float
 
 
@@ -77,10 +76,10 @@ def apollonius_sphere(pursuer, evader, a: float) -> ApolloniusSphere:
     denom = 1.0 - a * a
     if abs(denom) < _DEGENERATE_TOL:
         raise DegenerateInputError("speed ratio 1 yields a plane, not a sphere")
-    separation = float(np.linalg.norm(p - e))
+    separation = math.dist(p, e)
     if separation < _DEGENERATE_TOL:
         raise DegenerateInputError("coincident agents admit no dominance sphere")
-    center = (e - a * a * p) / denom
+    center = tuple((ec - a * a * pc) / denom for pc, ec in zip(p, e))
     radius = abs(a / denom) * separation
     return ApolloniusSphere(center=center, radius=radius)
 
@@ -95,7 +94,7 @@ def dominance(point, sphere: ApolloniusSphere, a: float, tol: float = BOUNDARY_T
         raise ValueError(f"dominance classification assumes speed ratio in (0, 1), got {a}")
     if not sphere.radius > 0.0:
         raise ValueError("sphere radius must be positive")
-    dist = float(np.linalg.norm(_as_point(point, "point") - sphere.center))
+    dist = math.dist(_as_point(point, "point"), sphere.center)
     if abs(dist - sphere.radius) <= tol:
         return BOUNDARY
     return EVADER_DOMINANT if dist < sphere.radius else PURSUER_DOMINANT

@@ -102,8 +102,10 @@ class Scenario:
         check_fields(self)
         for name in ("pursuer_heading", "evader_heading"):
             heading = getattr(self, name)
-            if heading is not None and not all(map(math.isfinite, heading)):
+            if heading and not all(map(math.isfinite, heading)):
                 raise ValueError(f"{name} must be finite, got {heading!r}")
+            if heading and not 0.0 <= heading[1] <= math.pi:  # step_agent would snap theta into it
+                raise ValueError(f"{name} polar angle must lie in [0, pi], got {heading!r}")
         if self.obstacles is None:
             check_int("obstacle_count", self.obstacle_count, 0)
         margin = self.obstacle_margin  # a negative one would let an obstacle cover a start
@@ -149,9 +151,9 @@ def place_obstacles(
     """
     if not radius > 0.0:
         raise ValueError(f"obstacle_radius must be > 0, got {radius!r}")
-    low = np.array([radius, radius, radius])
-    high = np.asarray(extents, dtype=float) - radius
-    if np.any(low > high):
+    low = (radius, radius, radius)
+    high = tuple(float(extent) - radius for extent in extents)
+    if any(radius > hi for hi in high):
         raise ValueError(f"obstacle_radius {radius!r} exceeds half the arena extents {extents!r}")
     keepout = [tuple(map(float, p)) for p in keepout_points]
     obstacles: list[Obstacle] = []
@@ -228,11 +230,11 @@ def check_scenario(scenario: Scenario, config: TrainConfig) -> None:
 
 
 def _chase_axis_heading(pursuer_start, evader_start) -> tuple[float, float]:
-    d = np.asarray(evader_start, dtype=float) - np.asarray(pursuer_start, dtype=float)
-    n = float(np.linalg.norm(d))
+    dx, dy, dz = (float(e) - float(p) for p, e in zip(pursuer_start, evader_start))
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
     if n < 1e-12:
         return 0.0, math.pi / 2.0
-    return math.atan2(d[1], d[0]), math.acos(max(-1.0, min(1.0, d[2] / n)))
+    return math.atan2(dy, dx), math.acos(max(-1.0, min(1.0, dz / n)))
 
 
 def initial_states(scenario: Scenario, config: TrainConfig) -> tuple[AgentState, AgentState]:

@@ -92,6 +92,21 @@ class TestApolloniusSphere:
         with pytest.raises(ValueError):
             apollonius_sphere((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
 
+    @pytest.mark.parametrize(
+        "point", [(1.0, 2.0), [1.0, 2.0, 3.0, 4.0], np.zeros((3, 1)), "123", 5.0, None, ("a", 1, 2)]
+    )
+    def test_point_that_is_not_three_numbers_rejected(self, point):
+        with pytest.raises(ValueError, match="^evader must be 3 finite numbers, got "):
+            apollonius_sphere((1.0, 0.0, 0.0), point, 0.5)
+
+    def test_center_is_a_tuple_of_floats_for_any_iterable_of_numbers(self):
+        sphere = apollonius_sphere((10.0, 10.0, 10.0), (-10.0, -10.0, 10.0), 0.5)
+        assert type(sphere.center) is tuple
+        assert all(type(c) is float for c in sphere.center)
+        from_arrays = apollonius_sphere(np.full(3, 10.0), np.array([-10, -10, 10]), 0.5)
+        assert from_arrays == apollonius_sphere([10, 10, 10], iter((-10.0, -10.0, 10.0)), 0.5)
+        assert from_arrays == sphere
+
     def test_ratio_property_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

@@ -1329,6 +1329,17 @@ class TestCLI:
             cli_main([*argv, "--out", str(out_dir)])
         assert not out_dir.exists()
 
+    def test_train_refuses_a_start_polar_angle_outside_zero_to_pi(self, tmp_path):
+        scenario = tmp_path / "f.ini"
+        scenario.write_text(
+            "[scenario]\npursuer_start = 5 30 0\nevader_start = 5 5 0\nevader_heading = 1 -2\n"
+        )
+        out_dir = tmp_path / "out"
+        message = "peg3d train: evader_heading polar angle must lie in [0, pi], got (1.0, -2.0)"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli_main(["train", "--scenario", str(scenario), "--out", str(out_dir), "--quiet"])
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "flag, message",
         [

@@ -48,8 +48,19 @@ SETTINGS = {
     "default": {},
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "simd-baseline": {"NPY_DISABLE_CPU_FEATURES": " ".join(_dispatched_features())},
 }
+
+
+# Starts whose offset has a vertical part, so the start polar angle divides by
+# the offset's length: any sum in a kernel-chosen order shows in its last bit.
+TILTED_SCENARIO = """\
+[scenario]
+name = tilted
+pursuer_start = 16.5 7.0 8.6
+evader_start = 3.3 16.6 3.3
+"""
 
 
 def _peg3d(args, cwd, extra_env):
@@ -87,9 +98,13 @@ def test_outputs_identical_across_blas_kernels_and_simd_levels(tmp_path):
         _peg3d([*train, "--out", "run"], out, extra_env)
         evaluate = ["evaluate", "--checkpoint", "run/checkpoint.json", "--runs", "2"]
         _peg3d([*evaluate, "--out", "eval"], out, extra_env)
+        (out / "tilted.ini").write_text(TILTED_SCENARIO)
+        tilted = ["train", "--scenario", "tilted.ini", "--seed", "1", "--episodes", "2"]
+        _peg3d([*tilted, "--quiet", "--out", "tilted"], out, extra_env)
         outputs[name] = _outputs(out)
     reference = outputs["default"]
-    assert {"run/checkpoint.json", "run/manifest.json", "eval/metrics.json"} <= set(reference)
+    expected = {"run/checkpoint.json", "run/manifest.json", "eval/metrics.json"}
+    assert expected | {"tilted/checkpoint.json"} <= set(reference)
     for name, files in outputs.items():
         assert files.keys() == reference.keys(), name
         differing = [path for path in files if files[path] != reference[path]]

@@ -60,6 +60,7 @@ ACCEPTED_KEYS = {
 _positive = st.floats(0.01, 1000.0)
 _coordinate = st.floats(0.0, 40.0)
 _angle = st.floats(-math.pi, math.pi)
+_heading = st.tuples(_angle, st.floats(0.0, math.pi))  # (alpha, theta)
 _obstacle_row = st.tuples(_coordinate, _coordinate, _coordinate, st.floats(0.1, 5.0))
 
 # A valid value for every accepted key, as the loaded config should hold it.
@@ -90,8 +91,8 @@ VALID_VALUES = {
     ("scenario", "obstacle_count"): st.integers(0, 10),
     ("scenario", "obstacle_radius"): _positive,
     ("scenario", "obstacle_margin"): _positive,
-    ("scenario", "pursuer_heading"): st.tuples(_angle, _angle),
-    ("scenario", "evader_heading"): st.tuples(_angle, _angle),
+    ("scenario", "pursuer_heading"): _heading,
+    ("scenario", "evader_heading"): _heading,
 }
 
 
@@ -377,6 +378,20 @@ CHECKPOINT_KEYS = {
             (0.0, math.inf),
             True,
             "evader_heading must be finite, got (0.0, inf)",
+        ),
+        (
+            Scenario,
+            "pursuer_heading",
+            (0.0, 4.0),
+            True,
+            "pursuer_heading polar angle must lie in [0, pi], got (0.0, 4.0)",
+        ),
+        (
+            Scenario,
+            "evader_heading",
+            (1.0, -2.0),
+            True,
+            "evader_heading polar angle must lie in [0, pi], got (1.0, -2.0)",
         ),
         (Scenario, "obstacle_count", -1, True, "obstacle_count must be >= 0, got -1"),
         (Scenario, "name", 3, False, "name must be a str, got 3"),
