@@ -49,7 +49,7 @@ def _as_point(p, name: str) -> tuple[float, float, float]:
         point = tuple(map(float, p))
     except (TypeError, ValueError):
         point = ()
-    if isinstance(p, str) or len(point) != 3 or not all(map(math.isfinite, point)):
+    if isinstance(p, (str, bytes)) or len(point) != 3 or not all(map(math.isfinite, point)):
         raise ValueError(f"{name} must be 3 finite numbers, got {p!r}")
     return point
 

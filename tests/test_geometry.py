@@ -93,7 +93,8 @@ class TestApolloniusSphere:
             apollonius_sphere((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
 
     @pytest.mark.parametrize(
-        "point", [(1.0, 2.0), [1.0, 2.0, 3.0, 4.0], np.zeros((3, 1)), "123", 5.0, None, ("a", 1, 2)]
+        "point",
+        [(1.0, 2.0), [1.0, 2.0, 3.0, 4.0], np.zeros((3, 1)), "123", b"123", 5.0, None, ("a", 1, 2)],
     )
     def test_point_that_is_not_three_numbers_rejected(self, point):
         with pytest.raises(ValueError, match="^evader must be 3 finite numbers, got "):
