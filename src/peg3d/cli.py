@@ -20,14 +20,13 @@ from .scenarios import (
     LOG_STEPS_MODES,
     TrainConfig,
     builtin_scenarios,
-    check_scenario,
     load_config,
 )
 from .training import evaluate, load_checkpoint, train
 
 __all__ = ["build_parser", "main"]
 
-# Bad input files and values: each exits with "peg3d <command>: <message>".
+# Bad input, and a file or layout error during a run: each exits "peg3d <command>: <message>".
 _BAD_INPUT = (ValueError, OSError, configparser.Error)
 
 
@@ -49,6 +48,17 @@ def _cmd_train(args):
     # The train options named after TrainConfig fields override them when given.
     names = (f.name for f in dataclasses.fields(TrainConfig))
     overrides = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+    def progress(ep, log):
+        if args.quiet:
+            return
+        if (ep + 1) % args.report_every == 0 or ep + 1 == config.episodes:
+            print(
+                f"episode {ep + 1:>4}/{config.episodes}  {log.outcome:<8} "
+                f"steps={log.steps:<5} final_d={log.final_distance:7.3f} "
+                f"reward_mean(p)={log.reward_mean['pursuer']:8.4f}"
+            )
+
     try:
         check_int("report_every", args.report_every, 1)
         arg, path = args.scenario, args.config
@@ -63,21 +73,9 @@ def _cmd_train(args):
                 raise ValueError(f"{path} has a [scenario] section; pass it as --scenario")
         # replace() builds a new config, so its validation runs on the overrides.
         config = dataclasses.replace(config or TrainConfig(), **overrides)
-        check_scenario(scenario, config)
+        result = train(scenario, config, out_dir=args.out, progress=progress)
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d train: {exc}") from None
-
-    def progress(ep, log):
-        if args.quiet:
-            return
-        if (ep + 1) % args.report_every == 0 or ep + 1 == config.episodes:
-            print(
-                f"episode {ep + 1:>4}/{config.episodes}  {log.outcome:<8} "
-                f"steps={log.steps:<5} final_d={log.final_distance:7.3f} "
-                f"reward_mean(p)={log.reward_mean['pursuer']:8.4f}"
-            )
-
-    result = train(scenario, config, out_dir=args.out, progress=progress)
     captured = sum(1 for row in result.summaries if row["outcome"] == CAPTURED)
     print(
         f"{scenario.name}: {config.episodes} episodes, "
@@ -102,19 +100,12 @@ def _cmd_evaluate(args):
                 raise ValueError(
                     f"{args.scenario} sets run settings; evaluate uses the checkpoint's"
                 )
-        check_scenario(scenario, config)
+        metrics, rows = evaluate(
+            learners, rulebase, scenario, config, runs=args.runs, seed=args.seed,
+            out_dir=args.out, record_steps=args.save_logs,
+        )  # fmt: skip
     except _BAD_INPUT as exc:
         raise SystemExit(f"peg3d evaluate: {exc}") from None
-    metrics, rows = evaluate(
-        learners,
-        rulebase,
-        scenario,
-        config,
-        runs=args.runs,
-        seed=args.seed,
-        out_dir=args.out,
-        record_steps=args.save_logs,
-    )
     print(f"{scenario.name}: {metrics['runs']} runs, capture rate {metrics['capture_rate']:.2f}")
     if metrics["capture_time_mean"] is not None:
         print(

@@ -21,6 +21,7 @@ __all__ = [
     "RUNNING",
     "CAPTURED",
     "TIMEOUT",
+    "OPEN_CLEARANCE",
     "AgentState",
     "Obstacle",
     "Arena",
@@ -38,6 +39,9 @@ TURN_LIMIT = math.pi / 4.0
 RUNNING = "running"
 CAPTURED = "captured"
 TIMEOUT = "timeout"
+
+# The obstacle clearance, in metres, that an arena without obstacles reports.
+OPEN_CLEARANCE = 35.0
 
 
 def wrap_angle(angle: float) -> float:
@@ -92,7 +96,6 @@ class Arena:
     capture_distance: float
     max_plays: int
     dt: float
-    sensing_range: float
 
 
 def step_agent(
@@ -191,11 +194,11 @@ def check_termination(pursuer: AgentState, evader: AgentState, arena: Arena, ste
 def nearest_obstacle(pos, arena: Arena) -> tuple[Obstacle | None, float]:
     """Closest obstacle to ``pos`` and its signed surface distance.
 
-    With no obstacles returns ``(None, sensing_range)`` so downstream
-    consumers see a far, inert sentinel.
+    With no obstacles returns ``(None, OPEN_CLEARANCE)``, the far end of
+    ``learner.DISTANCE_DOMAIN``, so downstream consumers see a far, inert sentinel.
     """
     best = None
-    best_dist = arena.sensing_range
+    best_dist = OPEN_CLEARANCE
     for obs in arena.obstacles:
         dist = math.dist(pos, obs.center) - obs.radius
         if best is None or dist < best_dist:

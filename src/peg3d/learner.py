@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_fields, check_int, check_positive
-from .env import TURN_LIMIT, AgentState
+from .env import OPEN_CLEARANCE, TURN_LIMIT, AgentState
 from .fuzzy import Firing
 
 __all__ = [
@@ -197,8 +197,8 @@ class FuzzyActorCritic:
 
 
 # The rule grid's input domains, one per kind of feature extract_inputs returns:
-# distances in metres (the arena's long side) and heading offsets in radians.
-DISTANCE_DOMAIN = (0.0, 35.0)
+# distances in metres, up to an open arena's clearance, and heading offsets in radians.
+DISTANCE_DOMAIN = (0.0, OPEN_CLEARANCE)
 ANGLE_DOMAIN = (-math.pi, math.pi)
 
 
@@ -213,7 +213,7 @@ def extract_inputs(
     own heading to the line toward its opponent.  Coincident points yield
     angle 0 by convention.  ``nearest`` is the agent's
     ``env.nearest_obstacle(agent.position, arena)``; with no obstacles its
-    sensing-range sentinel is paired with angle 0.
+    ``OPEN_CLEARANCE`` sentinel is paired with angle 0.
     """
     ox, oy, oz = agent.position
     tx, ty, tz = opponent.position

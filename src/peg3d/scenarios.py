@@ -52,7 +52,6 @@ class TrainConfig:
     pursuer_speed: float = 1.1
     evader_speed: float = 1.0
     arena_extents: tuple[float, float, float] = (35.0, 35.0, 20.0)
-    sensing_range: float = 35.0
     cone_constraint: bool = True
     freeze: str = "none"  # one of FREEZE_MODES
     log_steps: str = "final"  # one of LOG_STEPS_MODES
@@ -63,8 +62,7 @@ class TrainConfig:
         check_fields(self)
         for name, least in (("episodes", 1), ("max_plays", 1), ("seed", 0)):
             check_int(name, getattr(self, name), least)
-        positive = ("dt", "capture_distance", "pursuer_speed", "evader_speed", "sensing_range")
-        check_positive(self, positive)
+        check_positive(self, ("dt", "capture_distance", "pursuer_speed", "evader_speed"))
         for axis, extent in zip("xyz", self.arena_extents):
             if not 0.0 < extent < math.inf:
                 raise ValueError(f"arena extent {axis} must be finite and > 0, got {extent!r}")
@@ -201,7 +199,6 @@ def build_arena(config: TrainConfig, obstacles) -> Arena:
         capture_distance=config.capture_distance,
         max_plays=config.max_plays,
         dt=config.dt,
-        sensing_range=config.sensing_range,
     )
 
 
@@ -266,7 +263,7 @@ def initial_states(scenario: Scenario, config: TrainConfig) -> tuple[AgentState,
 INI_SECTIONS = {
     "config": (None, ("schema",)),
     "train": (TrainConfig, ("episodes", "max_plays", "seed", "freeze", "log_steps")),
-    "arena": (TrainConfig, ("extents", "dt", "capture_distance", "sensing_range")),
+    "arena": (TrainConfig, ("extents", "dt", "capture_distance")),
     "agents": (TrainConfig, ("pursuer_speed", "evader_speed", "cone_constraint")),
     "learner": (LearnerConfig, tuple(f.name for f in fields(LearnerConfig))),
     "reward": (RewardConfig, tuple(f.name for f in fields(RewardConfig))),

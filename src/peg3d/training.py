@@ -72,11 +72,17 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_SCHEMA = "peg3d.checkpoint.v3"
+CHECKPOINT_SCHEMA = "peg3d.checkpoint.v4"
 MANIFEST_SCHEMA = "peg3d.manifest.v1"
 METRICS_SCHEMA = "peg3d.metrics.v1"
 EPISODES_CSV_SCHEMA = "peg3d.episodes.v1"
 RUNS_CSV_SCHEMA = "peg3d.runs.v1"
+
+# What train and evaluate write into an output directory.  Each refuses a
+# directory that holds one already, where an earlier run's files would go stale.
+TRAIN_OUTPUTS = ("manifest.json", "checkpoint.json", "episodes.csv", "episode_final.json",
+                 "episodes")  # fmt: skip
+EVALUATE_OUTPUTS = ("metrics.json", "runs.csv", "runs")
 
 
 class CheckpointLayoutError(ValueError):
@@ -184,10 +190,10 @@ def run_episode(
 
         for i, role in enumerate(ROLES):
             # Obstacle-distance change is measured against the obstacle that is
-            # nearest after the move.
+            # nearest after the move; an open arena's clearance does not change.
             obs, clear = near[i]
             before = prev[i].position
-            clear_prev = obs.surface_distance(before) if obs is not None else arena.sensing_range
+            clear_prev = obs.surface_distance(before) if obs is not None else clear
             r[i] = reward = total_reward(
                 clear_prev, clear, d_prev, d_next, captured, role, reward_cfg
             )
@@ -289,16 +295,17 @@ def train(scenario: Scenario, config: TrainConfig, out_dir=None, progress=None) 
     When ``out_dir`` is given, writes ``manifest.json``, ``episodes.csv``,
     ``checkpoint.json`` and (depending on ``config.log_steps``) full episode
     logs.  ``progress`` is an optional ``f(episode_index, EpisodeLog)``
-    callback.
+    callback.  An ``out_dir`` that already holds any of ``TRAIN_OUTPUTS``
+    raises ``FileExistsError`` before the first episode.
     """
     check_scenario(scenario, config)
+    out = _unused_out_dir(out_dir, TRAIN_OUTPUTS)
     rulebase = build_rulebase(config)
     learners = build_learners(config, rulebase.n_rules)
     obstacle_seq, noise_seq = np.random.SeedSequence(config.seed).spawn(2)
     obstacle_rng = np.random.default_rng(obstacle_seq)
     noise = noise_stream(np.random.default_rng(noise_seq))
 
-    out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
@@ -362,28 +369,32 @@ def evaluate(
     table and the per-run rows; never mutates the learners.  When ``out_dir``
     is given, writes ``metrics.json`` and ``runs.csv`` after the last run; with
     ``record_steps`` each run's log goes to ``runs/run_NNN.json`` as soon as
-    that run ends, so only one run's records are held at a time.
+    that run ends, so only one run's records are held at a time.  An
+    ``out_dir`` that already holds any of ``EVALUATE_OUTPUTS`` raises
+    ``FileExistsError``, and ``record_steps`` without one ``ValueError``, before
+    the first run.
     """
     check_int("runs", runs, 1)
     if seed is None:
         seed = config.seed + 1
     check_int("seed", seed, 0)
     check_scenario(scenario, config)
+    out = _unused_out_dir(out_dir, EVALUATE_OUTPUTS)
+    if record_steps and out is None:
+        raise ValueError("record_steps needs an out_dir: step records only go to files")
     children = np.random.SeedSequence(seed).spawn(runs)
 
-    out = Path(out_dir) if out_dir is not None else None
-    record = record_steps and out is not None  # records only go to files
     rows: list[dict] = []
     for i, child in enumerate(children):
         obstacles = realize_obstacles(scenario, config, np.random.default_rng(child))
         log = run_episode(
             scenario, config, obstacles, rulebase, learners, None,
-            record_steps=record, seed=seed, episode=i,
+            record_steps=record_steps, seed=seed, episode=i,
         )
         row = summary_row(log)
         row.pop("episode")
         rows.append({"run": i, **row})
-        if record:
+        if record_steps:
             export_json(log, out / "runs" / f"run_{i:03d}.json")
 
     captured = [row for row in rows if row["outcome"] == CAPTURED]
@@ -425,6 +436,17 @@ def evaluate(
             out / "runs.csv", rows[0].keys(), [row.values() for row in rows], RUNS_CSV_SCHEMA
         )
     return metrics, rows
+
+
+def _unused_out_dir(out_dir, outputs) -> Path | None:
+    """``out_dir`` as a Path or None; ``FileExistsError`` names the first of ``outputs`` in it."""
+    if out_dir is None:
+        return None
+    out = Path(out_dir)
+    for name in outputs:
+        if (out / name).exists():
+            raise FileExistsError(f"{out / name} already exists; give each run its own directory")
+    return out
 
 
 def make_checkpoint(

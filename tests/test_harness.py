@@ -13,9 +13,15 @@ import pytest
 
 from peg3d import logs, training
 from peg3d.cli import main as cli_main
-from peg3d.env import CAPTURED, TIMEOUT, Obstacle, nearest_obstacle
+from peg3d.env import CAPTURED, OPEN_CLEARANCE, TIMEOUT, Obstacle, nearest_obstacle
 from peg3d.fuzzy import RuleBase
-from peg3d.learner import NOISE_BLOCK, FuzzyActorCritic, extract_inputs, noise_stream
+from peg3d.learner import (
+    DISTANCE_DOMAIN,
+    NOISE_BLOCK,
+    FuzzyActorCritic,
+    extract_inputs,
+    noise_stream,
+)
 from peg3d.logs import (
     EpisodeLog,
     StepRecord,
@@ -90,6 +96,14 @@ def rows_csv_reference(path, header, rows, schema):
 def zero_weight_setup(config):
     rulebase = build_rulebase(config)
     return rulebase, build_learners(config, rulebase.n_rules)
+
+
+def tree_bytes(root: Path) -> dict:
+    """Every path under ``root``, with a file's bytes (None for a directory)."""
+    return {
+        path.relative_to(root): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
 
 
 class TestRunEpisode:
@@ -227,6 +241,30 @@ class TestRunEpisode:
             d_prev = record.distance
         assert log.outcome == CAPTURED
         assert changes >= 2  # the pursuer's nearest obstacle changed twice
+
+    def test_an_open_arena_reads_as_the_far_end_of_the_distance_input(self):
+        # With no obstacle every clearance is OPEN_CLEARANCE, the top of the
+        # rule grid's distance domain, and it never changes, so neither does
+        # the repulsion term.
+        assert OPEN_CLEARANCE == DISTANCE_DOMAIN[1] == 35.0
+        sc = dataclasses.replace(builtin_scenarios()[2], obstacle_count=0)
+        cfg = TrainConfig(episodes=2, max_plays=80)
+        log = train(sc, cfg).final_log
+        assert log.obstacles == [] and log.steps > 0
+        starts = initial_states(sc, cfg)
+        d_prev = extract_inputs(starts[0], starts[1], (None, 0.0))[0]
+        for t, record in enumerate(log.records):
+            captured = log.outcome == CAPTURED and t == log.steps - 1
+            for role in ("pursuer", "evader"):
+                assert getattr(record, f"{role}_clearance") == 35.0
+                expected = total_reward(
+                    35.0, 35.0, d_prev, record.distance, captured, role, cfg.reward
+                )
+                assert getattr(record, f"{role}_reward") == expected, (t, role)
+            d_prev = record.distance
+        assert log.min_clearance == {"pursuer": 35.0, "evader": 35.0}
+        row = summary_row(log)
+        assert (row["pursuer_min_clearance"], row["evader_min_clearance"]) == (35.0, 35.0)
 
     def test_benchmark_seam(self, monkeypatch):
         """The boundaries perfbench/tracing.py wraps keep what it reads and their per-step calls.
@@ -648,6 +686,24 @@ class TestTrain:
         assert (tmp_path / "episodes" / "episode_0001.json").exists()
         assert all_res.final_log is not None
 
+    def test_reused_out_dir_rejected_before_first_episode(self, tmp_path, monkeypatch):
+        # A shorter second run would leave the first run's later episode logs
+        # beside its own manifest.
+        sc = builtin_scenarios()[1]
+        train(sc, TrainConfig(episodes=3, max_plays=10, log_steps="all"), out_dir=tmp_path)
+        before = tree_bytes(tmp_path)
+        monkeypatch.setattr(training, "run_episode", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(FileExistsError, match=r"manifest\.json already exists"):
+            train(sc, TrainConfig(episodes=1, max_plays=10, log_steps="all"), out_dir=tmp_path)
+        assert tree_bytes(tmp_path) == before
+        # Each output alone is refused too, and the message names it.
+        for name in training.TRAIN_OUTPUTS:
+            out = tmp_path / f"only_{name}"
+            (out / name).mkdir(parents=True)
+            with pytest.raises(FileExistsError, match=f"^{re.escape(str(out / name))} "):
+                train(sc, TrainConfig(episodes=1, max_plays=10), out_dir=out)
+            assert tree_bytes(out) == {Path(name): None}
+
     def test_frozen_pursuer_stays_zero(self):
         sc = builtin_scenarios()[1]
         res = train(sc, TrainConfig(episodes=2, max_plays=40, freeze="pursuer"))
@@ -756,12 +812,12 @@ class TestCheckpoints:
         with pytest.raises(CheckpointLayoutError, match="do not match the layout"):
             load_checkpoint(mismatched)
 
-    def test_v3_layout_pinned(self):
+    def test_v4_layout_pinned(self):
         sc = builtin_scenarios()[1]
         res = train(sc, TrainConfig(episodes=1, max_plays=10, seed=3))
         checkpoint = res.checkpoint
         assert set(checkpoint) == {"schema", "version", "scenario", "config", "agents"}
-        assert checkpoint["schema"] == "peg3d.checkpoint.v3"
+        assert checkpoint["schema"] == "peg3d.checkpoint.v4"
         assert checkpoint["scenario"] == sc.to_dict() == res.manifest["scenario"]
         assert checkpoint["config"] == res.manifest["config"]
         assert {role: set(weights) for role, weights in checkpoint["agents"].items()} == {
@@ -780,7 +836,7 @@ class TestCheckpoints:
             fuzzy={"inputs": [{"lo": 0.0, "hi": 35.0, "peaks": [0.0, 8.75, 17.5, 26.25, 35.0]}]},
             agents={role: {**w, **hyper} for role, w in res.checkpoint["agents"].items()},
         )
-        expected = r"'peg3d.checkpoint.v1' \(expected peg3d.checkpoint.v3\)"
+        expected = r"'peg3d.checkpoint.v1' \(expected peg3d.checkpoint.v4\)"
         with pytest.raises(ValueError, match=f"^unsupported checkpoint schema {expected}$"):
             load_checkpoint(v1)
 
@@ -794,9 +850,18 @@ class TestCheckpoints:
         learner = dict(res.checkpoint["config"]["learner"], distance_domain=[0.0, 35.0])
         config = dict(res.checkpoint["config"], max_time=100.0, learner=learner)
         v2 = dict(res.checkpoint, schema="peg3d.checkpoint.v2", config=config)
-        expected = r"'peg3d.checkpoint.v2' \(expected peg3d.checkpoint.v3\)"
+        expected = r"'peg3d.checkpoint.v2' \(expected peg3d.checkpoint.v4\)"
         with pytest.raises(ValueError, match=f"^unsupported checkpoint schema {expected}$"):
             load_checkpoint(v2)
+
+    def test_v3_checkpoint_rejected(self):
+        # v3 stored sensing_range, the clearance an arena without obstacles reported.
+        res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
+        config = dict(res.checkpoint["config"], sensing_range=35.0)
+        v3 = dict(res.checkpoint, schema="peg3d.checkpoint.v3", config=config)
+        expected = r"'peg3d.checkpoint.v3' \(expected peg3d.checkpoint.v4\)"
+        with pytest.raises(ValueError, match=f"^unsupported checkpoint schema {expected}$"):
+            load_checkpoint(v3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -860,21 +925,31 @@ class TestEvaluate:
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert len(lines) == 22  # schema comment + header + 20 rows
 
-    def test_record_steps_without_out_dir_builds_no_records(self, monkeypatch):
+    def test_record_steps_without_out_dir_rejected_before_any_run(self, monkeypatch):
         sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=25)
         rb = build_rulebase(cfg)
         learners = build_learners(cfg, rb.n_rules)
-        plain = evaluate(learners, rb, sc, cfg, runs=3, seed=4)
-        asked, run = [], training.run_episode
+        monkeypatch.setattr(training, "run_episode", lambda *a, **kw: pytest.fail("ran"))
+        # The records would have nowhere to go.
+        with pytest.raises(ValueError, match="^record_steps needs an out_dir"):
+            evaluate(learners, rb, sc, cfg, runs=3, seed=4, record_steps=True)
 
-        def spy(*args, **kwargs):
-            asked.append(kwargs["record_steps"])
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(training, "run_episode", spy)
-        # Without out_dir the records would have nowhere to go, so none are built.
-        assert evaluate(learners, rb, sc, cfg, runs=3, seed=4, record_steps=True) == plain
-        assert asked == [False, False, False]
+    def test_reused_out_dir_rejected_before_any_run(self, tmp_path, monkeypatch):
+        sc, cfg = builtin_scenarios()[1], TrainConfig(max_plays=25)
+        rb = build_rulebase(cfg)
+        learners = build_learners(cfg, rb.n_rules)
+        evaluate(learners, rb, sc, cfg, runs=3, seed=4, out_dir=tmp_path, record_steps=True)
+        before = tree_bytes(tmp_path)
+        monkeypatch.setattr(training, "run_episode", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(FileExistsError, match=r"metrics\.json already exists"):
+            evaluate(learners, rb, sc, cfg, runs=1, seed=4, out_dir=tmp_path, record_steps=True)
+        assert tree_bytes(tmp_path) == before
+        for name in training.EVALUATE_OUTPUTS:
+            out = tmp_path / f"only_{name}"
+            (out / name).mkdir(parents=True)
+            with pytest.raises(FileExistsError, match=f"^{re.escape(str(out / name))} "):
+                evaluate(learners, rb, sc, cfg, runs=1, out_dir=out)
+            assert tree_bytes(out) == {Path(name): None}
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -1360,6 +1435,30 @@ class TestCLI:
             cli_main(["train", "--scenario", "1", "--seed", "-1", "--out", str(out_dir)])
         assert not out_dir.exists()
 
+    def test_reused_train_out_exits_before_training(self, tmp_path):
+        out = tmp_path / "t"
+        run = ["train", "--scenario", "1", "--max-plays", "10", "--log-steps", "all",
+               "--out", str(out), "--quiet"]  # fmt: skip
+        cli_main([*run, "--episodes", "3"])
+        before = tree_bytes(out)
+        message = f"peg3d train: {out / 'manifest.json'} already exists"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}"):
+            cli_main([*run, "--episodes", "1"])
+        assert tree_bytes(out) == before
+
+    def test_reused_evaluate_out_exits_before_any_run(self, tmp_path):
+        cli_main(["train", "--scenario", "1", "--episodes", "1", "--max-plays", "10",
+                  "--out", str(tmp_path / "t"), "--quiet"])  # fmt: skip
+        out = tmp_path / "e"
+        run = ["evaluate", "--checkpoint", str(tmp_path / "t" / "checkpoint.json"),
+               "--save-logs", "--out", str(out)]  # fmt: skip
+        cli_main([*run, "--runs", "3"])
+        before = tree_bytes(out)
+        message = f"peg3d evaluate: {out / 'metrics.json'} already exists"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}"):
+            cli_main([*run, "--runs", "1"])
+        assert tree_bytes(out) == before
+
     @pytest.mark.parametrize(
         "ini, message",
         [
@@ -1384,7 +1483,8 @@ class TestCLI:
             ),
             ("[arena]\ndt = 0\n", "dt must be finite and > 0, got 0.0$"),
             ("[arena]\nmax_time = 100\n", r"unknown key 'max_time' in section \[arena\]"),
-            ("[arena]\nsensing_range = 0\n", "sensing_range must be finite and > 0, got 0.0$"),
+            # sensing_range is gone: it never limited what nearest_obstacle sees.
+            ("[arena]\nsensing_range = 0\n", r"unknown key 'sensing_range' in section \[arena\]"),
             # NaN compares false with everything, so it must fail each positivity check;
             # inf must fail it too.
             ("[arena]\ndt = nan\n", "dt must be finite and > 0, got nan$"),
@@ -1612,7 +1712,7 @@ class TestCLI:
                 -5.0,
                 "obstacle_margin must be finite and >= 0, got -5.0$",
             ),
-            (("config", "sensing_range"), 0, "sensing_range must be finite and > 0, got 0$"),
+            (("config", "sensing_range"), 35.0, "unknown TrainConfig key 'sensing_range'$"),
             (("config", "capture_distance"), math.nan, "capture_distance must be finite and > 0"),
             (("config", "dt"), math.inf, "dt must be finite and > 0, got inf$"),
             (("config", "evader_speed"), math.inf, "evader_speed must be finite and > 0, got inf$"),

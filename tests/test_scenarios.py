@@ -34,7 +34,7 @@ STARTS = {"pursuer_start": [5, 30, 0], "evader_start": [5, 5, 0]}
 ACCEPTED_KEYS = {
     "config": {"schema"},
     "train": {"episodes", "max_plays", "seed", "freeze", "log_steps"},
-    "arena": {"extents", "dt", "capture_distance", "sensing_range"},
+    "arena": {"extents", "dt", "capture_distance"},
     "agents": {"pursuer_speed", "evader_speed", "cone_constraint"},
     "learner": {"alpha_actor", "alpha_critic", "gamma", "sigma", "mfs_per_input"},
     "reward": {
@@ -74,7 +74,6 @@ VALID_VALUES = {
     ("arena", "extents"): st.tuples(_positive, _positive, _positive),
     ("arena", "dt"): _positive,
     ("arena", "capture_distance"): _positive,
-    ("arena", "sensing_range"): _positive,
     ("agents", "pursuer_speed"): _positive,
     ("agents", "evader_speed"): _positive,
     ("agents", "cone_constraint"): st.booleans(),
@@ -227,7 +226,15 @@ SCENARIO_STARTS = {"pursuer_start": (5.0, 30.0, 0.0), "evader_start": (5.0, 5.0,
     [
         *(
             (TrainConfig, {name: value}, f"{name} must be finite and > 0, got {value!r}")
-            for name in ("dt", "capture_distance", "sensing_range")
+            for name in ("dt", "capture_distance")
+            for value in (0.0, -1.0, math.nan, math.inf)
+        ),
+        *(
+            (
+                TrainConfig,
+                {"arena_extents": (35.0, 35.0, value)},
+                f"arena extent z must be finite and > 0, got {value!r}",
+            )
             for value in (0.0, -1.0, math.nan, math.inf)
         ),
         *(

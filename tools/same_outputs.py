@@ -13,7 +13,8 @@ that sets every section's keys (explicit obstacles, both headings, 3
 membership functions per input) and ``evaluate`` from the checkpoint it
 trains, a scenario file with random obstacles for ``train``, its
 ``[scenario]`` section alone for ``evaluate --scenario`` and for ``train``
-with the ``--config`` file above, ``evaluate --save-logs`` and ``replay
+with the ``--config`` file above, ``train`` on a scenario file with no
+obstacles (``obstacle_count = 0``), ``evaluate --save-logs`` and ``replay
 --export csv`` and ``json`` of one of its run logs, and ``replay --export
 csv`` of a training episode log, whose TD errors are floats (an evaluation
 run's are all None).
@@ -66,7 +67,6 @@ log_steps = all
 extents = 30 30 15
 dt = 0.2
 capture_distance = 1.5
-sensing_range = 20
 
 [agents]
 pursuer_speed = 1.2
@@ -98,6 +98,13 @@ evader_heading = 0.5 1.7
     "random.ini": RANDOM_SCENARIO + "\n[agents]\ncone_constraint = false\n",
     # evaluate refuses a scenario file with run settings: they are the checkpoint's.
     "random_scenario.ini": RANDOM_SCENARIO,
+    "open.ini": """\
+[scenario]
+name = open
+pursuer_start = 30 8 4
+evader_start = 10 26 12
+obstacle_count = 0
+""",
 }
 
 
@@ -111,6 +118,7 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("train-full", ["train", "--scenario", "full.ini", "--config", "full.ini",
                                 "--quiet"]))  # fmt: skip
     runs.append(("train-random", [*train, "--scenario", "random.ini"]))
+    runs.append(("train-open", [*train, "--scenario", "open.ini"]))
     runs.append(("train-two-files", [*train, "--scenario", "random_scenario.ini",
                                      "--config", "no_cone.ini"]))  # fmt: skip
     runs = [(name, [*args, "--out", name]) for name, args in runs]
