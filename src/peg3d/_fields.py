@@ -6,13 +6,17 @@ the Python API, an INI file or a checkpoint.  Each class then checks the
 ranges only it knows.  Episode logs are checked the same way when they are
 loaded, never when they are built.  INI text is cast by :func:`cast` and
 decoded JSON by :func:`build`, both through the one table of field kinds.
+Every input file is read through :func:`opened`, which names a file it cannot decode.
 This module imports nothing from the package, so every config module can use it.
 """
 
 from __future__ import annotations
 
 import configparser
+import json
 import math
+import reprlib
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 
 
@@ -176,3 +180,36 @@ def build(cls, data):
         if not problems:
             raise
         raise ValueError("; ".join(problems)) from None
+
+
+@contextmanager
+def opened(path):
+    """``path`` open for reading as UTF-8 text; ``ValueError`` names it when it is not."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def check_schema(schema, expected: str, what: str) -> None:
+    """``ValueError`` unless the ``schema`` tag of a ``what`` file is ``expected``."""
+    if schema != expected:
+        raise ValueError(f"unsupported {what} schema {schema!r} (expected {expected})")
+
+
+def load_json(path, schema: str, what: str) -> dict:
+    """The JSON object in file ``path``, a ``what`` whose ``schema`` tag must be ``schema``.
+
+    ``ValueError`` names the file when it is not UTF-8 JSON or holds no
+    object; a wrong tag fails as in :func:`check_schema`.
+    """
+    with opened(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {reprlib.repr(data)}")
+    check_schema(data.get("schema"), schema, what)
+    return data

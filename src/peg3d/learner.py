@@ -14,12 +14,13 @@ takes two values per call, the azimuth channel's first.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields, check_int, check_positive
+from ._fields import _number, check_fields, check_int, check_positive
 from .env import OPEN_CLEARANCE, TURN_LIMIT, AgentState
 from .fuzzy import Firing
 
@@ -173,27 +174,43 @@ class FuzzyActorCritic:
         return {"actor": [list(row) for row in self.actor], "critic": list(self.critic)}
 
     def load_state_dict(self, data: dict):
-        """Take the weights of a :meth:`state_dict`.
+        """Take the weights of a :meth:`state_dict`, checked by :meth:`checked_weights`."""
+        self.actor, self.critic = self.checked_weights(data, len(self.critic))
 
-        ``ValueError`` if their shapes differ from this learner's, or if a
-        weight is NaN or infinite; that message names the part and the index.
+    @staticmethod
+    def checked_weights(data: dict, n_rules: int) -> tuple[list[list[float]], list[float]]:
+        """State dict ``data``'s actor rows and critic for ``n_rules`` rules, as new float lists.
+
+        ``ValueError``, in this order, on: an ``actor`` that is not a list of
+        lists or a ``critic`` that is not a list; a weight that is not a
+        number (ints pass as floats; bools, strings, None and lists do not);
+        rows of other than ``n_rules`` weights, or other than one actor row
+        per channel; a NaN or infinite weight.  A weight's message names the
+        part and the index, as in ``actor[1, 17] must be finite, got nan``.
         """
-        actor = np.asarray(data["actor"], dtype=float)
-        critic = np.asarray(data["critic"], dtype=float)
-        n_rules = len(self.critic)
-        layout = (len(CHANNELS), n_rules), (n_rules,)
-        if (actor.shape, critic.shape) != layout:
+        actor, critic = data["actor"], data["critic"]
+        if not isinstance(actor, list) or not all(isinstance(row, list) for row in actor):
+            raise ValueError(f"actor must be a list of lists of floats, got {reprlib.repr(actor)}")
+        if not isinstance(critic, list):
+            raise ValueError(f"critic must be a list of floats, got {reprlib.repr(critic)}")
+        rows = [*((f"actor[{i}, ", row) for i, row in enumerate(actor)), ("critic[", critic)]
+
+        def check(test, kind):
+            for lead, row in rows:
+                for j, weight in enumerate(row):
+                    if not test(weight):
+                        raise ValueError(f"{lead}{j}] must be {kind}, got {weight!r}")
+
+        check(_number, "a float")
+        counts = [len(row) for row in actor], len(critic)
+        layout = [n_rules] * len(CHANNELS), n_rules
+        if counts != layout:
             raise ValueError(
-                f"weight shapes {actor.shape}/{critic.shape} do not match "
-                f"the layout {layout[0]}/{layout[1]}"
+                f"weight counts (actor {counts[0]}, critic {counts[1]}) do not match "
+                f"the layout (actor {layout[0]}, critic {layout[1]})"
             )
-        for part, weights in (("actor", actor), ("critic", critic)):
-            bad = np.argwhere(~np.isfinite(weights))
-            if bad.size:
-                index = bad[0].tolist()
-                value = float(weights[tuple(index)])
-                raise ValueError(f"{part}{index} must be finite, got {value!r}")
-        self.actor, self.critic = actor.tolist(), critic.tolist()
+        check(math.isfinite, "finite")
+        return [list(map(float, row)) for row in actor], list(map(float, critic))
 
 
 # The rule grid's input domains, one per kind of feature extract_inputs returns:

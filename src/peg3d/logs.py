@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from ._fields import _KINDS, build, check_fields
+from ._fields import _KINDS, build, check_fields, load_json
 from .reward import ROLES
 
 __all__ = [
@@ -231,12 +231,11 @@ def export_json(log: EpisodeLog, path):
 
 
 def load_episode(path) -> EpisodeLog:
-    with open(path) as fh:
-        data = json.load(fh)
-    schema = data.get("schema") if isinstance(data, dict) else None
-    if schema != EPISODE_SCHEMA:
-        raise ValueError(f"unsupported episode schema {schema!r} (expected {EPISODE_SCHEMA})")
-    return EpisodeLog.from_dict(data)
+    """The episode or run log in file ``path``.
+
+    ``ValueError`` as :func:`peg3d._fields.load_json` and :meth:`EpisodeLog.from_dict` raise it.
+    """
+    return EpisodeLog.from_dict(load_json(path, EPISODE_SCHEMA, "episode"))
 
 
 def _trajectory_rows(log: EpisodeLog):

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._fields import build, cast, check_fields, check_int, check_positive
+from ._fields import build, cast, check_fields, check_int, check_positive, check_schema, opened
 from .env import Arena, AgentState, Obstacle
 from .learner import LearnerConfig
 from .reward import ROLES, RewardConfig
@@ -275,18 +275,16 @@ def load_config(path) -> tuple[TrainConfig | None, Scenario | None]:
     """Read an INI config file; returns its run config and its scenario.
 
     Each is ``None`` when the file sets none of its keys, so a caller that
-    wants the defaults writes ``config or TrainConfig()``.  Unknown sections
-    and keys, ``[DEFAULT]`` included, raise so typos do not silently fall
-    back to defaults.
+    wants the defaults writes ``config or TrainConfig()``.  ``ValueError`` on
+    a file that is not UTF-8 (see :func:`peg3d._fields.opened`), another
+    ``[config] schema``, and unknown sections and keys, ``[DEFAULT]``
+    included, so typos do not silently fall back to defaults.
     """
     # No header names the default section "", so [DEFAULT] is an unknown section like any other.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
-    with open(path) as fh:
+    with opened(path) as fh:
         parser.read_file(fh)
-
-    schema = parser.get("config", "schema", fallback=CONFIG_SCHEMA)
-    if schema != CONFIG_SCHEMA:
-        raise ValueError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
+    check_schema(parser.get("config", "schema", fallback=CONFIG_SCHEMA), CONFIG_SCHEMA, "config")
 
     values = {cls: {} for cls, _ in INI_SECTIONS.values() if cls is not None}
     for section in parser.sections():

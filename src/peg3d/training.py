@@ -17,7 +17,6 @@ agent takes none, and ``evaluate`` draws no noise at all.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import build, check_int
+from ._fields import build, check_int, check_schema, load_json
 from ._version import __version__
 
 # perfbench/ times and counts the layers by rebinding the module-level names
@@ -467,31 +466,32 @@ def save_checkpoint(checkpoint: dict, path):
 
 
 def load_checkpoint(path_or_dict):
-    """Rebuild (learners, rulebase, scenario, config) from a checkpoint.
+    """Rebuild (learners, rulebase, scenario, config) from a checkpoint file or its dict.
 
-    The rule base and learners come from the stored config, then take the
-    stored weights.  Raises :class:`CheckpointLayoutError` when the weights
-    do not match the rule-base layout that config defines, or one is NaN or
-    infinite; its message names the role and the part.
+    ``ValueError`` on a file that :func:`peg3d._fields.load_json` refuses, a
+    ``schema`` other than ``peg3d.checkpoint.v4``, or a bad ``scenario`` or
+    ``config``.  Each role's weights are checked against the stored config's
+    rule count before any learner is built: :class:`CheckpointLayoutError`
+    names the role, then gives :meth:`FuzzyActorCritic.checked_weights`'s message.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
+        check_schema(data.get("schema"), CHECKPOINT_SCHEMA, "checkpoint")
     else:
-        with open(path_or_dict) as fh:
-            data = json.load(fh)
-    schema = data.get("schema") if isinstance(data, dict) else None
-    if schema != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema {schema!r} (expected {CHECKPOINT_SCHEMA})")
+        data = load_json(path_or_dict, CHECKPOINT_SCHEMA, "checkpoint")
     scenario = build(Scenario, _lookup(data, "scenario"))
     config = build(TrainConfig, _lookup(data, "config"))
     rulebase = build_rulebase(config)
-    learners = build_learners(config, rulebase.n_rules)
+    weights = {}
     for role in ROLES:
-        weights = {part: _lookup(data, f"agents.{role}.{part}") for part in ("actor", "critic")}
+        state = {part: _lookup(data, f"agents.{role}.{part}") for part in ("actor", "critic")}
         try:
-            learners[role].load_state_dict(weights)
+            weights[role] = FuzzyActorCritic.checked_weights(state, rulebase.n_rules)
         except ValueError as exc:
             raise CheckpointLayoutError(f"{role}: {exc}") from exc
+    learners = build_learners(config, rulebase.n_rules)
+    for role in ROLES:
+        learners[role].actor, learners[role].critic = weights[role]
     return learners, rulebase, scenario, config
 
 

@@ -49,6 +49,36 @@ from floatbits import bits
 # Marks a checkpoint key that a test deletes instead of setting.
 DELETE = object()
 
+# The first bytes of a PNG image; 0x89 cannot start a UTF-8 character.
+PNG_BYTES = b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR"
+
+
+def write_input(path: Path, content) -> None:
+    """Write ``content``, text or bytes, to ``path``."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
+# Input files that are not UTF-8 JSON objects, and the message a JSON loader
+# gives for each, with <path> standing for the file's path as given.
+UNREADABLE_JSON = {
+    "not json": ("x", r"<path> is not JSON \(Expecting value: line 1 column 1 \(char 0\)\)$"),
+    "a list": ("[1]", r"<path> must hold a JSON object, got \[1\]$"),
+    "not utf-8": (PNG_BYTES, r"<path> is not UTF-8 text \(invalid start byte\)$"),
+}
+
+
+def episode_played(*args, **kwargs):
+    """A stand-in for ``training.run_episode`` where no episode may be played."""
+    raise AssertionError("an episode was played")
+
+
+@pytest.fixture
+def no_episode(monkeypatch):
+    monkeypatch.setattr(training, "run_episode", episode_played)
+
 
 STEP_FIELDS = [f.name for f in dataclasses.fields(StepRecord)]
 
@@ -630,6 +660,14 @@ class TestEpisodeLogExports:
         with pytest.raises(ValueError, match="schema"):
             load_episode(path)
 
+    @pytest.mark.parametrize("case", UNREADABLE_JSON)
+    def test_a_file_that_is_not_a_json_object_is_named(self, tmp_path, case):
+        content, message = UNREADABLE_JSON[case]
+        path = tmp_path / "episode.json"
+        write_input(path, content)
+        with pytest.raises(ValueError, match=message.replace("<path>", re.escape(str(path)))):
+            load_episode(path)
+
 
 class TestTrain:
     @pytest.mark.parametrize("entry", ["train", "evaluate"])
@@ -811,6 +849,42 @@ class TestCheckpoints:
         mismatched["config"]["learner"]["mfs_per_input"] = 3
         with pytest.raises(CheckpointLayoutError, match="do not match the layout"):
             load_checkpoint(mismatched)
+
+    def test_weights_are_checked_before_any_learner_is_built(self, monkeypatch):
+        res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
+        mismatched = json.loads(json.dumps(res.checkpoint))
+        mismatched["config"]["learner"]["mfs_per_input"] = 6  # 1296 rules, 625 weights stored
+        built = []
+        monkeypatch.setattr(training, "build_learners", lambda *args: built.append(args))
+        message = (
+            "pursuer: weight counts (actor [625, 625], critic 625) do not match "
+            "the layout (actor [1296, 1296], critic 1296)"
+        )
+        with pytest.raises(CheckpointLayoutError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(mismatched)
+        assert built == []
+
+    @pytest.mark.parametrize("case", UNREADABLE_JSON)
+    def test_a_file_that_is_not_a_json_object_is_named(self, tmp_path, case):
+        content, message = UNREADABLE_JSON[case]
+        path = tmp_path / "checkpoint.json"
+        write_input(path, content)
+        with pytest.raises(ValueError, match=message.replace("<path>", re.escape(str(path)))) as exc:
+            load_checkpoint(path)
+        assert type(exc.value) is ValueError
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, [0.5]])
+    def test_a_weight_that_is_not_a_number_is_refused(self, tmp_path, value):
+        res = train(builtin_scenarios()[1], TrainConfig(episodes=1, max_plays=10))
+        bad = json.loads(json.dumps(res.checkpoint))
+        bad["agents"]["evader"]["actor"][1][17] = value
+        expected = rf"^evader: actor\[1, 17\] must be a float, got {re.escape(repr(value))}$"
+        with pytest.raises(CheckpointLayoutError, match=expected):
+            load_checkpoint(bad)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(bad, path)
+        with pytest.raises(CheckpointLayoutError, match=expected):
+            load_checkpoint(path)
 
     def test_v4_layout_pinned(self):
         sc = builtin_scenarios()[1]
@@ -1150,8 +1224,12 @@ class TestCLI:
         "text, message",
         [
             (None, r"\[Errno 2\] No such file or directory"),
-            (lambda data: "{not json", "Expecting property name enclosed in double quotes"),
-            (lambda data: "[]", "unsupported episode schema None"),
+            (
+                lambda data: "{not json",
+                r"<path> is not JSON \(Expecting property name enclosed in double quotes",
+            ),
+            (lambda data: "[]", r"<path> must hold a JSON object, got \[\]$"),
+            (lambda data: PNG_BYTES, r"<path> is not UTF-8 text \(invalid start byte\)$"),
             (
                 lambda data: json.dumps(
                     {
@@ -1216,7 +1294,7 @@ class TestCLI:
             ),
         ],
         ids=[
-            "no file", "not json", "a list", "v1 rows", "unknown key", "missing key", "column key",
+            "no file", "not json", "a list", "not utf-8", "v1 rows", "unknown key", "missing key", "column key",
             "rows", "records", "short column", "steps over records", "record value", "start value",
             "steps value",
         ],  # fmt: skip
@@ -1226,8 +1304,9 @@ class TestCLI:
         log = run_episode(sc, cfg, [], *zero_weight_setup(cfg), None, record_steps=True)
         path = tmp_path / "episode.json"
         if text is not None:
-            path.write_text(text(episode_dict_reference(log)))
+            write_input(path, text(episode_dict_reference(log)))
         out_dir = tmp_path / "replay"
+        message = message.replace("<path>", re.escape(str(path)))
         with pytest.raises(SystemExit, match=f"^peg3d replay: {message}"):
             cli_main(["replay", "--log", str(path), "--export", "csv", "--out", str(out_dir)])
         assert not out_dir.exists()
@@ -1788,6 +1867,73 @@ class TestCLI:
         with pytest.raises(SystemExit, match=f"^peg3d evaluate: evader: {expected[part]}$"):
             cli_main(["evaluate", "--checkpoint", str(path), "--runs", "1", "--out", str(out_dir)])
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", UNREADABLE_JSON)
+    def test_evaluate_names_a_checkpoint_that_is_not_a_json_object(
+        self, tmp_path, no_episode, case
+    ):
+        content, message = UNREADABLE_JSON[case]
+        path = tmp_path / "checkpoint.json"
+        write_input(path, content)
+        out_dir = tmp_path / "eval"
+        message = message.replace("<path>", re.escape(str(path)))
+        with pytest.raises(SystemExit, match=f"^peg3d evaluate: {message}"):
+            cli_main(["evaluate", "--checkpoint", str(path), "--runs", "1", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda agents: agents["pursuer"]["critic"].__setitem__(0, "1.5"),
+                "pursuer: critic[0] must be a float, got '1.5'",
+            ),
+            (
+                lambda agents: agents["pursuer"]["critic"].__setitem__(0, True),
+                "pursuer: critic[0] must be a float, got True",
+            ),
+            (
+                lambda agents: agents["pursuer"]["critic"].__setitem__(0, None),
+                "pursuer: critic[0] must be a float, got None",
+            ),
+            (
+                lambda agents: agents["evader"]["actor"][1].pop(),
+                "evader: weight counts (actor [625, 624], critic 625) do not match "
+                "the layout (actor [625, 625], critic 625)",
+            ),
+        ],
+        ids=["a string", "a bool", "null", "a short actor row"],
+    )
+    def test_evaluate_rejects_a_weight_that_is_not_a_number(
+        self, tmp_path, monkeypatch, edit, message
+    ):
+        run_dir = tmp_path / "run"
+        cli_main(
+            [
+                "train", "--scenario", "1", "--episodes", "1", "--max-plays", "5",
+                "--out", str(run_dir), "--quiet",
+            ]
+        )
+        path = run_dir / "checkpoint.json"
+        checkpoint = json.loads(path.read_text())
+        edit(checkpoint["agents"])
+        path.write_text(json.dumps(checkpoint))
+        monkeypatch.setattr(training, "run_episode", episode_played)
+        out_dir = tmp_path / "eval"
+        with pytest.raises(SystemExit, match=f"^{re.escape(f'peg3d evaluate: {message}')}$"):
+            cli_main(["evaluate", "--checkpoint", str(path), "--runs", "1", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("option", ["--scenario", "--config"])
+    def test_train_names_an_ini_file_that_is_not_utf8(self, tmp_path, no_episode, option):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[train]\nepisodes = 1\n" + PNG_BYTES)
+        files = [str(path)] if option == "--scenario" else ["1", "--config", str(path)]
+        argv = ["train", "--scenario", *files, "--out", str(tmp_path / "run")]
+        message = f"peg3d train: {path} is not UTF-8 text (invalid start byte)"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli_main(argv)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_evaluate_runs_below_one_exits_before_loading(self, tmp_path, runs):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,65 @@ class TestStateDict:
             with pytest.raises(ValueError, match="do not match the layout"):
                 learner.load_state_dict(state)
         assert np.shape(learner.actor) == (2, 6) and np.shape(learner.critic) == (6,)
+
+    def test_a_ragged_actor_fails_the_layout(self):
+        learner = FuzzyActorCritic(6, LearnerConfig())
+        state = dict(learner.state_dict(), actor=[[0.0] * 6, [0.0] * 5])
+        message = (
+            "weight counts (actor [6, 5], critic 6) do not match "
+            "the layout (actor [6, 6], critic 6)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            learner.load_state_dict(state)
+
+    def test_ints_load_as_floats_and_bools_are_refused(self):
+        learner = FuzzyActorCritic(3, LearnerConfig())
+        state = {"actor": [[1, 2, 3], [0, 0, -1]], "critic": [4, 5.5, 6]}
+        learner.load_state_dict(state)
+        assert learner.actor == [[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]]
+        assert learner.critic == [4.0, 5.5, 6.0]
+        weights = [*learner.actor[0], *learner.actor[1], *learner.critic]
+        assert {type(w) for w in weights} == {float}
+        state["critic"][2] = True
+        with pytest.raises(ValueError, match=r"^critic\[2\] must be a float, got True$"):
+            learner.load_state_dict(state)
+        assert learner.critic == [4.0, 5.5, 6.0]
+
+    @pytest.mark.parametrize("weight", ["1.5", True, False, None, [1.0], {"w": 1.0}])
+    @pytest.mark.parametrize("part, where", [("actor", "1, 2"), ("critic", "0")])
+    def test_a_weight_that_is_not_a_number_is_refused(self, part, where, weight):
+        learner = FuzzyActorCritic(3, LearnerConfig())
+        state = learner.state_dict()
+        row = state["actor"][1] if part == "actor" else state["critic"]
+        row[int(where[-1])] = weight
+        message = f"{part}[{where}] must be a float, got {weight!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            learner.load_state_dict(state)
+        assert learner.critic == [0.0] * 3
+
+    def test_the_type_check_comes_before_the_layout_and_the_layout_before_finiteness(self):
+        learner = FuzzyActorCritic(3, LearnerConfig())
+        state = {"actor": [[0.0] * 3, [math.nan] * 2], "critic": [0.0, "x", 0.0]}
+        with pytest.raises(ValueError, match=r"^critic\[1\] must be a float, got 'x'$"):
+            learner.load_state_dict(state)
+        state["critic"][1] = 0.0
+        with pytest.raises(ValueError, match="do not match the layout"):
+            learner.load_state_dict(state)
+        state["actor"][1].append(0.0)
+        with pytest.raises(ValueError, match=r"^actor\[1, 0\] must be finite, got nan$"):
+            learner.load_state_dict(state)
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"actor": 5, "critic": [0.0]}, "actor must be a list of lists of floats, got 5"),
+            ({"actor": [0.0, 1.0], "critic": [0.0]}, "actor must be a list of lists of floats"),
+            ({"actor": [[0.0]], "critic": None}, "critic must be a list of floats, got None"),
+        ],
+    )
+    def test_a_part_that_is_not_a_list_is_refused(self, state, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            FuzzyActorCritic(1, LearnerConfig()).load_state_dict(state)
 
 
 class TestExtractInputs:

@@ -54,3 +54,29 @@ def test_more_failures_than_the_ref_are_flagged(capsys):
     assert flagged and "failed: ref 0/100, checkout 1/100" in out
     flagged, _ = _compare([((100.0, 1.0, 40.0, 1), (100.0, 1.0, 40.0, 1))], capsys)
     assert not flagged
+
+
+def _steps_gain_rule(new, capsys):
+    """The gain-rule line printed under steps_per_s, the ref's runs being 100-109."""
+    _, out = _compare([((100.0 + k,), (value,)) for k, value in enumerate(new)], capsys)
+    lines = out.splitlines()
+    assert lines[0].startswith("steps_per_s ")
+    return lines[1]
+
+
+def test_the_gain_rule_is_met_by_nine_tenths_of_wins_beyond_the_ref_spread(capsys):
+    # The ref's quartiles are 102.25 and 106.75, so its interquartile range is 4.5.
+    line = _steps_gain_rule([110.0 + k for k in range(10)], capsys)
+    assert line.startswith("  gain rule met: wins 10/10 (needs 9/10 of the pairs)")
+    assert "median better by 10 (needs more than the ref's interquartile range 4.5)" in line
+
+
+def test_the_gain_rule_is_not_met_by_eight_wins_of_ten(capsys):
+    line = _steps_gain_rule([110.0 + k for k in range(8)] + [107.0, 108.0], capsys)
+    assert line.startswith("  gain rule not met: wins 8/10 ")
+
+
+def test_the_gain_rule_is_not_met_by_wins_inside_the_ref_spread(capsys):
+    line = _steps_gain_rule([101.0 + k for k in range(10)], capsys)
+    assert line.startswith("  gain rule not met: wins 10/10 ")
+    assert "median better by 1 " in line

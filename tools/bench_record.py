@@ -23,10 +23,13 @@ With ``--pairs N`` it runs N pairs of this checkout and ``--ref`` on the one
 seed, the checkout first in even pairs and the ref first in odd ones, and
 appends all 2N records.  Then it prints, for each end-to-end metric of
 ``BENCHMARK.json``, both sides' median and quartiles and the checkout's wins
-out of N (ties count for neither), and flags a checkout whose median is worse
-than the ref's by more than that metric's ``bound``, a fraction of the ref's
-median.  It exits 1 when a run fails, a metric is flagged, or the checkout
-fails a larger share of its operations than the ref.
+out of N (ties count for neither).  A line under each says whether a gain
+in that metric would count: the checkout wins at least 9 of 10 pairs, and its
+median is better than the ref's by more than the ref's interquartile range.
+It flags a checkout whose median is worse than the ref's by more than that
+metric's ``bound``, a fraction of the ref's median.  It exits 1 when a run
+fails, a metric is flagged, or the checkout fails a larger share of its
+operations than the ref.
 """
 
 from __future__ import annotations
@@ -94,6 +97,13 @@ def compare(spec: dict, pairs: list[tuple[dict, dict]]) -> bool:
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"ref {rmed:.6g} [{rq1:.6g}, {rq3:.6g}], checkout {nmed:.6g} [{nq1:.6g}, {nq3:.6g}], "
             f"checkout wins {wins}/{len(pairs)}, median {change:+.1%}"
+        )
+        gain, spread = sign * (nmed - rmed), rq3 - rq1
+        met = 10 * wins >= 9 * len(pairs) and gain > spread
+        print(
+            f"  gain rule {'met' if met else 'not met'}: wins {wins}/{len(pairs)} "
+            f"(needs 9/10 of the pairs), median better by {gain:.6g} "
+            f"(needs more than the ref's interquartile range {spread:.6g})"
         )
         if worse > metric["bound"]:
             flagged = True
