@@ -85,7 +85,7 @@ EVALUATE_OUTPUTS = ("metrics.json", "runs.csv", "runs")
 
 
 class CheckpointLayoutError(ValueError):
-    """Checkpoint weights do not fit the rule-base layout its config defines, or are not finite."""
+    """Checkpoint weights are not finite numbers, or do not fit the layout its config defines."""
 
 
 def build_rulebase(config: TrainConfig) -> RuleBase:

@@ -869,7 +869,8 @@ class TestCheckpoints:
         content, message = UNREADABLE_JSON[case]
         path = tmp_path / "checkpoint.json"
         write_input(path, content)
-        with pytest.raises(ValueError, match=message.replace("<path>", re.escape(str(path)))) as exc:
+        message = message.replace("<path>", re.escape(str(path)))
+        with pytest.raises(ValueError, match=message) as exc:
             load_checkpoint(path)
         assert type(exc.value) is ValueError
 
@@ -1294,9 +1295,9 @@ class TestCLI:
             ),
         ],
         ids=[
-            "no file", "not json", "a list", "not utf-8", "v1 rows", "unknown key", "missing key", "column key",
-            "rows", "records", "short column", "steps over records", "record value", "start value",
-            "steps value",
+            "no file", "not json", "a list", "not utf-8", "v1 rows", "unknown key", "missing key",
+            "column key", "rows", "records", "short column", "steps over records", "record value",
+            "start value", "steps value",
         ],  # fmt: skip
     )
     def test_replay_rejects_a_bad_log(self, tmp_path, text, message):
